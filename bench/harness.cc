@@ -161,10 +161,6 @@ ScenarioReport Harness::RunScenario(const Scenario& scenario) {
   steady_.cache_hits += after.cache_hits - before.cache_hits;
   steady_.cache_misses += after.cache_misses - before.cache_misses;
   steady_.errors += after.errors - before.errors;
-  steady_.flow_vertices_pruned +=
-      after.flow_vertices_pruned - before.flow_vertices_pruned;
-  steady_.flow_edges_pruned +=
-      after.flow_edges_pruned - before.flow_edges_pruned;
   report.result_cache_hits =
       after.result_cache_hits - before.result_cache_hits;
   report.result_cache_misses =
@@ -175,6 +171,8 @@ ScenarioReport Harness::RunScenario(const Scenario& scenario) {
   solve_micros.reserve(outcomes.size());
   for (const ResilienceResponse& outcome : outcomes) {
     ++report.instances;
+    steady_.flow_vertices_pruned += outcome.stats.product_vertices_pruned;
+    steady_.flow_edges_pruned += outcome.stats.product_edges_pruned;
     if (!outcome.status.ok()) {
       ++report.errors;
       continue;

@@ -118,6 +118,7 @@ class Harness {
     int64_t cache_hits = 0;
     int64_t cache_misses = 0;
     int64_t errors = 0;
+    /// Summed over the timed outcomes' InstanceStats.
     int64_t flow_vertices_pruned = 0;
     int64_t flow_edges_pruned = 0;
   };

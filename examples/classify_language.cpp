@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
     std::cout << ClassificationReport(query.language, query.classification)
               << "\n";
   }
-  PlanCacheView cache = engine.plan_cache_view();
-  std::cout << "(" << cache.stats.misses << " compiled, " << cache.stats.hits
+  EngineStats stats = engine.stats();
+  std::cout << "(" << stats.cache_misses << " compiled, " << stats.cache_hits
             << " plan-cache hits)\n";
   return 0;
 }

@@ -365,7 +365,6 @@ Status DbRegistry::RetryStorageLocked(const char* op, Fn&& attempt) {
     // Transient (kUnavailable) by contract means a retry rewrites its
     // whole payload, so a later clean attempt is fully durable.
     storage_->CountFault(op);
-    ++stats_.storage_faults;
     ++stats_.storage_retries;
     if (backoff > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(backoff));
@@ -375,7 +374,6 @@ Status DbRegistry::RetryStorageLocked(const char* op, Fn&& attempt) {
   }
   if (!status.ok()) {
     storage_->CountFault(op);
-    ++stats_.storage_faults;
     storage_->Degrade(status);
   }
   return status;
@@ -442,7 +440,6 @@ Status DbRegistry::PersistCommitLocked(
         "storage: no journal writer for lineage " +
         std::to_string(snapshot.lineage));
     storage_->CountFault("journal_append");
-    ++stats_.storage_faults;
     storage_->Degrade(missing);
     return missing;
   }
@@ -479,7 +476,6 @@ void DbRegistry::PersistDropLocked(uint64_t lineage, uint32_t version,
     Status missing = Status::Internal(
         "storage: no journal writer for lineage " + std::to_string(lineage));
     storage_->CountFault("drop_append");
-    ++stats_.storage_faults;
     storage_->Degrade(missing);
     return;
   }
@@ -649,7 +645,13 @@ size_t DbRegistry::size() const {
 
 DbRegistry::Stats DbRegistry::stats() const {
   MutexLock lock(mu_);
-  return stats_;
+  Stats stats = stats_;
+  if (storage_ != nullptr) {
+    for (const auto& [op, count] : storage_->fault_counts_) {
+      stats.storage_faults += count;
+    }
+  }
+  return stats;
 }
 
 DbRegistry::Gauges DbRegistry::gauges() const {

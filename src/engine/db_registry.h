@@ -243,7 +243,8 @@ class DbRegistry {
     int64_t commits = 0;       ///< successful delta commits
     int64_t commit_conflicts = 0;  ///< commits refused with Aborted
     int64_t compactions = 0;   ///< commits that folded their overlay
-    int64_t storage_faults = 0;    ///< failed storage write attempts
+    /// Failed storage write attempts: the sum of storage_fault_counts().
+    int64_t storage_faults = 0;
     int64_t storage_retries = 0;   ///< transient faults that were retried
     int64_t commits_unavailable = 0;  ///< commits shed/rolled back kUnavailable
   };

@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <map>
@@ -42,38 +43,137 @@ bool IsInconclusiveCode(StatusCode code) {
          code == StatusCode::kCancelled;
 }
 
-/// The DISJOINT status label the exporter reports (unlike
-/// EngineStats::errors, which rolls deadline/cancel in).
-std::string_view StatusLabel(const Status& status) {
+/// The four DISJOINT status labels of rpqres_requests_total (unlike
+/// EngineStats::errors, which rolls deadline/cancel in), indexed by
+/// StatusIndex.
+constexpr std::array<std::string_view, 4> kStatusLabels = {
+    "ok", "error", "deadline_exceeded", "cancelled"};
+
+int StatusIndex(const Status& status) {
   switch (status.code()) {
     case StatusCode::kOk:
-      return "ok";
+      return 0;
     case StatusCode::kDeadlineExceeded:
-      return "deadline_exceeded";
+      return 2;
     case StatusCode::kCancelled:
-      return "cancelled";
+      return 3;
     default:
-      return "error";
+      return 1;
   }
 }
 
+constexpr std::string_view kRequestsTotal = "rpqres_requests_total";
+constexpr std::string_view kRequestsByAlgorithm =
+    "rpqres_requests_by_algorithm_total";
+
+struct EventFamily {
+  std::string_view name;
+  std::string_view help;
+};
+constexpr EventFamily kEventFamilies[] = {
+    {"rpqres_plan_cache_events_total", "Plan-cache probes and evictions."},
+    {"rpqres_result_cache_events_total",
+     "Version-keyed result-cache probes, evictions, and explicit "
+     "invalidations."},
+    {"rpqres_engine_events_total",
+     "Engine lifecycle events (compiles, batches, async submits, "
+     "differential runs)."},
+};
+
+/// One fixed-label event cell: its family (index into kEventFamilies),
+/// its label, and the EngineStats field that views it. Indexed by
+/// ResilienceEngine::Event.
+struct EventCell {
+  int family;
+  std::string_view label;
+  int64_t EngineStats::*field;
+};
+constexpr EventCell kEventCells[] = {
+    {0, "hit", &EngineStats::cache_hits},
+    {0, "miss", &EngineStats::cache_misses},
+    {0, "eviction", &EngineStats::cache_evictions},
+    {1, "hit", &EngineStats::result_cache_hits},
+    {1, "miss", &EngineStats::result_cache_misses},
+    {1, "eviction", &EngineStats::result_cache_evictions},
+    {1, "invalidation", &EngineStats::result_cache_invalidations},
+    {2, "batch", &EngineStats::batches_run},
+    {2, "compilation", &EngineStats::compilations},
+    {2, "differential", &EngineStats::differentials_run},
+    {2, "differential_mismatch", &EngineStats::differential_mismatches},
+    {2, "submit", &EngineStats::submits},
+};
+
 }  // namespace
 
+EngineStats EngineStatsFromMetrics(const obs::MetricsSnapshot& snapshot,
+                                   std::string_view shard) {
+  EngineStats stats;
+  for (const obs::CounterFamily::Snapshot& family : snapshot.counters) {
+    for (const obs::CounterFamily::Sample& sample : family.samples) {
+      if (sample.shard != shard) continue;
+      if (family.name == kRequestsTotal) {
+        stats.instances_run += sample.value;
+        if (sample.label != "ok") stats.errors += sample.value;
+        if (sample.label == "deadline_exceeded") {
+          stats.deadline_exceeded = sample.value;
+        }
+        if (sample.label == "cancelled") stats.cancelled = sample.value;
+      } else if (family.name == kRequestsByAlgorithm) {
+        // A cell exists from its first request on, but reads 0 until
+        // that request's add lands (and again after ResetStats).
+        if (sample.value > 0) {
+          stats.instances_by_algorithm[sample.label] = sample.value;
+        }
+      } else {
+        for (const EventCell& cell : kEventCells) {
+          if (family.name == kEventFamilies[cell.family].name &&
+              sample.label == cell.label) {
+            stats.*cell.field = sample.value;
+          }
+        }
+      }
+    }
+  }
+  return stats;
+}
+
+// Counter families register in the order MetricsRegistry::TakeSnapshot
+// reads them: event families, then algorithms, then statuses. A request
+// bumps its status cell before its algorithm and result-cache cells, so
+// stats() (and any view of the export) reads those first and never counts
+// an algorithm or probe of a request whose status it missed.
 ResilienceEngine::ResilienceEngine(EngineOptions options)
     : options_(options),
       cache_(options.plan_cache_capacity),
       result_cache_(options.result_cache_capacity,
                     options.result_cache_max_bytes),
-      requests_total_(metrics_.Counter(
-          "rpqres_requests_total",
-          "Requests by disjoint final status; the four labels sum to "
-          "instances_run.",
-          "status")),
+      events_([this] {
+        static_assert(std::size(kEventCells) == size_t{kNumEvents});
+        std::array<obs::ShardedCounter*, kNumEvents> cells{};
+        for (size_t i = 0; i < cells.size(); ++i) {
+          const EventFamily& family = kEventFamilies[kEventCells[i].family];
+          cells[i] = &metrics_.Counter(family.name, family.help, "event")
+                          ->WithLabel(kEventCells[i].label);
+        }
+        return cells;
+      }()),
       requests_by_algorithm_(metrics_.Counter(
-          "rpqres_requests_by_algorithm_total",
+          kRequestsByAlgorithm,
           "Answered requests by the solver algorithm that produced the "
           "answer.",
           "algorithm")),
+      requests_by_status_([this] {
+        obs::CounterFamily* family = metrics_.Counter(
+            kRequestsTotal,
+            "Requests by disjoint final status; the four labels sum to "
+            "instances_run.",
+            "status");
+        std::array<obs::ShardedCounter*, kStatusLabels.size()> cells{};
+        for (size_t i = 0; i < cells.size(); ++i) {
+          cells[i] = &family->WithLabel(kStatusLabels[i]);
+        }
+        return cells;
+      }()),
       request_latency_(metrics_.Histogram(
           "rpqres_request_latency_micros",
           "End-to-end request wall time in microseconds, by disjoint final "
@@ -102,29 +202,19 @@ Result<std::shared_ptr<const CompiledQuery>> ResilienceEngine::CompileInternal(
   if (std::shared_ptr<const CompiledQuery> cached =
           cache_.Lookup(regex, semantics)) {
     if (was_cache_hit) *was_cache_hit = true;
-    MutexLock lock(stats_mu_);
-    ++stats_.cache_hits;
+    Count(kPlanCacheHit);
     return cached;
   }
   if (was_cache_hit) *was_cache_hit = false;
-  {
-    // Counted at the probe (before the compile can fail), matching the
-    // plan cache's own hit/miss semantics.
-    MutexLock lock(stats_mu_);
-    ++stats_.cache_misses;
-  }
+  // Counted at the probe, before the compile can fail.
+  Count(kPlanCacheMiss);
   CompileOptions compile_options;
   compile_options.allow_exponential = options_.allow_exponential;
   compile_options.max_word_length = options_.max_word_length;
   RPQRES_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledQuery> compiled,
                           CompileQuery(regex, semantics, compile_options));
-  const size_t evicted = cache_.Insert(compiled);
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.compilations;
-    stats_.total_compile_micros += compiled->compile_micros;
-    stats_.cache_evictions += static_cast<int64_t>(evicted);
-  }
+  Count(kPlanCacheEviction, static_cast<int64_t>(cache_.Insert(compiled)));
+  Count(kCompilation);
   return compiled;
 }
 
@@ -209,9 +299,7 @@ std::vector<ResilienceResponse> ResilienceEngine::EvaluateBatch(
             Execute(*query, request, /*cache_hit=*/!first_compile[i],
                     first_compile[i] ? query->compile_micros : 0);
       });
-
-  MutexLock lock(stats_mu_);
-  ++stats_.batches_run;
+  Count(kBatch);
   return responses;
 }
 
@@ -443,15 +531,16 @@ std::vector<ResilienceResponse> ResilienceEngine::EvaluateDifferential(
         RunReference(*query, request, &response);
       });
 
-  MutexLock lock(stats_mu_);
-  ++stats_.batches_run;
+  int64_t mismatches = 0;
   for (const ResilienceResponse& response : responses) {
-    ++stats_.differentials_run;
     if (response.differential.has_value() && !response.differential->agree &&
         !response.differential->inconclusive) {
-      ++stats_.differential_mismatches;
+      ++mismatches;
     }
   }
+  Count(kBatch);
+  Count(kDifferential, static_cast<int64_t>(responses.size()));
+  Count(kDifferentialMismatch, mismatches);
   return responses;
 }
 
@@ -462,10 +551,7 @@ std::future<ResilienceResponse> ResilienceEngine::Submit(
 
 std::future<ResilienceResponse> ResilienceEngine::Submit(
     ResilienceRequest request, ResponseCallback on_complete) {
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.submits;
-  }
+  Count(kSubmit);
   auto promise = std::make_shared<std::promise<ResilienceResponse>>();
   std::future<ResilienceResponse> future = promise->get_future();
   pool_.Submit([this, request = std::move(request), promise,
@@ -522,17 +608,14 @@ ResilienceResponse ResilienceEngine::Execute(const CompiledQuery& query,
     }
   }
 
-  RequestTelemetry telemetry;
-  ResilienceResponse response =
-      ExecuteTraced(query, request, trace, &telemetry);
+  RecordContext context;
+  ResilienceResponse response = ExecuteTraced(query, request, trace, &context);
   response.stats.cache_hit = cache_hit;
   response.stats.compile_micros = compile_micros;
 
   if (trace != nullptr) trace->End(root);
-  RecordContext context;
   context.request = &request;
   context.trace = trace;
-  context.telemetry = &telemetry;
   context.total_micros = MicrosSince(start);
   RecordInstance(response, context);
   return response;
@@ -540,7 +623,7 @@ ResilienceResponse ResilienceEngine::Execute(const CompiledQuery& query,
 
 ResilienceResponse ResilienceEngine::ExecuteTraced(
     const CompiledQuery& query, const ResilienceRequest& request,
-    obs::TraceContext* trace, RequestTelemetry* telemetry) {
+    obs::TraceContext* trace, RecordContext* context) {
   const RequestOptions& request_options = request.options;
   ResilienceResponse response;
   response.stats.complexity =
@@ -564,8 +647,8 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
         "request carries no database (default DbHandle)");
     return response;
   }
-  telemetry->lineage = db.lineage();
-  telemetry->version = db.version();
+  context->lineage = db.lineage();
+  context->version = db.version();
 
   // Fixed-endpoint validation (the solve itself branches below).
   const bool fixed_endpoints =
@@ -606,7 +689,6 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
       result_cache_.enabled() && db.lineage() != 0 &&
       (!request_options.method.has_value() ||
        *request_options.method == ResilienceMethod::kAuto);
-  telemetry->result_cache_checked = cacheable;
   ResultCacheKey cache_key;
   if (cacheable) {
     cache_key = ResultCacheKey{query.regex,
@@ -617,7 +699,9 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
                                request.target.value_or(-1)};
     auto lookup_start = std::chrono::steady_clock::now();
     obs::ScopedSpan lookup_span(trace, obs::SpanKind::kResultCacheLookup);
-    if (std::optional<CachedResult> hit = result_cache_.Lookup(cache_key)) {
+    std::optional<CachedResult> hit = result_cache_.Lookup(cache_key);
+    context->result_cache_probe = hit ? kResultCacheHit : kResultCacheMiss;
+    if (hit) {
       response.result = hit->result;
       // Report what computed the cached answer, stamped as a cache hit.
       response.stats.algorithm = hit->stats.algorithm;
@@ -713,9 +797,10 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
     response.stats.product_edges_pruned = response.result.product_edges_pruned;
     response.stats.search_nodes = response.result.search_nodes;
     if (cacheable) {
-      telemetry->result_cache_evictions = static_cast<int64_t>(
-          result_cache_.Insert(std::move(cache_key),
-                               CachedResult{response.result, response.stats}));
+      Count(kResultCacheEviction,
+            static_cast<int64_t>(result_cache_.Insert(
+                std::move(cache_key),
+                CachedResult{response.result, response.stats})));
     }
   }
   return response;
@@ -724,38 +809,23 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
 void ResilienceEngine::RecordInstance(const ResilienceResponse& response,
                                       const RecordContext& context) {
   const StatusCode code = response.status.code();
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.instances_run;
-    if (!response.status.ok()) ++stats_.errors;
-    if (code == StatusCode::kDeadlineExceeded) ++stats_.deadline_exceeded;
-    if (code == StatusCode::kCancelled) ++stats_.cancelled;
-    stats_.total_solve_micros += response.stats.solve_micros;
-    stats_.flow_vertices_pruned += response.stats.product_vertices_pruned;
-    stats_.flow_edges_pruned += response.stats.product_edges_pruned;
-    if (!response.stats.algorithm.empty()) {
-      ++stats_.instances_by_algorithm[response.stats.algorithm];
-    }
-    if (context.telemetry != nullptr &&
-        context.telemetry->result_cache_checked) {
-      if (response.stats.result_cache_hit) {
-        ++stats_.result_cache_hits;
-      } else {
-        ++stats_.result_cache_misses;
-      }
-      stats_.result_cache_evictions += context.telemetry->result_cache_evictions;
-    }
+  const int status_index = StatusIndex(response.status);
+  const std::string_view status = kStatusLabels[status_index];
+  // Status first: stats() reads the algorithm and result-cache cells
+  // before the status cells (see the constructor).
+  requests_by_status_[status_index]->Increment();
+  if (!response.stats.algorithm.empty()) {
+    requests_by_algorithm_->WithLabel(response.stats.algorithm).Increment();
+  }
+  if (context.result_cache_probe.has_value()) {
+    Count(*context.result_cache_probe);
   }
 
-  // Metric families are internally synchronized; no stats_mu_ needed.
-  const std::string_view status = StatusLabel(response.status);
   const double total_micros = context.total_micros > 0
                                   ? context.total_micros
                                   : response.stats.solve_micros;
-  requests_total_->WithLabel(status).Increment();
   request_latency_->WithLabel(status).Record(total_micros);
   if (!response.stats.algorithm.empty()) {
-    requests_by_algorithm_->WithLabel(response.stats.algorithm).Increment();
     solve_latency_->WithLabel(response.stats.algorithm)
         .Record(response.stats.solve_micros);
   }
@@ -793,10 +863,8 @@ void ResilienceEngine::RecordInstance(const ResilienceResponse& response,
     }
     record.status = std::string(status);
     record.algorithm = response.stats.algorithm;
-    if (context.telemetry != nullptr) {
-      record.lineage = context.telemetry->lineage;
-      record.version = context.telemetry->version;
-    }
+    record.lineage = context.lineage;
+    record.version = context.version;
     record.compile_micros =
         static_cast<int64_t>(response.stats.compile_micros);
     record.solve_micros = static_cast<int64_t>(response.stats.solve_micros);
@@ -814,17 +882,10 @@ void ResilienceEngine::RecordInstance(const ResilienceResponse& response,
 }
 
 EngineStats ResilienceEngine::stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  return EngineStatsFromMetrics(metrics_.TakeSnapshot());
 }
 
-void ResilienceEngine::ResetStats() {
-  cache_.ResetStats();
-  result_cache_.ResetStats();
-  metrics_.Reset();
-  MutexLock lock(stats_mu_);
-  stats_ = EngineStats{};
-}
+void ResilienceEngine::ResetStats() { metrics_.Reset(); }
 
 std::string ResilienceEngine::ExportMetrics(MetricsFormat format,
                                             const DbRegistry* registry) const {
@@ -836,41 +897,6 @@ std::string ResilienceEngine::ExportMetrics(MetricsFormat format,
 obs::MetricsSnapshot ResilienceEngine::TakeMetricsSnapshot(
     const DbRegistry* registry) const {
   obs::MetricsSnapshot snapshot = metrics_.TakeSnapshot();
-  const EngineStats s = stats();
-
-  // EngineStats counters exported as families (samples sorted by label,
-  // matching CounterFamily snapshots).
-  auto add_counter = [&snapshot](
-                         std::string_view name, std::string_view help,
-                         std::vector<obs::CounterFamily::Sample> samples) {
-    obs::CounterFamily::Snapshot family;
-    family.name = std::string(name);
-    family.help = std::string(help);
-    family.label_key = "event";
-    family.samples = std::move(samples);
-    snapshot.counters.push_back(std::move(family));
-  };
-  add_counter("rpqres_plan_cache_events_total",
-              "Plan-cache probes and evictions.",
-              {{"eviction", s.cache_evictions},
-               {"hit", s.cache_hits},
-               {"miss", s.cache_misses}});
-  add_counter("rpqres_result_cache_events_total",
-              "Version-keyed result-cache probes, evictions, and explicit "
-              "invalidations.",
-              {{"eviction", s.result_cache_evictions},
-               {"hit", s.result_cache_hits},
-               {"invalidation", s.result_cache_invalidations},
-               {"miss", s.result_cache_misses}});
-  add_counter("rpqres_engine_events_total",
-              "Engine lifecycle events (compiles, batches, async submits, "
-              "differential runs).",
-              {{"batch", s.batches_run},
-               {"compilation", s.compilations},
-               {"differential", s.differentials_run},
-               {"differential_mismatch", s.differential_mismatches},
-               {"submit", s.submits}});
-
   auto add_gauge = [&snapshot](std::string_view name, std::string_view help,
                                double value) {
     snapshot.gauges.push_back(
@@ -951,13 +977,13 @@ std::vector<obs::SlowQueryRecord> ResilienceEngine::slow_queries() const {
 }
 
 PlanCacheView ResilienceEngine::plan_cache_view() const {
-  return PlanCacheView{cache_.size(), cache_.capacity(), cache_.stats()};
+  return PlanCacheView{cache_.size(), cache_.capacity()};
 }
 
 ResultCacheView ResilienceEngine::result_cache_view() const {
   return ResultCacheView{result_cache_.size(), result_cache_.capacity(),
-                         result_cache_.size_bytes(), result_cache_.max_bytes(),
-                         result_cache_.stats()};
+                         result_cache_.size_bytes(),
+                         result_cache_.max_bytes()};
 }
 
 int64_t ResilienceEngine::InvalidateResults(uint64_t lineage,
@@ -965,8 +991,7 @@ int64_t ResilienceEngine::InvalidateResults(uint64_t lineage,
   const int64_t dropped = version.has_value()
                               ? result_cache_.EraseVersion(lineage, *version)
                               : result_cache_.EraseLineage(lineage);
-  MutexLock lock(stats_mu_);
-  stats_.result_cache_invalidations += dropped;
+  Count(kResultCacheInvalidation, dropped);
   return dropped;
 }
 

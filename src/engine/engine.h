@@ -35,6 +35,7 @@
 #ifndef RPQRES_ENGINE_ENGINE_H_
 #define RPQRES_ENGINE_ENGINE_H_
 
+#include <array>
 #include <functional>
 #include <future>
 #include <map>
@@ -42,6 +43,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,8 +59,6 @@
 #include "obs/trace.h"
 #include "resilience/resilience.h"
 #include "util/status.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace rpqres {
@@ -118,23 +118,31 @@ enum class MetricsFormat {
   kPrometheus,  ///< Prometheus text exposition 0.0.4
 };
 
-/// Read-only plan-cache introspection snapshot (size, capacity, hit/miss
-/// counters) — the engine owns the cache; callers observe, never mutate.
+/// Read-only plan-cache shape (size, capacity) — the engine owns the
+/// cache; callers observe, never mutate. Hits, misses and evictions are
+/// counted once, in the engine's metrics: read them from stats().
 struct PlanCacheView {
   size_t size = 0;
   size_t capacity = 0;
-  PlanCache::Stats stats;
 };
 
-/// Read-only ResultCache introspection snapshot.
+/// Read-only ResultCache shape. Hits, misses, evictions and
+/// invalidations are counted once, in the engine's metrics: read them
+/// from stats().
 struct ResultCacheView {
   size_t size = 0;
   size_t capacity = 0;
   /// Accounted entry footprint and its budget (0 = unbounded by bytes).
   size_t bytes = 0;
   size_t max_bytes = 0;
-  ResultCache::Stats stats;
 };
+
+/// The EngineStats view of a metrics snapshot taken from
+/// ResilienceEngine::TakeMetricsSnapshot (or a fleet merge of several,
+/// obs::MergeShardSnapshots). Reads only samples whose shard label equals
+/// `shard`: "" for one engine's snapshot, "all" for a fleet roll-up.
+EngineStats EngineStatsFromMetrics(const obs::MetricsSnapshot& snapshot,
+                                   std::string_view shard = "");
 
 /// The engine. Thread-safe: Compile/Evaluate/EvaluateBatch/Submit may be
 /// called concurrently from multiple threads; a batch call additionally
@@ -200,18 +208,22 @@ class ResilienceEngine {
 
   // --- Introspection ------------------------------------------------------
 
-  /// Aggregate counters snapshot (cache_* reflect the plan cache). The
-  /// snapshot is CONSISTENT under concurrent Submit/Evaluate traffic:
-  /// every field is maintained under one mutex at its counting point, so
-  /// cross-field invariants (deadline_exceeded + cancelled <= errors <=
-  /// instances_run, sum of instances_by_algorithm <= instances_run, ...)
-  /// hold in every snapshot, never just at quiescence.
-  EngineStats stats() const RPQRES_EXCLUDES(stats_mu_);
-  /// Clears the EngineStats snapshot, the underlying cache counters, and
-  /// every metric family (latency histograms included) atomically per
-  /// component. The slow-query log is NOT cleared (it is a log, not a
-  /// counter); use slow_queries() before resetting if needed.
-  void ResetStats() RPQRES_EXCLUDES(stats_mu_);
+  /// Aggregate counters, computed from the engine's metric families
+  /// (EngineStatsFromMetrics over TakeMetricsSnapshot) — every event is
+  /// counted once, there, with no lock. The view is still CONSISTENT
+  /// under concurrent Submit/Evaluate traffic: errors and instances_run
+  /// come from one read of the four disjoint status cells, and a request
+  /// bumps its status cell before its algorithm and result-cache cells
+  /// (release) while the snapshot reads those first (acquire). So
+  /// deadline_exceeded + cancelled <= errors <= instances_run,
+  /// errors + sum of instances_by_algorithm <= instances_run and
+  /// result_cache_hits + result_cache_misses <= instances_run hold in
+  /// every snapshot, never just at quiescence.
+  EngineStats stats() const;
+  /// Zeroes every metric family (counters and latency histograms), and
+  /// with them stats(). The slow-query log is NOT cleared (it is a log,
+  /// not a counter); use slow_queries() before resetting if needed.
+  void ResetStats();
 
   /// Renders every engine metric — request/solve/phase latency histograms
   /// (p50/p95/p99 in the JSON form), disjoint-status request counters,
@@ -263,29 +275,36 @@ class ResilienceEngine {
       std::span<const ResilienceRequest> requests,
       std::vector<bool>* first_compile);
 
-  /// Side facts Execute gathers for RecordInstance that don't belong in
-  /// the response itself (cache interaction, resolved db identity).
-  struct RequestTelemetry {
-    uint64_t lineage = 0;
-    uint32_t version = 0;
-    bool result_cache_checked = false;
-    int64_t result_cache_evictions = 0;
+  /// Engine events with a fixed-label counter cell, resolved once at
+  /// construction (kEventCells in engine.cc lists them in this order).
+  enum Event {
+    kPlanCacheHit, kPlanCacheMiss, kPlanCacheEviction,
+    kResultCacheHit, kResultCacheMiss, kResultCacheEviction,
+    kResultCacheInvalidation,
+    kBatch, kCompilation, kDifferential, kDifferentialMismatch, kSubmit,
+    kNumEvents
   };
+  void Count(Event event, int64_t n = 1) { events_[event]->Add(n); }
 
-  /// Context handed to RecordInstance alongside the response; everything
-  /// optional so bare RecordInstance(response) keeps working for callers
-  /// with no trace/telemetry (the differential reference path).
+  /// Context handed to RecordInstance alongside the response: side facts
+  /// that don't belong in the response itself. Everything is optional, so
+  /// a default context is valid (no trace, no resolved db).
   struct RecordContext {
     const ResilienceRequest* request = nullptr;
     const obs::TraceContext* trace = nullptr;
-    const RequestTelemetry* telemetry = nullptr;
+    /// Resolved db identity, for the slow-query log.
+    uint64_t lineage = 0;
+    uint32_t version = 0;
+    /// kResultCacheHit or kResultCacheMiss when the request probed the
+    /// result cache. RecordInstance counts it after the status cell.
+    std::optional<Event> result_cache_probe;
     double total_micros = 0;
   };
 
   /// Solve step shared by all entry points; applies per-request
   /// overrides, deadline, cancellation, and fixed endpoints; solves with
-  /// the calling thread's SolverScratch; records into stats_ and the
-  /// metric families. Opens a kRequest span on the effective trace
+  /// the calling thread's SolverScratch; records into the metric
+  /// families. Opens a kRequest span on the effective trace
   /// context (request.options.trace, else a stack-local one when
   /// options_.enable_tracing), then delegates to ExecuteTraced.
   /// `plan_lookup_micros` is the already-paid plan-cache/compile lookup
@@ -297,12 +316,12 @@ class ResilienceEngine {
 
   /// The body of Execute: db resolution, result-cache lookup, solver
   /// dispatch. Records spans into `trace` (nullable) and side facts into
-  /// `telemetry`; does NOT touch stats_ — Execute records once on the
-  /// way out.
+  /// `context`; counts only cache evictions — Execute records the
+  /// request once on the way out.
   ResilienceResponse ExecuteTraced(const CompiledQuery& query,
                                    const ResilienceRequest& request,
                                    obs::TraceContext* trace,
-                                   RequestTelemetry* telemetry);
+                                   RecordContext* context);
 
   /// The exact reference solve + judging for one differential request;
   /// fills response->differential.
@@ -310,31 +329,31 @@ class ResilienceEngine {
                     const ResilienceRequest& request,
                     ResilienceResponse* response);
 
-  /// Single sink for per-instance accounting: EngineStats fields under
-  /// stats_mu_, then (outside the mutex) metric families and, when the
-  /// request qualifies, the slow-query log. A default-constructed context
-  /// is valid (no trace, no telemetry).
+  /// Single sink for per-instance accounting: the status cell, then the
+  /// algorithm and result-cache cells (stats() relies on that order),
+  /// latency histograms and, when the request qualifies, the slow-query
+  /// log.
   void RecordInstance(const ResilienceResponse& response,
-                      const RecordContext& context)
-      RPQRES_EXCLUDES(stats_mu_);
+                      const RecordContext& context);
 
   EngineOptions options_;
   PlanCache cache_;
   ResultCache result_cache_;
-  mutable Mutex stats_mu_;
-  EngineStats stats_ RPQRES_GUARDED_BY(stats_mu_);
-  /// Metric families live in metrics_; the pointers below are stable
-  /// (MetricsRegistry owns them) and set once in the constructor.
+  /// The engine's one counter source. Families live in metrics_; the
+  /// pointers below are stable (MetricsRegistry owns them) and set once
+  /// in the constructor, in registration order.
   obs::MetricsRegistry metrics_;
-  obs::CounterFamily* requests_total_ = nullptr;        // {status}
-  obs::CounterFamily* requests_by_algorithm_ = nullptr; // {algorithm}
+  std::array<obs::ShardedCounter*, kNumEvents> events_;  // *_events_total
+  obs::CounterFamily* requests_by_algorithm_ = nullptr;  // {algorithm}
+  /// rpqres_requests_total cells: ok, error, deadline_exceeded, cancelled.
+  std::array<obs::ShardedCounter*, 4> requests_by_status_;
   obs::HistogramFamily* request_latency_ = nullptr;     // {status}, micros
   obs::HistogramFamily* solve_latency_ = nullptr;       // {algorithm}, micros
   obs::HistogramFamily* phase_micros_ = nullptr;        // {phase}, micros
   obs::SlowQueryLog slow_log_;
   /// Declared last on purpose: ~ThreadPool drains still-queued Submit
-  /// tasks, which touch cache_/stats_mu_/stats_/metrics_ — everything
-  /// they use must be destroyed after the pool.
+  /// tasks, which touch cache_/metrics_ — everything they use must be
+  /// destroyed after the pool.
   ThreadPool pool_;
 };
 

@@ -44,14 +44,21 @@ struct InstanceStats {
   uint64_t search_nodes = 0;
 };
 
-/// Aggregate counters for one engine, cumulative since construction (or
-/// the last ResetStats).
+/// Aggregate counters for one engine (or, from serve::Router, for a
+/// fleet), cumulative since construction or the last ResetStats.
+///
+/// A view, not a store: ResilienceEngine counts every event once, in its
+/// metric families, and EngineStatsFromMetrics computes this struct from
+/// a snapshot of them. Each field below names the sample it reads.
 struct EngineStats {
+  /// Sum of the four rpqres_requests_total{status} samples.
   int64_t instances_run = 0;
+  /// rpqres_engine_events_total{event="batch"}.
   int64_t batches_run = 0;
-  /// Full compilations performed (== plan-cache misses routed through
-  /// the engine).
+  /// Full compilations performed (== plan-cache misses whose compile
+  /// succeeded); rpqres_engine_events_total{event="compilation"}.
   int64_t compilations = 0;
+  /// rpqres_plan_cache_events_total{event="hit"|"miss"|"eviction"}.
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   int64_t cache_evictions = 0;
@@ -61,64 +68,34 @@ struct EngineStats {
   /// DISJOINT statuses instead (ok / error / deadline_exceeded /
   /// cancelled, summing to instances_run), so shed-rate math needs no
   /// double-count correction; generic errors alone are
-  /// `errors - deadline_exceeded - cancelled`.
+  /// `errors - deadline_exceeded - cancelled`. Sum of the three non-ok
+  /// rpqres_requests_total samples.
   int64_t errors = 0;
-  /// Requests accepted through the async Submit/SubmitBatch surface.
+  /// Requests accepted through the async Submit/SubmitBatch surface;
+  /// rpqres_engine_events_total{event="submit"}.
   int64_t submits = 0;
   /// Instances that stopped at their wall-clock deadline (counted in
-  /// `errors` too; the status was DeadlineExceeded).
+  /// `errors` too); rpqres_requests_total{status="deadline_exceeded"}.
   int64_t deadline_exceeded = 0;
   /// Instances stopped by cooperative cancellation (counted in `errors`
-  /// too; the status was Cancelled).
+  /// too); rpqres_requests_total{status="cancelled"}.
   int64_t cancelled = 0;
   /// EvaluateDifferential pairs judged, and how many disagreed (either
-  /// value divergence or an invalid witness on either side).
+  /// value divergence or an invalid witness on either side);
+  /// rpqres_engine_events_total{event="differential"|
+  /// "differential_mismatch"}.
   int64_t differentials_run = 0;
   int64_t differential_mismatches = 0;
-  /// Version-keyed ResultCache counters (0 when the cache is disabled).
+  /// Version-keyed ResultCache counters (0 when the cache is disabled);
+  /// rpqres_result_cache_events_total{event}.
   int64_t result_cache_hits = 0;
   int64_t result_cache_misses = 0;
   int64_t result_cache_evictions = 0;
   int64_t result_cache_invalidations = 0;
-  /// Aggregate product-pruning effect across flow solves (see
-  /// InstanceStats::product_vertices_pruned).
-  int64_t flow_vertices_pruned = 0;
-  int64_t flow_edges_pruned = 0;
-  double total_compile_micros = 0;
-  double total_solve_micros = 0;
-  /// Instance counts by solver algorithm string.
+  /// Instance counts by solver algorithm string (nonzero samples of
+  /// rpqres_requests_by_algorithm_total).
   std::map<std::string, int64_t> instances_by_algorithm;
 };
-
-/// Accumulates `in` into `out`, field-wise. Every counter sums, so
-/// merging N engines' stats yields the view one engine would have
-/// produced had it run all the traffic — the serve Router relies on this
-/// to present a fleet-wide EngineStats.
-inline void MergeEngineStats(const EngineStats& in, EngineStats* out) {
-  out->instances_run += in.instances_run;
-  out->batches_run += in.batches_run;
-  out->compilations += in.compilations;
-  out->cache_hits += in.cache_hits;
-  out->cache_misses += in.cache_misses;
-  out->cache_evictions += in.cache_evictions;
-  out->errors += in.errors;
-  out->submits += in.submits;
-  out->deadline_exceeded += in.deadline_exceeded;
-  out->cancelled += in.cancelled;
-  out->differentials_run += in.differentials_run;
-  out->differential_mismatches += in.differential_mismatches;
-  out->result_cache_hits += in.result_cache_hits;
-  out->result_cache_misses += in.result_cache_misses;
-  out->result_cache_evictions += in.result_cache_evictions;
-  out->result_cache_invalidations += in.result_cache_invalidations;
-  out->flow_vertices_pruned += in.flow_vertices_pruned;
-  out->flow_edges_pruned += in.flow_edges_pruned;
-  out->total_compile_micros += in.total_compile_micros;
-  out->total_solve_micros += in.total_solve_micros;
-  for (const auto& [algorithm, count] : in.instances_by_algorithm) {
-    out->instances_by_algorithm[algorithm] += count;
-  }
-}
 
 }  // namespace rpqres
 

@@ -10,11 +10,7 @@ std::shared_ptr<const CompiledQuery> PlanCache::Lookup(
     const std::string& regex, Semantics semantics) {
   MutexLock lock(mu_);
   auto it = index_.find(Key{regex, semantics});
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
+  if (it == index_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);  // move to front
   return it->second->second;
 }
@@ -22,7 +18,6 @@ std::shared_ptr<const CompiledQuery> PlanCache::Lookup(
 size_t PlanCache::Insert(std::shared_ptr<const CompiledQuery> query) {
   Key key{query->regex, query->semantics};
   MutexLock lock(mu_);
-  ++stats_.insertions;
   auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->second = std::move(query);
@@ -35,7 +30,6 @@ size_t PlanCache::Insert(std::shared_ptr<const CompiledQuery> query) {
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
-    ++stats_.evictions;
     ++evicted;
   }
   return evicted;
@@ -44,22 +38,6 @@ size_t PlanCache::Insert(std::shared_ptr<const CompiledQuery> query) {
 size_t PlanCache::size() const {
   MutexLock lock(mu_);
   return lru_.size();
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
-}
-
-void PlanCache::ResetStats() {
-  MutexLock lock(mu_);
-  stats_ = Stats{};
-}
-
-void PlanCache::Clear() {
-  MutexLock lock(mu_);
-  lru_.clear();
-  index_.clear();
 }
 
 }  // namespace rpqres

@@ -7,7 +7,6 @@
 #ifndef RPQRES_ENGINE_PLAN_CACHE_H_
 #define RPQRES_ENGINE_PLAN_CACHE_H_
 
-#include <cstdint>
 #include <list>
 #include <map>
 #include <memory>
@@ -21,39 +20,28 @@
 
 namespace rpqres {
 
-/// Thread-safe LRU map (regex, semantics) → CompiledQuery.
+/// Thread-safe LRU map (regex, semantics) → CompiledQuery. Holds no
+/// counters: callers learn hits, misses and evictions from the return
+/// values and count them where they count everything else.
 class PlanCache {
  public:
-  /// Counters since construction (or the last ResetStats).
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t insertions = 0;
-    int64_t evictions = 0;
-  };
-
   /// `capacity` = max resident plans; values < 1 are clamped to 1.
   explicit PlanCache(size_t capacity);
 
   /// Returns the cached plan and marks it most-recently-used, or nullptr
-  /// (counted as hit/miss respectively).
+  /// on a miss.
   std::shared_ptr<const CompiledQuery> Lookup(const std::string& regex,
                                               Semantics semantics)
       RPQRES_EXCLUDES(mu_);
 
   /// Inserts (or replaces) the plan for its own (regex, semantics) key,
   /// evicting the least-recently-used entry when over capacity. Returns
-  /// how many entries were evicted, so the engine can fold evictions into
-  /// its own consistent stats snapshot.
+  /// how many entries were evicted.
   size_t Insert(std::shared_ptr<const CompiledQuery> query)
       RPQRES_EXCLUDES(mu_);
 
   size_t size() const RPQRES_EXCLUDES(mu_);
   size_t capacity() const { return capacity_; }
-  Stats stats() const RPQRES_EXCLUDES(mu_);
-  void ResetStats() RPQRES_EXCLUDES(mu_);
-  /// Drops all entries (stats are kept).
-  void Clear() RPQRES_EXCLUDES(mu_);
 
  private:
   using Key = std::pair<std::string, Semantics>;
@@ -63,7 +51,6 @@ class PlanCache {
   const size_t capacity_;  // immutable after construction
   std::list<Entry> lru_ RPQRES_GUARDED_BY(mu_);  // front = most recently used
   std::map<Key, std::list<Entry>::iterator> index_ RPQRES_GUARDED_BY(mu_);
-  Stats stats_ RPQRES_GUARDED_BY(mu_);
 };
 
 }  // namespace rpqres

@@ -33,11 +33,7 @@ std::optional<CachedResult> ResultCache::Lookup(const ResultCacheKey& key) {
   if (!enabled()) return std::nullopt;
   MutexLock lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
+  if (it == index_.end()) return std::nullopt;
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->value;
 }
@@ -46,7 +42,6 @@ void ResultCache::PopLru() {
   bytes_ -= lru_.back().bytes;
   index_.erase(lru_.back().key);
   lru_.pop_back();
-  ++stats_.evictions;
 }
 
 size_t ResultCache::Insert(ResultCacheKey key, CachedResult value) {
@@ -64,7 +59,6 @@ size_t ResultCache::Insert(ResultCacheKey key, CachedResult value) {
   lru_.push_front(Entry{std::move(key), std::move(value), footprint});
   index_.emplace(lru_.front().key, lru_.begin());
   bytes_ += footprint;
-  ++stats_.insertions;
   size_t evicted = 0;
   while (lru_.size() > capacity_) {
     PopLru();
@@ -95,7 +89,6 @@ int64_t ResultCache::EraseMatching(uint64_t lineage,
       ++it;
     }
   }
-  stats_.invalidations += dropped;
   return dropped;
 }
 
@@ -115,23 +108,6 @@ size_t ResultCache::size() const {
 size_t ResultCache::size_bytes() const {
   MutexLock lock(mu_);
   return bytes_;
-}
-
-ResultCache::Stats ResultCache::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
-}
-
-void ResultCache::ResetStats() {
-  MutexLock lock(mu_);
-  stats_ = Stats{};
-}
-
-void ResultCache::Clear() {
-  MutexLock lock(mu_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
 }
 
 }  // namespace rpqres

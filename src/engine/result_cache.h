@@ -54,7 +54,9 @@ struct CachedResult {
 };
 
 /// Thread-safe LRU (key → answer). Capacity 0 disables the cache (every
-/// Lookup misses without counting, Insert is a no-op). Bounded two ways:
+/// Lookup misses, Insert is a no-op). Holds no counters: callers learn
+/// hits, misses, evictions and invalidations from the return values of
+/// Lookup, Insert and Erase*. Bounded two ways:
 /// by entry count (`capacity`) and — when `max_bytes` > 0 — by the
 /// accounted byte footprint of the retained answers (witness sets
 /// dominate: a contingency set can hold thousands of fact ids while
@@ -63,15 +65,6 @@ struct CachedResult {
 /// zero).
 class ResultCache {
  public:
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t insertions = 0;
-    int64_t evictions = 0;
-    /// Entries dropped by EraseLineage/EraseVersion.
-    int64_t invalidations = 0;
-  };
-
   explicit ResultCache(size_t capacity, size_t max_bytes = 0)
       : capacity_(capacity), max_bytes_(max_bytes) {}
 
@@ -102,9 +95,6 @@ class ResultCache {
   size_t size() const RPQRES_EXCLUDES(mu_);
   /// Accounted bytes across all retained entries (the cache-bytes gauge).
   size_t size_bytes() const RPQRES_EXCLUDES(mu_);
-  Stats stats() const RPQRES_EXCLUDES(mu_);
-  void ResetStats() RPQRES_EXCLUDES(mu_);
-  void Clear() RPQRES_EXCLUDES(mu_);
 
  private:
   struct Entry {
@@ -124,7 +114,6 @@ class ResultCache {
   std::list<Entry> lru_ RPQRES_GUARDED_BY(mu_);  // front = most recently used
   std::map<ResultCacheKey, std::list<Entry>::iterator> index_
       RPQRES_GUARDED_BY(mu_);
-  Stats stats_ RPQRES_GUARDED_BY(mu_);
 };
 
 }  // namespace rpqres

@@ -20,13 +20,13 @@ int ThisThreadShard() {
 }  // namespace
 
 void ShardedCounter::Add(int64_t delta) {
-  shards_[ThisThreadShard()].value.fetch_add(delta, std::memory_order_relaxed);
+  shards_[ThisThreadShard()].value.fetch_add(delta, std::memory_order_release);
 }
 
 int64_t ShardedCounter::value() const {
   int64_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.value.load(std::memory_order_relaxed);
+    total += shard.value.load(std::memory_order_acquire);
   }
   return total;
 }

@@ -11,7 +11,9 @@
 //  * CounterFamily / HistogramFamily — series keyed by ONE label value
 //    (status, algorithm, phase). Lookup by string_view is allocation-free
 //    once a label has been seen (transparent comparator, shared lock);
-//    only the first occurrence of a new label allocates its cell.
+//    only the first occurrence of a new label allocates its cell. Owners
+//    with a fixed label set resolve its cells once, at construction, and
+//    then record without any lock.
 //
 // Nothing here depends on the engine; the engine owns a MetricsRegistry
 // and records into family cells from its serving path.
@@ -35,6 +37,11 @@ namespace rpqres::obs {
 
 /// Monotone counter striped over kShards cachelines. Add() hashes the
 /// calling thread to a shard; value() sums all shards.
+///
+/// Add() is a release and value() an acquire on every shard, so counters
+/// can be read as consistent views without a lock: if a thread bumps A
+/// before B, a reader that reads B before A never sees B's bump without
+/// A's. Stats views built on counters rely on this.
 class ShardedCounter {
  public:
   static constexpr int kShards = 8;
@@ -206,6 +213,9 @@ class MetricsRegistry {
                              std::string_view label_key) RPQRES_EXCLUDES(mu_);
 
   /// Snapshot of all families (gauges left empty for the caller).
+  /// Counter families are read in registration order: an owner whose
+  /// views need one family read before another (see ShardedCounter)
+  /// registers that family first.
   MetricsSnapshot TakeSnapshot() const RPQRES_EXCLUDES(mu_);
 
   /// Zeroes every cell in every family (families and cells survive, so

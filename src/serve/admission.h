@@ -69,6 +69,8 @@ enum class AdmissionDecision {
                             ///< check, not the controller: commits shed on
                             ///< degraded shards, everything on failed ones)
 };
+/// AdmissionDecision values run 0 .. kNumAdmissionDecisions - 1.
+inline constexpr int kNumAdmissionDecisions = 6;
 
 /// Stable lowercase name ("admitted", "shed_tenant_cap", ...) for the
 /// router's decision-labelled counter.

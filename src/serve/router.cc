@@ -1,6 +1,7 @@
 #include "serve/router.h"
 
 #include <iterator>
+#include <string_view>
 #include <utility>
 
 #include "obs/export.h"
@@ -24,6 +25,18 @@ std::string_view ShedStatusLabel(const Status& status) {
   }
 }
 
+/// A cell of rpqres_router_events_total (the family registers on first
+/// call).
+obs::ShardedCounter* RouterEvent(obs::MetricsRegistry& metrics,
+                                 std::string_view event) {
+  return &metrics
+              .Counter("rpqres_router_events_total",
+                       "Router events: completed admitted requests, and "
+                       "commits applied or refused unavailable",
+                       "event")
+              ->WithLabel(event);
+}
+
 int ThreadsPerShard(const ShardedRegistry& shards) {
   const int configured = shards.engine(0).options().num_threads;
   return configured > 0 ? configured : ThreadPool::DefaultNumThreads();
@@ -36,9 +49,20 @@ Router::Router(ShardedRegistry* shards, RouterOptions options)
       options_(options),
       admission_(shards->num_shards(), ThreadsPerShard(*shards),
                  options.admission),
-      admission_total_(metrics_.Counter(
-          "rpqres_router_admission_total",
-          "Admission decisions by outcome (admitted / shed_*)", "decision")),
+      completed_(RouterEvent(metrics_, "completed")),
+      commits_applied_(RouterEvent(metrics_, "commit_applied")),
+      commits_unavailable_(RouterEvent(metrics_, "commit_unavailable")),
+      decisions_([this] {
+        obs::CounterFamily* family = metrics_.Counter(
+            "rpqres_router_admission_total",
+            "Admission decisions by outcome (admitted / shed_*)", "decision");
+        std::array<obs::ShardedCounter*, kNumAdmissionDecisions> cells{};
+        for (int i = 0; i < kNumAdmissionDecisions; ++i) {
+          cells[i] = &family->WithLabel(
+              AdmissionDecisionName(static_cast<AdmissionDecision>(i)));
+        }
+        return cells;
+      }()),
       tenant_requests_(metrics_.Counter("rpqres_router_tenant_requests_total",
                                         "Requests submitted per tenant",
                                         "tenant")),
@@ -67,10 +91,6 @@ std::future<ResilienceResponse> Router::Submit(ServeRequest serve) {
     // whatever registry the caller set cannot know the placement.
     request.registry = &shards_->registry(shard);
   }
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.submitted;
-  }
   tenant_requests_->WithLabel(serve.tenant).Increment();
 
   obs::TraceContext trace;
@@ -86,32 +106,10 @@ std::future<ResilienceResponse> Router::Submit(ServeRequest serve) {
                                    request.options.deadline, &ticket);
   }
   trace.End(span);
-  admission_total_->WithLabel(AdmissionDecisionName(decision)).Increment();
+  DecisionCell(decision).Increment();
 
   if (decision != AdmissionDecision::kAdmitted) {
     const Status status = AdmissionStatus(decision, shard);
-    {
-      MutexLock lock(stats_mu_);
-      switch (decision) {
-        case AdmissionDecision::kShedDeadlineExpired:
-          ++stats_.shed_deadline_expired;
-          break;
-        case AdmissionDecision::kShedDeadlineUnmeetable:
-          ++stats_.shed_deadline_unmeetable;
-          break;
-        case AdmissionDecision::kShedShardSaturated:
-          ++stats_.shed_shard_saturated;
-          break;
-        case AdmissionDecision::kShedTenantCap:
-          ++stats_.shed_tenant_cap;
-          break;
-        case AdmissionDecision::kShedShardUnavailable:
-          ++stats_.shed_shard_unavailable;
-          break;
-        case AdmissionDecision::kAdmitted:
-          break;
-      }
-    }
     tenant_sheds_->WithLabel(serve.tenant).Increment();
     const int64_t admission_micros =
         trace.size() > 0 ? trace.spans()[0].duration_ns / 1000 : 0;
@@ -124,10 +122,6 @@ std::future<ResilienceResponse> Router::Submit(ServeRequest serve) {
     return promise.get_future();
   }
 
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.admitted;
-  }
   inflight_.fetch_add(1);
   const auto start = std::chrono::steady_clock::now();
   return shards_->engine(shard).Submit(
@@ -141,10 +135,7 @@ std::future<ResilienceResponse> Router::Submit(ServeRequest serve) {
                 .count();
         admission_.Complete(ticket, micros);
         tenant_latency_->WithLabel(tenant).Record(micros);
-        {
-          MutexLock lock(stats_mu_);
-          ++stats_.completed;
-        }
+        completed_->Increment();
         inflight_.fetch_sub(1);
         {
           // Empty critical section: pairs the decrement with Drain's
@@ -174,25 +165,14 @@ Result<DbHandle> Router::Commit(
     const std::function<Status(DeltaBatch*)>& mutate) {
   const int shard = shards_->ShardForRef(db_ref);
   tenant_requests_->WithLabel(tenant).Increment();
-  {
-    MutexLock lock(stats_mu_);
-    ++stats_.commits_submitted;
-  }
 
   const HealthState health = shards_->registry(shard).health();
   if (health != HealthState::kHealthy) {
     const Status status = Status::Unavailable(
         "Commit shed: shard " + std::to_string(shard) + " storage is " +
         std::string(HealthStateName(health)));
-    admission_total_
-        ->WithLabel(
-            AdmissionDecisionName(AdmissionDecision::kShedShardUnavailable))
-        .Increment();
+    DecisionCell(AdmissionDecision::kShedShardUnavailable).Increment();
     tenant_sheds_->WithLabel(tenant).Increment();
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.shed_shard_unavailable;
-    }
     // Synthetic shed record: no query ran, surface the write target and
     // the health reason where the regex/algorithm would be.
     obs::SlowQueryRecord record;
@@ -212,13 +192,10 @@ Result<DbHandle> Router::Commit(
   const Status mutated = mutate(&batch);
   if (!mutated.ok()) return mutated;
   Result<DbHandle> committed = batch.Commit();
-  {
-    MutexLock lock(stats_mu_);
-    if (committed.ok()) {
-      ++stats_.commits_applied;
-    } else if (committed.status().code() == StatusCode::kUnavailable) {
-      ++stats_.commits_unavailable;
-    }
+  if (committed.ok()) {
+    commits_applied_->Increment();
+  } else if (committed.status().code() == StatusCode::kUnavailable) {
+    commits_unavailable_->Increment();
   }
   return committed;
 }
@@ -250,16 +227,35 @@ void Router::RecordShed(AdmissionDecision decision, const ServeRequest& serve,
 }
 
 EngineStats Router::engine_stats() const {
-  EngineStats merged;
+  std::vector<obs::MetricsSnapshot> per_shard;
+  per_shard.reserve(shards_->num_shards());
   for (int i = 0; i < shards_->num_shards(); ++i) {
-    MergeEngineStats(shards_->engine(i).stats(), &merged);
+    per_shard.push_back(shards_->engine(i).TakeMetricsSnapshot());
   }
-  return merged;
+  return EngineStatsFromMetrics(obs::MergeShardSnapshots(std::move(per_shard)),
+                                "all");
 }
 
 RouterStats Router::stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  RouterStats stats;
+  // `completed` first: a request's admitted cell is bumped before its
+  // engine run can complete (see RouterStats).
+  stats.completed = completed_->value();
+  stats.commits_applied = commits_applied_->value();
+  stats.commits_unavailable = commits_unavailable_->value();
+  stats.admitted = DecisionCell(AdmissionDecision::kAdmitted).value();
+  stats.shed_deadline_expired =
+      DecisionCell(AdmissionDecision::kShedDeadlineExpired).value();
+  stats.shed_deadline_unmeetable =
+      DecisionCell(AdmissionDecision::kShedDeadlineUnmeetable).value();
+  stats.shed_shard_saturated =
+      DecisionCell(AdmissionDecision::kShedShardSaturated).value();
+  stats.shed_tenant_cap =
+      DecisionCell(AdmissionDecision::kShedTenantCap).value();
+  stats.shed_shard_unavailable =
+      DecisionCell(AdmissionDecision::kShedShardUnavailable).value();
+  stats.submitted = stats.admitted + stats.sheds();
+  return stats;
 }
 
 obs::MetricsSnapshot Router::TakeMetricsSnapshot() const {

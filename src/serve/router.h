@@ -17,10 +17,11 @@
 // tree, and the decision is counted in router metrics.
 //
 // The Router also merges the fleet into one view:
-//   * engine_stats()      — field-wise sum of every shard's EngineStats;
+//   * engine_stats()      — EngineStats of the shard="all" roll-ups of
+//     every shard's engine metrics (EngineStatsFromMetrics);
 //   * TakeMetricsSnapshot — every shard's series tagged shard="i" plus
 //     shard="all" roll-ups (obs::MergeShardSnapshots), with the
-//     router's own admission/tenant families appended;
+//     router's own admission/event/tenant families appended;
 //   * slow_queries()      — shard logs plus the router's shed log.
 //
 // Lifetime: the Router must outlive its in-flight requests (completion
@@ -30,6 +31,7 @@
 #ifndef RPQRES_SERVE_ROUTER_H_
 #define RPQRES_SERVE_ROUTER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -61,11 +63,15 @@ struct RouterOptions {
   size_t shed_log_capacity = 256;
 };
 
-/// Router-level counters; one mutex guards them all, so any snapshot is
-/// internally consistent (submitted == admitted + sheds in every
-/// snapshot, mirroring the engine's stats discipline).
+/// Router-level counters: a view of the router's metric cells, read
+/// without a lock. Each admission decision is counted once, in
+/// rpqres_router_admission_total{decision}, and `submitted` is defined
+/// from those same reads as admitted + sheds(), so the balance holds in
+/// every snapshot. Commits shed by the health gate are sheds, so they
+/// count in `submitted` too. `completed` is read before `admitted`, so
+/// completed <= admitted holds in every snapshot as well.
 struct RouterStats {
-  int64_t submitted = 0;
+  int64_t submitted = 0;  ///< admitted + sheds(), shed commits included
   int64_t admitted = 0;
   int64_t completed = 0;  ///< admitted requests whose engine run finished
   int64_t shed_deadline_expired = 0;
@@ -77,7 +83,6 @@ struct RouterStats {
   /// still serve reads — only writes shed here.
   int64_t shed_shard_unavailable = 0;
 
-  int64_t commits_submitted = 0;
   int64_t commits_applied = 0;
   /// Commits that reached a healthy-looking shard but came back
   /// kUnavailable (storage faulted mid-commit; the registry rolled the
@@ -126,9 +131,10 @@ class Router {
   /// Blocks until no admitted request is in flight.
   void Drain() RPQRES_EXCLUDES(drain_mu_);
 
-  /// Field-wise sum of every shard engine's EngineStats.
+  /// Fleet EngineStats: the shard="all" roll-ups of every shard engine's
+  /// metrics, so each field is the sum of the shards' fields.
   EngineStats engine_stats() const;
-  RouterStats stats() const RPQRES_EXCLUDES(stats_mu_);
+  RouterStats stats() const;
 
   /// Fleet metrics: per-shard engine series tagged shard="i", shard="all"
   /// roll-ups, per-shard registry gauges, and router-level admission and
@@ -154,21 +160,28 @@ class Router {
   void RecordShed(AdmissionDecision decision, const ServeRequest& request,
                   const Status& status, int64_t admission_micros,
                   const obs::TraceContext& trace);
+  obs::ShardedCounter& DecisionCell(AdmissionDecision decision) const {
+    return *decisions_[static_cast<size_t>(decision)];
+  }
 
   ShardedRegistry* const shards_;
   const RouterOptions options_;
   AdmissionController admission_;
 
+  /// The router's one counter source. The events family registers before
+  /// the admission family, so snapshots read `completed` before
+  /// `admitted` (see RouterStats).
   obs::MetricsRegistry metrics_;
-  obs::CounterFamily* const admission_total_;
+  obs::ShardedCounter* const completed_;           // rpqres_router_events_total
+  obs::ShardedCounter* const commits_applied_;     // rpqres_router_events_total
+  obs::ShardedCounter* const commits_unavailable_; // rpqres_router_events_total
+  /// rpqres_router_admission_total cells, indexed by AdmissionDecision.
+  const std::array<obs::ShardedCounter*, kNumAdmissionDecisions> decisions_;
   obs::CounterFamily* const tenant_requests_;
   obs::CounterFamily* const tenant_sheds_;
   obs::HistogramFamily* const tenant_latency_;
 
   obs::SlowQueryLog shed_log_;
-
-  mutable rpqres::Mutex stats_mu_;
-  RouterStats stats_ RPQRES_GUARDED_BY(stats_mu_);
 
   /// Admitted-but-not-completed count. Atomic (not guarded): completion
   /// callbacks decrement it on engine workers; Drain reads it under

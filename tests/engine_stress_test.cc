@@ -2,9 +2,9 @@
 // EvaluateDifferential over the same seeded workload must produce
 // identical results and aggregate stats under a 1-thread and an 8-thread
 // pool — requests share compiled plans (shared_ptr-to-const) and
-// database snapshots (DbRegistry handles), stats are mutex-guarded, so
-// any divergence is a data race or an order-dependent accumulation bug
-// that the existing single-pool parity test cannot see.
+// database snapshots (DbRegistry handles), stats are atomic counter
+// cells, so any divergence is a data race or an order-dependent
+// accumulation bug that the existing single-pool parity test cannot see.
 
 #include <gtest/gtest.h>
 
@@ -196,9 +196,11 @@ TEST(EngineStressTest, ConcurrentReadersOnLatestDuringCommits) {
 
 // Consistent stats snapshots: stats() taken mid-flight, while a Submit
 // barrage is in progress, must satisfy the cross-field invariants on
-// EVERY read — all counters are maintained under one mutex, so a torn
-// snapshot (e.g. errors incremented but instances_run not yet) can never
-// be observed. A final quiescent read checks exact totals.
+// EVERY read — errors and instances_run derive from one read of the
+// status cells, which requests bump before the algorithm and result-cache
+// cells that the view reads first, so a torn snapshot (e.g. errors
+// incremented but instances_run not yet) can never be observed. A final
+// quiescent read checks exact totals.
 TEST(EngineStressTest, StatsSnapshotsAreConsistentUnderConcurrentSubmits) {
   DbRegistry registry;
   GraphDb db;

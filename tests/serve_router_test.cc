@@ -7,12 +7,19 @@
 // summed shard EngineStats equal the router view, and the merged
 // metrics snapshot's shard="all" roll-ups equal the sum of the
 // per-shard series, with disjoint statuses summing to instances_run.
+// The stats structs are views of that export: every field of
+// router.stats(), router.engine_stats() and engine.stats() equals its
+// exported sample.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -168,7 +175,16 @@ TEST(ServeRouterTest, MergedStatsAndMetricsAreExactSums) {
   EngineStats merged = router.engine_stats();
   EngineStats manual;
   for (int i = 0; i < shards.num_shards(); ++i) {
-    MergeEngineStats(shards.engine(i).stats(), &manual);
+    const EngineStats shard = shards.engine(i).stats();
+    manual.instances_run += shard.instances_run;
+    manual.submits += shard.submits;
+    manual.compilations += shard.compilations;
+    manual.errors += shard.errors;
+    manual.cache_hits += shard.cache_hits;
+    manual.cache_misses += shard.cache_misses;
+    for (const auto& [algorithm, count] : shard.instances_by_algorithm) {
+      manual.instances_by_algorithm[algorithm] += count;
+    }
   }
   EXPECT_EQ(merged.instances_run, manual.instances_run);
   EXPECT_EQ(merged.submits, manual.submits);
@@ -223,6 +239,181 @@ TEST(ServeRouterTest, MergedStatsAndMetricsAreExactSums) {
     }
     if (has_shards) EXPECT_EQ(shard_sum, rollup) << family.name;
   }
+}
+
+// The stats structs are views of the export: each field equals one
+// exported sample (or a sum of them). Read straight from the snapshot
+// here, independently of EngineStatsFromMetrics.
+int64_t SampleValue(const obs::MetricsSnapshot& snapshot,
+                    std::string_view family, std::string_view label,
+                    std::string_view shard) {
+  for (const obs::CounterFamily::Snapshot& f : snapshot.counters) {
+    if (f.name != family) continue;
+    for (const obs::CounterFamily::Sample& sample : f.samples) {
+      if (sample.label == label && sample.shard == shard) return sample.value;
+    }
+  }
+  ADD_FAILURE() << "no sample " << family << "{" << label << "} shard=\""
+                << shard << "\"";
+  return -1;
+}
+
+void ExpectEngineStatsMatchExport(const EngineStats& stats,
+                                  const obs::MetricsSnapshot& snapshot,
+                                  std::string_view shard) {
+  auto sample = [&](std::string_view family, std::string_view label) {
+    return SampleValue(snapshot, family, label, shard);
+  };
+  constexpr std::string_view kPlan = "rpqres_plan_cache_events_total";
+  constexpr std::string_view kResult = "rpqres_result_cache_events_total";
+  constexpr std::string_view kEngine = "rpqres_engine_events_total";
+  constexpr std::string_view kStatus = "rpqres_requests_total";
+  EXPECT_EQ(stats.cache_hits, sample(kPlan, "hit")) << shard;
+  EXPECT_EQ(stats.cache_misses, sample(kPlan, "miss")) << shard;
+  EXPECT_EQ(stats.cache_evictions, sample(kPlan, "eviction")) << shard;
+  EXPECT_EQ(stats.result_cache_hits, sample(kResult, "hit")) << shard;
+  EXPECT_EQ(stats.result_cache_misses, sample(kResult, "miss")) << shard;
+  EXPECT_EQ(stats.result_cache_evictions, sample(kResult, "eviction"))
+      << shard;
+  EXPECT_EQ(stats.result_cache_invalidations,
+            sample(kResult, "invalidation"))
+      << shard;
+  EXPECT_EQ(stats.batches_run, sample(kEngine, "batch")) << shard;
+  EXPECT_EQ(stats.compilations, sample(kEngine, "compilation")) << shard;
+  EXPECT_EQ(stats.differentials_run, sample(kEngine, "differential"))
+      << shard;
+  EXPECT_EQ(stats.differential_mismatches,
+            sample(kEngine, "differential_mismatch"))
+      << shard;
+  EXPECT_EQ(stats.submits, sample(kEngine, "submit")) << shard;
+  const int64_t ok = sample(kStatus, "ok");
+  const int64_t error = sample(kStatus, "error");
+  const int64_t deadline = sample(kStatus, "deadline_exceeded");
+  const int64_t cancelled = sample(kStatus, "cancelled");
+  EXPECT_EQ(stats.instances_run, ok + error + deadline + cancelled) << shard;
+  EXPECT_EQ(stats.errors, error + deadline + cancelled) << shard;
+  EXPECT_EQ(stats.deadline_exceeded, deadline) << shard;
+  EXPECT_EQ(stats.cancelled, cancelled) << shard;
+  std::map<std::string, int64_t> by_algorithm;
+  for (const obs::CounterFamily::Snapshot& f : snapshot.counters) {
+    if (f.name != "rpqres_requests_by_algorithm_total") continue;
+    for (const obs::CounterFamily::Sample& s : f.samples) {
+      if (s.shard == shard && s.value > 0) by_algorithm[s.label] = s.value;
+    }
+  }
+  EXPECT_EQ(stats.instances_by_algorithm, by_algorithm) << shard;
+}
+
+TEST(ServeRouterTest, StatsViewsMatchTheExport) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("rpqres_router_views_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  EngineOptions engine_options = ServeEngineOptions();
+  engine_options.result_cache_capacity = 64;
+  DbRegistry::Options registry_options;
+  registry_options.storage_dir = dir;
+  {
+    ShardedRegistry shards(2, engine_options, registry_options);
+    Router router(&shards);
+    // One lineage per shard.
+    std::string names[2];
+    for (int i = 0; names[0].empty() || names[1].empty(); ++i) {
+      const std::string name = "viewdb" + std::to_string(i);
+      std::string& slot = names[shards.ShardForName(name)];
+      if (slot.empty()) slot = name;
+    }
+    for (const std::string& name : names) {
+      GraphDb db;
+      const NodeId u = db.AddNode();
+      const NodeId v = db.AddNode();
+      const NodeId w = db.AddNode();
+      db.AddFact(u, 'a', v);
+      db.AddFact(v, 'b', w);
+      shards.Register(std::move(db), name);
+    }
+    auto read = [&](const std::string& name, const std::string& regex) {
+      ResilienceRequest request;
+      request.regex = regex;
+      request.db_ref = name + "@latest";
+      return router.Evaluate({"acme", std::move(request)});
+    };
+
+    // Admitted reads: a plan-cache miss and a result-cache miss per
+    // (shard, regex) first, then result-cache hits.
+    int reads = 0;
+    for (int round = 0; round < 3; ++round) {
+      for (const std::string& name : names) {
+        for (const char* regex : {"ab", "ax*b"}) {
+          ASSERT_TRUE(read(name, regex).status.ok());
+          ++reads;
+        }
+      }
+    }
+    // A deadline shed.
+    ResilienceRequest late;
+    late.regex = "ab";
+    late.db_ref = names[0] + "@latest";
+    late.options.deadline =
+        std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+    EXPECT_EQ(router.Evaluate({"acme", std::move(late)}).status.code(),
+              StatusCode::kDeadlineExceeded);
+    // An applied commit, then a health-shed commit on a degraded shard.
+    auto add_fact = [](DeltaBatch* batch) {
+      const NodeId n = batch->AddNode();
+      return batch->AddFact(0, 'c', n).status();
+    };
+    ASSERT_TRUE(router.Commit("acme", names[0], add_fact).ok());
+    shards.registry(1).DegradeStorageForTesting(
+        Status::Unavailable("degraded for the test"));
+    EXPECT_EQ(router.Commit("acme", names[1], add_fact).status().code(),
+              StatusCode::kUnavailable);
+    router.Drain();
+
+    const obs::MetricsSnapshot snapshot = router.TakeMetricsSnapshot();
+    const RouterStats rs = router.stats();
+    constexpr std::string_view kDecision = "rpqres_router_admission_total";
+    constexpr std::string_view kEvents = "rpqres_router_events_total";
+    EXPECT_EQ(rs.admitted, SampleValue(snapshot, kDecision, "admitted", ""));
+    EXPECT_EQ(rs.shed_deadline_expired,
+              SampleValue(snapshot, kDecision, "shed_deadline_expired", ""));
+    EXPECT_EQ(rs.shed_deadline_unmeetable,
+              SampleValue(snapshot, kDecision, "shed_deadline_unmeetable", ""));
+    EXPECT_EQ(rs.shed_shard_saturated,
+              SampleValue(snapshot, kDecision, "shed_shard_saturated", ""));
+    EXPECT_EQ(rs.shed_tenant_cap,
+              SampleValue(snapshot, kDecision, "shed_tenant_cap", ""));
+    EXPECT_EQ(rs.shed_shard_unavailable,
+              SampleValue(snapshot, kDecision, "shed_shard_unavailable", ""));
+    EXPECT_EQ(rs.completed, SampleValue(snapshot, kEvents, "completed", ""));
+    EXPECT_EQ(rs.commits_applied,
+              SampleValue(snapshot, kEvents, "commit_applied", ""));
+    EXPECT_EQ(rs.commits_unavailable,
+              SampleValue(snapshot, kEvents, "commit_unavailable", ""));
+    // And the traffic above, exactly: the shed commit counts as submitted.
+    EXPECT_EQ(rs.admitted, reads);
+    EXPECT_EQ(rs.completed, reads);
+    EXPECT_EQ(rs.shed_deadline_expired, 1);
+    EXPECT_EQ(rs.shed_shard_unavailable, 1);
+    EXPECT_EQ(rs.sheds(), 2);
+    EXPECT_EQ(rs.submitted, reads + 2);
+    EXPECT_EQ(rs.commits_applied, 1);
+    EXPECT_EQ(rs.commits_unavailable, 0);
+
+    const EngineStats es = router.engine_stats();
+    ExpectEngineStatsMatchExport(es, snapshot, "all");
+    EXPECT_EQ(es.instances_run, reads);
+    EXPECT_EQ(es.submits, reads);
+    EXPECT_EQ(es.cache_misses, 4);  // one per (shard, regex)
+    EXPECT_EQ(es.result_cache_misses, 4);
+    EXPECT_EQ(es.result_cache_hits, reads - 4);
+    for (int i = 0; i < shards.num_shards(); ++i) {
+      ExpectEngineStatsMatchExport(shards.engine(i).stats(),
+                                   shards.engine(i).TakeMetricsSnapshot(), "");
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

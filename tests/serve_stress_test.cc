@@ -52,7 +52,8 @@ EngineOptions StressEngineOptions() {
 }
 
 void CheckMergedInvariants(const Router& router, const char* where) {
-  // One mutex guards RouterStats, so any snapshot balances exactly.
+  // RouterStats defines submitted as admitted + sheds(), so any snapshot
+  // balances exactly.
   RouterStats rs = router.stats();
   EXPECT_EQ(rs.submitted, rs.admitted + rs.sheds()) << where;
   EXPECT_LE(rs.completed, rs.admitted) << where;
@@ -190,6 +191,101 @@ TEST(ServeStressTest, SustainedMixedReadCommitTraffic) {
   for (int i = 0; i < kShards; ++i) {
     EXPECT_GT(shards.engine(i).stats().instances_run, 0) << "shard " << i;
   }
+}
+
+// Stats views under concurrent submitters: four threads submit admitted
+// reads and expired-deadline sheds while this thread samples the views
+// nonstop. Every router.stats() must balance (submitted == admitted +
+// sheds()), keep completed <= admitted and never run backwards, and every
+// router.engine_stats() must keep the engine's cross-field invariants — a
+// sampler on the submitting thread could not see a window between two
+// counting points.
+TEST(ServeStressTest, StatsBalanceUnderConcurrentSubmitters) {
+  ShardedRegistry shards(2, StressEngineOptions());
+  Router router(&shards);
+  GraphDb db;
+  const NodeId u = db.AddNode();
+  const NodeId v = db.AddNode();
+  db.AddFact(u, 'a', v);
+  shards.Register(std::move(db), "tiny");
+
+  constexpr int kSubmitters = 4;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  std::atomic<int> running{kSubmitters};
+  std::atomic<int64_t> submitted{0};
+  std::atomic<int64_t> expired{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      std::vector<std::future<ResilienceResponse>> futures;
+      for (int i = 0; std::chrono::steady_clock::now() < until; ++i) {
+        ResilienceRequest request;
+        request.regex = "a";
+        request.db_ref = "tiny@latest";
+        if (i % 3 == 2) {
+          request.options.deadline = std::chrono::steady_clock::now() -
+                                     std::chrono::milliseconds(1);
+          expired.fetch_add(1);
+        }
+        futures.push_back(router.Submit(
+            {"tenant" + std::to_string(t), std::move(request)}));
+        submitted.fetch_add(1);
+        if (futures.size() == 32) {
+          for (auto& future : futures) future.get();
+          futures.clear();
+        }
+      }
+      for (auto& future : futures) future.get();
+      running.fetch_sub(1);
+    });
+  }
+
+  int64_t samples = 0;
+  int64_t unbalanced = 0;
+  int64_t overcompleted = 0;
+  int64_t went_backwards = 0;
+  int64_t last_submitted = 0;
+  int64_t engine_samples = 0;
+  int64_t engine_torn = 0;
+  while (running.load() > 0) {
+    const RouterStats rs = router.stats();
+    ++samples;
+    if (rs.submitted != rs.admitted + rs.sheds()) ++unbalanced;
+    if (rs.completed > rs.admitted) ++overcompleted;
+    if (rs.submitted < last_submitted) ++went_backwards;
+    last_submitted = rs.submitted;
+    if (samples % 16 == 0) {
+      const EngineStats es = router.engine_stats();
+      ++engine_samples;
+      int64_t by_algorithm = 0;
+      for (const auto& [algorithm, count] : es.instances_by_algorithm) {
+        by_algorithm += count;
+      }
+      if (es.deadline_exceeded + es.cancelled > es.errors ||
+          es.errors + by_algorithm > es.instances_run ||
+          es.result_cache_hits + es.result_cache_misses > es.instances_run) {
+        ++engine_torn;
+      }
+    }
+    // Leave the submitters room between samples, so the sampler sees
+    // them mid-submit rather than starving them.
+    for (int spin = 0; spin < 256 && running.load() > 0; ++spin) {
+    }
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+  router.Drain();
+
+  EXPECT_GT(samples, 0);
+  EXPECT_EQ(unbalanced, 0) << "of " << samples << " samples";
+  EXPECT_EQ(overcompleted, 0) << "of " << samples << " samples";
+  EXPECT_EQ(went_backwards, 0) << "of " << samples << " samples";
+  EXPECT_EQ(engine_torn, 0) << "of " << engine_samples << " samples";
+  const RouterStats rs = router.stats();
+  EXPECT_EQ(rs.submitted, submitted.load());
+  EXPECT_EQ(rs.submitted, rs.admitted + rs.sheds());
+  EXPECT_EQ(rs.shed_deadline_expired, expired.load());
+  EXPECT_EQ(rs.completed, rs.admitted);
 }
 
 }  // namespace

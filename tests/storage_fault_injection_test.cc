@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -67,6 +68,17 @@ class StorageFaultInjectionTest : public ::testing::Test {
     return batch.Commit();
   }
 
+  /// Every fault is counted once, per op: the registry's storage_faults
+  /// is the sum of the per-op counts the exporter publishes.
+  static void ExpectFaultsCountedOnce(const DbRegistry& registry) {
+    int64_t per_op = 0;
+    for (const auto& [op, count] : registry.storage_fault_counts()) {
+      per_op += count;
+    }
+    EXPECT_GT(per_op, 0);
+    EXPECT_EQ(registry.stats().storage_faults, per_op);
+  }
+
   std::string dir_;
 };
 
@@ -95,6 +107,7 @@ TEST_F(StorageFaultInjectionTest, TransientFaultRetriesAndHeals) {
     if (op == "journal_append" && count >= 1) counted = true;
   }
   EXPECT_TRUE(counted);
+  ExpectFaultsCountedOnce(*registry);
 
   // And the retried group is fully durable.
   const std::string expected = SerializeGraphDb(latest.db());
@@ -130,6 +143,7 @@ TEST_F(StorageFaultInjectionTest, PermanentFaultRollsBackAndShedsCommits) {
   EXPECT_EQ(registry.health(), HealthState::kDegraded);
   EXPECT_FALSE(registry.storage_status().ok());
   EXPECT_EQ(registry.gauges().storage_health, 1);
+  ExpectFaultsCountedOnce(registry);
 
   // The fault is gone, but the latch is one-way: commits keep shedding
   // with the original cause until the registry is replaced...
@@ -247,6 +261,7 @@ TEST_F(StorageFaultInjectionTest, RegisterFaultDegradesButServesFromMemory) {
   DbHandle handle = registry.Register(SeedDb(), "db");
   ASSERT_TRUE(handle.valid());
   EXPECT_EQ(registry.health(), HealthState::kDegraded);
+  ExpectFaultsCountedOnce(registry);
   fault::FailpointRegistry::Instance().ResetAll();
 
   // No segment reached the directory (the temp file was cleaned up).
