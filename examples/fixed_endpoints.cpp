@@ -20,6 +20,7 @@
 #include "engine/request.h"
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
 #include "graphdb/rpq_eval.h"
 #include "graphdb/serialization.h"
 #include "lang/language.h"
@@ -75,8 +76,8 @@ int main() {
   }
   std::vector<bool> removed(graph.num_facts(), false);
   for (FactId f : targeted.result.contingency) removed[f] = true;
-  bool still_routed =
-      EvaluatesToTrueBetween(graph, query.enfa(), s, t, &removed);
+  bool still_routed = EvaluatesToTrueBetween(graph, LabelIndex(graph),
+                                             query.enfa(), s, t, &removed);
   std::cout << "Route survives the targeted cut? "
             << (still_routed ? "YES (bug!)" : "no") << "\n";
   return still_routed ? 1 : 0;

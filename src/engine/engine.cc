@@ -766,7 +766,7 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
       forced.allow_exponential = allow_exponential;
       forced.exact = exact_options;
       return ComputeResilience(query.language, db.db(), query.semantics,
-                               forced);
+                               forced, db.label_index(), &scratch);
     }
     if (!allow_exponential &&
         query.plan.method == ResilienceMethod::kExact &&

@@ -22,8 +22,7 @@ size_t SolverScratch::total_capacity_bytes() const {
          product_id.capacity_bytes() + VectorBytes(fwd_visited) +
          VectorBytes(bwd_queue) + VectorBytes(live_list) +
          VectorBytes(candidate_facts) + VectorBytes(start_of) +
-         VectorBytes(end_of) + VectorBytes(label_bucket_offset) +
-         VectorBytes(label_bucket);
+         VectorBytes(end_of);
 }
 
 }  // namespace rpqres

@@ -135,14 +135,6 @@ class SolverScratch {
   // --- BCL solver state (Prp 7.6) ------------------------------------------
   /// Fact id -> start/end network vertex, -1 for irrelevant facts.
   std::vector<int32_t> start_of, end_of;
-  /// Relevant facts bucketed by label (counting sort: offsets + ids).
-  std::vector<int32_t> label_bucket_offset;  // size 257
-  std::vector<int32_t> label_bucket;
-  /// One label's facts bucketed by source node (counting sort), for the
-  /// output-linear word-pair join when no LabelIndex is available.
-  std::vector<int32_t> node_bucket_offset;  // size num_nodes + 1
-  std::vector<int32_t> node_bucket;
-  std::vector<int32_t> node_bucket_cursor;  // counting-sort fill cursors
 
   /// Test-only knob: emit the full (unpruned) product network. The pruned
   /// and unpruned constructions must produce identical cut values — the

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "automata/ops.h"
+#include "graphdb/label_index.h"
 #include "util/check.h"
 
 namespace rpqres {
@@ -38,37 +40,38 @@ std::string Hypergraph::ToString() const {
 
 namespace {
 
-// True iff the fact graph of `db` has a directed cycle (nodes as vertices).
-bool HasDirectedCycle(const GraphDb& db) {
-  int n = db.num_nodes();
-  std::vector<int> color(n, 0);
-  for (int root = 0; root < n; ++root) {
-    if (color[root] != 0) continue;
-    std::vector<std::pair<int, size_t>> stack{{root, 0}};
-    color[root] = 1;
-    while (!stack.empty()) {
-      auto& [v, i] = stack.back();
-      if (i >= db.OutFacts(v).size()) {
-        color[v] = 2;
-        stack.pop_back();
-        continue;
-      }
-      NodeId to = db.fact(db.OutFacts(v)[i]).target;
-      ++i;
-      if (color[to] == 1) return true;
-      if (color[to] == 0) {
-        color[to] = 1;
-        stack.push_back({to, 0});
+// True iff the fact graph of `db` has a directed cycle (nodes as
+// vertices): Kahn's topological sort then leaves some node unsorted.
+bool HasDirectedCycle(const GraphDb& db, const LabelIndex& index) {
+  std::vector<int> in_degree(db.num_nodes(), 0);
+  for (char label : index.labels()) {
+    for (FactId f : index.Facts(label)) ++in_degree[db.fact(f).target];
+  }
+  std::vector<NodeId> ready;
+  for (NodeId v = 0; v < db.num_nodes(); ++v) {
+    if (in_degree[v] == 0) ready.push_back(v);
+  }
+  int sorted = 0;
+  while (!ready.empty()) {
+    NodeId v = ready.back();
+    ready.pop_back();
+    ++sorted;
+    for (char label : index.labels()) {
+      for (FactId f : index.FactsFrom(label, v)) {
+        NodeId to = db.fact(f).target;
+        if (--in_degree[to] == 0) ready.push_back(to);
       }
     }
   }
-  return false;
+  return sorted < db.num_nodes();
 }
 
 }  // namespace
 
 Result<Hypergraph> HypergraphOfMatches(const Language& lang,
                                        const GraphDb& db, size_t max_walks) {
+  const LabelIndex index(db);
+  const std::vector<char>& labels = index.labels();
   // Determine a walk-length bound.
   int max_length;
   if (lang.IsFinite()) {
@@ -78,7 +81,7 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
       max_length = std::max(max_length, static_cast<int>(w.size()));
     }
   } else {
-    if (HasDirectedCycle(db)) {
+    if (HasDirectedCycle(db, index)) {
       return Status::FailedPrecondition(
           "HypergraphOfMatches: infinite language over a cyclic database "
           "(matches cannot be enumerated as bounded walks)");
@@ -103,17 +106,26 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
   std::vector<FactId> walk;
   std::string label;
 
-  // Recursive lambda via explicit stack of (node, next fact index).
+  // Explicit DFS stack; a frame walks the facts out of its node label by
+  // label through the index.
+  struct Frame {
+    NodeId node;
+    size_t label_pos = 0;            // position in `labels`
+    std::span<const FactId> rest{};  // unvisited facts of that label
+  };
+  auto open = [&](NodeId node) {
+    Frame frame{node};
+    if (!labels.empty()) frame.rest = index.FactsFrom(labels[0], node);
+    return frame;
+  };
   for (NodeId start = 0; start < db.num_nodes(); ++start) {
-    struct Frame {
-      NodeId node;
-      size_t index = 0;
-    };
-    std::vector<Frame> stack{{start}};
+    std::vector<Frame> stack{open(start)};
     while (!stack.empty()) {
       Frame& frame = stack.back();
-      if (frame.index >= db.OutFacts(frame.node).size() ||
-          static_cast<int>(walk.size()) >= max_length) {
+      while (frame.rest.empty() && frame.label_pos + 1 < labels.size()) {
+        frame.rest = index.FactsFrom(labels[++frame.label_pos], frame.node);
+      }
+      if (frame.rest.empty() || static_cast<int>(walk.size()) >= max_length) {
         stack.pop_back();
         if (!walk.empty()) {
           walk.pop_back();
@@ -121,7 +133,8 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
         }
         continue;
       }
-      FactId f = db.OutFacts(frame.node)[frame.index++];
+      FactId f = frame.rest.front();
+      frame.rest = frame.rest.subspan(1);
       if (++walks > max_walks) {
         return Status::OutOfRange("HypergraphOfMatches: more than " +
                                   std::to_string(max_walks) + " walks");
@@ -134,7 +147,7 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
         match.erase(std::unique(match.begin(), match.end()), match.end());
         matches.insert(std::move(match));
       }
-      stack.push_back(Frame{db.fact(f).target});
+      stack.push_back(open(db.fact(f).target));
     }
     RPQRES_DCHECK(walk.empty());
   }

@@ -16,10 +16,6 @@ NodeId GraphDb::AddNode(const std::string& name) {
                    "AddNode: mapped databases are immutable");
   NodeId id = static_cast<NodeId>(num_nodes());
   node_names_.push_back(name);
-  if (base_ == nullptr) {
-    out_facts_.emplace_back();
-    in_facts_.emplace_back();
-  }
   return id;
 }
 
@@ -87,13 +83,6 @@ FactId GraphDb::AddFact(NodeId source, char label, NodeId target,
   facts_.push_back(Fact{source, label, target});
   multiplicities_.push_back(multiplicity);
   exogenous_.push_back(false);
-  if (base_ == nullptr) {
-    out_facts_[source].push_back(id);
-    in_facts_[target].push_back(id);
-  } else {
-    overlay_out_[source].push_back(id);
-    overlay_in_[target].push_back(id);
-  }
   if (!dead_.empty()) dead_.push_back(0);
   fact_index_[key] = id;
   return id;
@@ -184,8 +173,6 @@ GraphDb GraphDb::MakeOverlay(std::shared_ptr<const GraphDb> parent) {
     out.num_dead_ = p.num_dead_;
     out.dead_ = p.dead_;
     out.mult_override_ = p.mult_override_;
-    out.overlay_out_ = p.overlay_out_;
-    out.overlay_in_ = p.overlay_in_;
   }
   out.base_nodes_ = out.base_->num_nodes();
   out.base_facts_ = out.base_->num_facts();
@@ -251,18 +238,6 @@ GraphDb GraphDb::Compact(std::vector<FactId>* old_id_of) const {
   return out;
 }
 
-std::pair<const FactId*, const FactId*> GraphDb::FlatIncidentRange(
-    NodeId node, bool out) const {
-  RPQRES_DCHECK(base_ == nullptr);
-  if (mapped_ != nullptr) {
-    const int32_t* offset = out ? mapped_->out_offset : mapped_->in_offset;
-    const FactId* adj = out ? mapped_->out_adj : mapped_->in_adj;
-    return {adj + offset[node], adj + offset[node + 1]};
-  }
-  const std::vector<FactId>& list = out ? out_facts_[node] : in_facts_[node];
-  return {list.data(), list.data() + list.size()};
-}
-
 GraphDb GraphDb::FromMappedFlat(
     std::vector<std::string> node_names,
     std::shared_ptr<const MappedFlatStorage> storage) {
@@ -271,32 +246,6 @@ GraphDb GraphDb::FromMappedFlat(
   out.node_names_ = std::move(node_names);
   out.mapped_ = std::move(storage);
   return out;
-}
-
-GraphDb::IncidentFacts GraphDb::IncidentView(NodeId node, bool out) const {
-  const uint8_t* dead = dead_.empty() ? nullptr : dead_.data();
-  const FactId* first = nullptr;
-  const FactId* first_end = nullptr;
-  if (base_ == nullptr) {
-    std::tie(first, first_end) = FlatIncidentRange(node, out);
-  } else if (node < base_nodes_) {
-    std::tie(first, first_end) = base_->FlatIncidentRange(node, out);
-  }
-  if (first == first_end) {
-    first = nullptr;
-    first_end = nullptr;
-  }
-  const FactId* second = first_end;
-  const FactId* second_end = first_end;
-  if (base_ != nullptr) {
-    const auto& overlay = out ? overlay_out_ : overlay_in_;
-    auto it = overlay.find(node);
-    if (it != overlay.end() && !it->second.empty()) {
-      second = it->second.data();
-      second_end = second + it->second.size();
-    }
-  }
-  return IncidentFacts(dead, first, first_end, second, second_end);
 }
 
 GraphDb GraphDb::RemoveFacts(const std::vector<FactId>& fact_ids) const {

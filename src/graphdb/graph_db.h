@@ -6,13 +6,16 @@
 // every fact as cost 1 (paper, Section 2: RES_set reduces to RES_bag with
 // unit multiplicities).
 //
-// Three physical layouts share this one type:
+// GraphDb is a fact table: nodes, facts, costs, tombstones and key
+// lookup. It keeps no adjacency; code that walks the graph reads a
+// LabelIndex (graphdb/label_index.h), the one per-(label, node) CSR of
+// the system, built once per snapshot.
 //
-//  * Flat databases — the historical layout: dense node/fact arrays built
-//    by AddNode/AddFact. Every mutator works, every fact id is live.
-//  * Mapped flat databases (FromMappedFlat) — the same dense arrays, but
-//    living in an externally owned mmap'ed segment (src/storage). Flat,
-//    all-live, immutable; usable as an overlay base.
+// Two storage forms share this one type:
+//
+//  * Flat databases — dense node/fact arrays built by AddNode/AddFact,
+//    either on the heap or (FromMappedFlat) in an externally owned mmap'ed
+//    segment (src/storage), which is flat, all-live and immutable.
 //  * Versioned overlays (DbRegistry v3 delta commits) — an immutable
 //    shared *base* (a flat GraphDb held by shared_ptr) plus a private
 //    overlay: appended nodes/facts, a tombstone bitmap over the combined
@@ -20,14 +23,12 @@
 //    overlay copies O(|overlay|) state, never the base, which is what
 //    makes a delta commit scale with the delta.
 //
-// Fact ids stay dense over [0, num_facts()) in both layouts; in an
-// overlay, tombstoned ids are *dead* — IsLive(id) is false and the id
-// never appears in OutFactsLive/InFactsLive, a LabelIndex, a solver
-// network, or a serialization. Code that indexes storage by fact id
-// (cost arrays, removal masks) keeps working unchanged; code that
-// *enumerates* facts must either use the live views or guard with
-// IsLive. The legacy OutFacts/InFacts spans remain for flat databases
-// only.
+// Fact ids stay dense over [0, num_facts()) in both forms; in an overlay,
+// tombstoned ids are *dead* — IsLive(id) is false and the id never
+// appears in a LabelIndex, a solver network, or a serialization. Code
+// that indexes storage by fact id (cost arrays, removal masks) keeps
+// working unchanged; code that *enumerates* facts must either go through
+// a LabelIndex or guard with IsLive.
 
 #ifndef RPQRES_GRAPHDB_GRAPH_DB_H_
 #define RPQRES_GRAPHDB_GRAPH_DB_H_
@@ -35,7 +36,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -70,10 +70,6 @@ struct MappedFlatStorage {
   const Fact* facts = nullptr;                 // [num_facts]
   const Capacity* multiplicities = nullptr;    // [num_facts]
   const uint8_t* exogenous = nullptr;          // [num_facts], 0/1
-  const int32_t* out_offset = nullptr;         // [num_nodes + 1] CSR
-  const FactId* out_adj = nullptr;             // [num_facts]
-  const int32_t* in_offset = nullptr;          // [num_nodes + 1] CSR
-  const FactId* in_adj = nullptr;              // [num_facts]
   const FactId* sorted_by_key = nullptr;       // perm sorted by (s, l, t)
   int32_t num_facts = 0;
   std::shared_ptr<const void> mapping;
@@ -158,19 +154,6 @@ class GraphDb {
                             : node_names_[id - base_nodes_];
   }
 
-  /// Fact ids whose source is `node`. Flat databases only (an overlay has
-  /// no single contiguous per-node list) — use OutFactsLive there. On a
-  /// mapped database the span points into the mmap'ed CSR arrays.
-  std::span<const FactId> OutFacts(NodeId node) const {
-    auto [first, last] = FlatIncidentRange(node, /*out=*/true);
-    return {first, static_cast<size_t>(last - first)};
-  }
-  /// Fact ids whose target is `node`. Flat databases only.
-  std::span<const FactId> InFacts(NodeId node) const {
-    auto [first, last] = FlatIncidentRange(node, /*out=*/false);
-    return {first, static_cast<size_t>(last - first)};
-  }
-
   // --- versioned overlays ---------------------------------------------------
 
   /// True when this database is a copy-on-write overlay over a shared
@@ -217,86 +200,6 @@ class GraphDb {
   /// (for translating witness contingency sets).
   GraphDb Compact(std::vector<FactId>* old_id_of = nullptr) const;
 
-  /// Iterable view over the *live* facts incident to one node: the base
-  /// facts (tombstones filtered) chained with the overlay's additions.
-  /// On a flat database this degenerates to the plain per-node list.
-  class IncidentFacts {
-   public:
-    class iterator {
-     public:
-      FactId operator*() const { return *pos_; }
-      iterator& operator++() {
-        ++pos_;
-        Settle();
-        return *this;
-      }
-      bool operator!=(const iterator& other) const {
-        return pos_ != other.pos_;
-      }
-      bool operator==(const iterator& other) const {
-        return pos_ == other.pos_;
-      }
-
-     private:
-      friend class IncidentFacts;
-      iterator(const uint8_t* dead, const FactId* pos, const FactId* seg_end,
-               const FactId* next, const FactId* next_end)
-          : dead_(dead), pos_(pos), seg_end_(seg_end), next_(next),
-            next_end_(next_end) {
-        Settle();
-      }
-      void Settle() {
-        for (;;) {
-          if (pos_ == seg_end_) {
-            if (next_ == nullptr || pos_ == next_end_) return;
-            pos_ = next_;
-            seg_end_ = next_end_;
-            next_ = nullptr;
-            continue;
-          }
-          if (dead_ == nullptr || !dead_[*pos_]) return;
-          ++pos_;
-        }
-      }
-      const uint8_t* dead_;
-      const FactId* pos_;
-      const FactId* seg_end_;
-      const FactId* next_;
-      const FactId* next_end_;
-    };
-
-    iterator begin() const {
-      return iterator(dead_, first_, first_end_, second_, second_end_);
-    }
-    iterator end() const {
-      return iterator(nullptr, second_end_, second_end_, nullptr,
-                      second_end_);
-    }
-    bool empty() const { return !(begin() != end()); }
-
-   private:
-    friend class GraphDb;
-    IncidentFacts(const uint8_t* dead, const FactId* first,
-                  const FactId* first_end, const FactId* second,
-                  const FactId* second_end)
-        : dead_(dead), first_(first), first_end_(first_end), second_(second),
-          second_end_(second_end) {}
-    const uint8_t* dead_;
-    const FactId* first_;
-    const FactId* first_end_;
-    const FactId* second_;
-    const FactId* second_end_;
-  };
-
-  /// Live facts out of / into `node`, in ascending id order. Works for
-  /// both layouts; on flat databases this is as cheap as OutFacts.
-  IncidentFacts OutFactsLive(NodeId node) const {
-    return IncidentView(node, /*out=*/true);
-  }
-  IncidentFacts InFactsLive(NodeId node) const {
-    return IncidentView(node, /*out=*/false);
-  }
-
   // --------------------------------------------------------------------------
 
   /// Edge labels present among live facts, sorted, deduplicated.
@@ -315,12 +218,7 @@ class GraphDb {
   std::string ToString() const;
 
  private:
-  IncidentFacts IncidentView(NodeId node, bool out) const;
   bool LookupMultOverride(FactId id, Capacity* value) const;
-  /// [first, last) of the per-node fact list of a *flat* database (heap
-  /// vectors or mapped CSR). Not valid on overlays.
-  std::pair<const FactId*, const FactId*> FlatIncidentRange(NodeId node,
-                                                            bool out) const;
 
   // Flat storage — for an overlay these hold the overlay's own nodes and
   // facts only; ids are offset by base_nodes_ / base_facts_.
@@ -328,14 +226,12 @@ class GraphDb {
   std::vector<Fact> facts_;
   std::vector<Capacity> multiplicities_;
   std::vector<bool> exogenous_;
-  std::vector<std::vector<FactId>> out_facts_;  // flat layout only
-  std::vector<std::vector<FactId>> in_facts_;   // flat layout only
   std::map<std::string, NodeId> nodes_by_name_;
   std::map<std::tuple<NodeId, char, NodeId>, FactId> fact_index_;
 
   // Mapped storage (null unless built by FromMappedFlat). When set the
-  // database is flat and facts_/multiplicities_/exogenous_/out_facts_/
-  // in_facts_/fact_index_ stay empty; node_names_ holds the dictionary.
+  // database is flat and facts_/multiplicities_/exogenous_/fact_index_
+  // stay empty; node_names_ holds the dictionary.
   std::shared_ptr<const MappedFlatStorage> mapped_;
 
   // Overlay state (empty for flat databases).
@@ -347,10 +243,6 @@ class GraphDb {
   std::vector<uint8_t> dead_;
   /// Multiplicity overrides for base facts (AddFact bumps), sorted by id.
   std::vector<std::pair<FactId, Capacity>> mult_override_;
-  /// Overlay adjacency: facts added on top of the base, keyed by incident
-  /// node (base or overlay). Flat databases use out_facts_/in_facts_.
-  std::map<NodeId, std::vector<FactId>> overlay_out_;
-  std::map<NodeId, std::vector<FactId>> overlay_in_;
 };
 
 }  // namespace rpqres

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/check.h"
+
 namespace rpqres {
 
 std::shared_ptr<const LabelIndex::PerLabel> LabelIndex::BuildEntry(
@@ -42,11 +44,18 @@ std::shared_ptr<const LabelIndex::PerLabel> LabelIndex::BuildEntry(
   return entry;
 }
 
-LabelIndex LabelIndex::FromMapped(
-    const std::vector<MappedLabelEntry>& entries,
-    std::shared_ptr<const void> mapping) {
+LabelIndex::LabelArrays LabelIndex::Arrays(char label) const {
+  const int16_t slot = slot_[static_cast<unsigned char>(label)];
+  RPQRES_CHECK_MSG(slot >= 0, "LabelIndex::Arrays: label not indexed");
+  const PerLabel& entry = *per_label_[slot];
+  return {label, entry.facts, entry.by_source, entry.source_offset,
+          entry.by_target, entry.target_offset};
+}
+
+LabelIndex LabelIndex::FromMapped(const std::vector<LabelArrays>& entries,
+                                  std::shared_ptr<const void> mapping) {
   LabelIndex out;
-  for (const MappedLabelEntry& e : entries) {
+  for (const LabelArrays& e : entries) {
     auto entry = std::make_shared<PerLabel>();
     entry->facts = e.facts;
     entry->by_source = e.by_source;

@@ -1,18 +1,18 @@
-// rpqres — graphdb/label_index: precomputed per-label fact adjacency.
+// rpqres — graphdb/label_index: the per-(label, node) fact adjacency.
 //
-// Flow-network construction (Thm 3.13 and friends) visits exactly the
-// facts whose label occurs in the query language; a GraphDb only offers
-// the full fact array, so every solve would re-scan all facts and filter
-// by label. A LabelIndex is built once per immutable database snapshot
-// (the DbRegistry does this at Register time) and shared by every query
-// against that snapshot: solvers iterate the per-label fact lists
-// directly, skipping inert facts without touching them.
+// A LabelIndex is the only adjacency in the system: GraphDb is a plain
+// fact table, and every solver, the RPQ evaluator and the gadgets reach
+// the facts at a node through an index. The paper's polynomial
+// algorithms all read the database one (label, node) pair at a time —
+// the product network of Thm 3.13, the chain wiring of Prp 7.6 and the
+// κ/z rewrite of Prp 7.9 — which is exactly what FactsFrom / FactsInto
+// answer, without touching a fact of any other label.
 //
-// Beyond the flat per-label lists, the index stores a per-label CSR over
-// source and target nodes (FactsFrom / FactsInto): the product-pruning
-// reachability sweep expands a (node, state) frontier by exactly the
-// facts with a given label at a given node, again without touching any
-// inert fact.
+// An index is built once per immutable database snapshot (the DbRegistry
+// does this at Register time, and a segment stores one on disk) and
+// shared by every query against that snapshot. Solver entry points take
+// an optional `const LabelIndex*`; a null pointer makes the entry point
+// build LabelIndex(db) once, for that call.
 //
 // Per-label entries are copy-on-write (shared_ptr-to-const): a delta
 // commit builds the next version's index *incrementally* — labels the
@@ -100,10 +100,10 @@ class LabelIndex {
   /// delta-commit path.
   int shared_labels() const { return shared_labels_; }
 
-  /// One label's pre-built CSR arrays inside an mmap'ed segment, for
-  /// FromMapped. Layouts match PerLabel exactly; offsets have
-  /// num_nodes + 1 entries.
-  struct MappedLabelEntry {
+  /// One label's CSR arrays: what a segment stores, what Arrays returns
+  /// and what FromMapped wraps. Fact ids ascend; offsets have one entry
+  /// per node of the entry's build, plus one.
+  struct LabelArrays {
     char label = '\0';
     std::span<const FactId> facts;
     std::span<const FactId> by_source;
@@ -112,12 +112,15 @@ class LabelIndex {
     std::span<const int32_t> target_offset;
   };
 
+  /// The arrays of `label`, which must be one of labels().
+  LabelArrays Arrays(char label) const;
+
   /// Wraps pre-built per-label CSR arrays living in an external buffer
   /// (an mmap'ed segment) without copying them. `entries` must be sorted
   /// by label (as unsigned char); `mapping` keeps the buffer alive and is
   /// pinned per entry, so incremental child indexes that share an entry
   /// keep the mapping alive too.
-  static LabelIndex FromMapped(const std::vector<MappedLabelEntry>& entries,
+  static LabelIndex FromMapped(const std::vector<LabelArrays>& entries,
                                std::shared_ptr<const void> mapping);
 
  private:

@@ -15,6 +15,7 @@ namespace {
 // Returns parent pointers for walk reconstruction when `reconstruct`.
 struct ProductSearch {
   const GraphDb& db;
+  const LabelIndex& index;
   const Enfa& query;
   const std::vector<bool>* removed_facts = nullptr;
   // Fixed endpoints (the non-Boolean setting): when >= 0, walks must start
@@ -125,15 +126,11 @@ struct ProductSearch {
         std::reverse(walk.begin(), walk.end());
         return walk;
       }
-      for (FactId fid : db.OutFactsLive(v)) {
-        if (IsRemoved(fid)) continue;
-        const Fact& fact = db.fact(fid);
-        for (auto [symbol, to] : letter_out[s]) {
-          if (symbol == fact.label) {
-            if (!seen[Id(fact.target, to)]) {
-              push_with_closure(fact.target, to, fid, p);
-            }
-          }
+      for (auto [symbol, to] : letter_out[s]) {
+        for (FactId fid : index.FactsFrom(symbol, v)) {
+          if (IsRemoved(fid)) continue;
+          NodeId target = db.fact(fid).target;
+          if (!seen[Id(target, to)]) push_with_closure(target, to, fid, p);
         }
       }
     }
@@ -143,32 +140,34 @@ struct ProductSearch {
 
 }  // namespace
 
-bool EvaluatesToTrue(const GraphDb& db, const Enfa& query,
+bool EvaluatesToTrue(const GraphDb& db, const LabelIndex& index,
+                     const Enfa& query,
                      const std::vector<bool>* removed_facts) {
-  return ProductSearch{db, query, removed_facts}
+  return ProductSearch{db, index, query, removed_facts}
       .Run(/*reconstruct=*/false)
       .has_value();
 }
 
 bool EvaluatesToTrue(const GraphDb& db, const Language& lang) {
-  return EvaluatesToTrue(db, lang.enfa());
+  return EvaluatesToTrue(db, LabelIndex(db), lang.enfa());
 }
 
 std::optional<WitnessWalk> ShortestWitnessWalk(
-    const GraphDb& db, const Enfa& query,
+    const GraphDb& db, const LabelIndex& index, const Enfa& query,
     const std::vector<bool>* removed_facts) {
-  return ProductSearch{db, query, removed_facts}.Run(/*reconstruct=*/true);
+  return ProductSearch{db, index, query, removed_facts}.Run(
+      /*reconstruct=*/true);
 }
 
 std::optional<WitnessWalk> ShortestWitnessWalk(const GraphDb& db,
                                                const Language& lang) {
-  return ShortestWitnessWalk(db, lang.enfa());
+  return ShortestWitnessWalk(db, LabelIndex(db), lang.enfa());
 }
 
-bool EvaluatesToTrueBetween(const GraphDb& db, const Enfa& query,
-                            NodeId source, NodeId target,
+bool EvaluatesToTrueBetween(const GraphDb& db, const LabelIndex& index,
+                            const Enfa& query, NodeId source, NodeId target,
                             const std::vector<bool>* removed_facts) {
-  ProductSearch search{db, query, removed_facts, source, target};
+  ProductSearch search{db, index, query, removed_facts, source, target};
   return search.Run(/*reconstruct=*/false).has_value();
 }
 

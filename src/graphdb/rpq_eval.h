@@ -1,6 +1,12 @@
 // rpqres — graphdb/rpq_eval: Boolean RPQ evaluation Q_L(D) and witness-walk
 // extraction, via the standard product construction (database × automaton)
 // plus reachability (paper cites [Mendelzon & Wood, Lemma 3.1]).
+//
+// The search expands a (node, state) pair through the LabelIndex: for each
+// letter transition of the state, the facts with that letter at the node.
+// The automaton overloads take the index from the caller, so a search loop
+// (the exact branch & bound) builds it once; the Language overloads build
+// their own.
 
 #ifndef RPQRES_GRAPHDB_RPQ_EVAL_H_
 #define RPQRES_GRAPHDB_RPQ_EVAL_H_
@@ -10,6 +16,7 @@
 
 #include "automata/enfa.h"
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
 #include "lang/language.h"
 
 namespace rpqres {
@@ -19,17 +26,19 @@ namespace rpqres {
 using WitnessWalk = std::vector<FactId>;
 
 /// True iff D contains an L(A)-walk (i.e. Q_L(D) = 1). O(|A|·|D|).
-/// If `removed_facts` is given, facts with removed_facts[id] == true are
-/// treated as deleted (used by the exact branch-and-bound solver to avoid
-/// copying the database at every node).
-bool EvaluatesToTrue(const GraphDb& db, const Enfa& query,
+/// `index` must be built from `db`. If `removed_facts` is given, facts
+/// with removed_facts[id] == true are treated as deleted (used by the
+/// exact branch-and-bound solver to avoid copying the database at every
+/// node).
+bool EvaluatesToTrue(const GraphDb& db, const LabelIndex& index,
+                     const Enfa& query,
                      const std::vector<bool>* removed_facts = nullptr);
 bool EvaluatesToTrue(const GraphDb& db, const Language& lang);
 
 /// A shortest witness walk (fewest facts, counting repetitions), or nullopt
 /// when Q does not hold. The empty walk is returned iff ε ∈ L.
 std::optional<WitnessWalk> ShortestWitnessWalk(
-    const GraphDb& db, const Enfa& query,
+    const GraphDb& db, const LabelIndex& index, const Enfa& query,
     const std::vector<bool>* removed_facts = nullptr);
 std::optional<WitnessWalk> ShortestWitnessWalk(const GraphDb& db,
                                                const Language& lang);
@@ -37,8 +46,8 @@ std::optional<WitnessWalk> ShortestWitnessWalk(const GraphDb& db,
 /// Fixed-endpoint variant (the non-Boolean RPQ setting of Section 8):
 /// true iff D contains an L(A)-walk from `source` to `target`. The empty
 /// walk counts iff ε ∈ L and source == target.
-bool EvaluatesToTrueBetween(const GraphDb& db, const Enfa& query,
-                            NodeId source, NodeId target,
+bool EvaluatesToTrueBetween(const GraphDb& db, const LabelIndex& index,
+                            const Enfa& query, NodeId source, NodeId target,
                             const std::vector<bool>* removed_facts = nullptr);
 
 /// The word labeling a witness walk.

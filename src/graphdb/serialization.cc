@@ -1,6 +1,7 @@
 #include "graphdb/serialization.h"
 
 #include <sstream>
+#include <vector>
 
 #include "util/strings.h"
 
@@ -11,14 +12,18 @@ std::string SerializeGraphDb(const GraphDb& db) {
   os << "# rpqres graph database: " << db.num_nodes() << " nodes, "
      << db.num_live_facts() << " facts\n";
   // Isolated nodes carry no fact line; declare them explicitly so the
-  // node set (and the header count) round-trips. Live views make this
-  // (and the fact listing below) identical for a versioned overlay and
-  // its compacted flat twin — the byte-equality the delta-equivalence
-  // suite pins down.
+  // node set (and the header count) round-trips. Counting live facts only
+  // makes this (and the fact listing below) identical for a versioned
+  // overlay and its compacted flat twin — the byte-equality the
+  // delta-equivalence suite pins down.
+  std::vector<bool> has_fact(db.num_nodes(), false);
+  for (FactId f = 0; f < db.num_facts(); ++f) {
+    if (!db.IsLive(f)) continue;
+    has_fact[db.fact(f).source] = true;
+    has_fact[db.fact(f).target] = true;
+  }
   for (NodeId v = 0; v < db.num_nodes(); ++v) {
-    if (db.OutFactsLive(v).empty() && db.InFactsLive(v).empty()) {
-      os << "node " << db.node_name(v) << "\n";
-    }
+    if (!has_fact[v]) os << "node " << db.node_name(v) << "\n";
   }
   for (FactId f = 0; f < db.num_facts(); ++f) {
     if (!db.IsLive(f)) continue;

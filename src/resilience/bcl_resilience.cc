@@ -4,7 +4,6 @@
 #include <array>
 #include <map>
 #include <optional>
-#include <span>
 
 #include "flow/residual_graph.h"
 #include "flow/solver_scratch.h"
@@ -49,35 +48,22 @@ Result<ResilienceResult> SolveBclResilience(const Language& lang,
       long_words.push_back(w);
     }
   }
+  std::optional<LabelIndex> built;
+  const LabelIndex& index =
+      label_index != nullptr ? *label_index : built.emplace(db);
   Capacity forced_cost = 0;
-  auto force_fact = [&](FactId f) -> bool {  // false: unfalsifiable
-    if (db.IsExogenous(f)) return false;
-    forced_cost += db.Cost(f, semantics);
-    result.contingency.push_back(f);
-    return true;
-  };
-  if (label_index != nullptr) {
-    for (int l = 0; l < 256; ++l) {
-      if (!forced_label[l]) continue;
-      for (FactId f : label_index->Facts(static_cast<char>(l))) {
-        if (!force_fact(f)) {
-          // A single-letter-word match on an undeletable fact: the query
-          // cannot be falsified.
-          result.infinite = true;
-          result.contingency.clear();
-          return result;
-        }
-      }
-    }
-  } else {
-    for (FactId f = 0; f < db.num_facts(); ++f) {
-      if (!db.IsLive(f)) continue;
-      if (forced_label[static_cast<unsigned char>(db.fact(f).label)] &&
-          !force_fact(f)) {
+  for (int l = 0; l < 256; ++l) {
+    if (!forced_label[l]) continue;
+    for (FactId f : index.Facts(static_cast<char>(l))) {
+      if (db.IsExogenous(f)) {
+        // A single-letter-word match on an undeletable fact: the query
+        // cannot be falsified.
         result.infinite = true;
         result.contingency.clear();
         return result;
       }
+      forced_cost += db.Cost(f, semantics);
+      result.contingency.push_back(f);
     }
   }
 
@@ -134,99 +120,30 @@ Result<ResilienceResult> SolveBclResilience(const Language& lang,
     RPQRES_CHECK(edge == static_cast<int32_t>(fact_of_edge.size()));
     fact_of_edge.push_back(f);
   };
-  // Relevant facts bucketed by label for the pair wiring (counting sort
-  // into scratch; the per-label buckets replace the old map<char, vector>).
-  auto& bucket_offset = scratch->label_bucket_offset;
-  auto& bucket = scratch->label_bucket;
-  bucket_offset.assign(257, 0);
-  if (label_index != nullptr) {
-    for (int l = 0; l < 256; ++l) {
-      if (!relevant_label[l] || forced_label[l]) continue;
-      for (FactId f : label_index->Facts(static_cast<char>(l))) {
-        stage_fact(f);
-        ++bucket_offset[l + 1];
-      }
-    }
-  } else {
-    for (FactId f = 0; f < db.num_facts(); ++f) {
-      if (!db.IsLive(f)) continue;
-      unsigned char label = static_cast<unsigned char>(db.fact(f).label);
-      if (!relevant_label[label] || forced_label[label]) continue;
-      stage_fact(f);
-      ++bucket_offset[label + 1];
-    }
+  for (int l = 0; l < 256; ++l) {
+    if (!relevant_label[l] || forced_label[l]) continue;
+    for (FactId f : index.Facts(static_cast<char>(l))) stage_fact(f);
   }
-  for (int l = 0; l < 256; ++l) bucket_offset[l + 1] += bucket_offset[l];
-  bucket.resize(fact_of_edge.size());
-  {
-    std::array<int32_t, 256> cursor;
-    for (int l = 0; l < 256; ++l) cursor[l] = bucket_offset[l];
-    for (FactId f : fact_of_edge) {
-      bucket[cursor[static_cast<unsigned char>(db.fact(f).label)]++] = f;
-    }
-  }
-  auto facts_with = [&](char label) {
-    unsigned char l = static_cast<unsigned char>(label);
-    return std::span<const int32_t>(bucket).subspan(
-        bucket_offset[l], bucket_offset[l + 1] - bucket_offset[l]);
-  };
 
   // Word wiring. A word is *forward* if its first letter lies in the source
   // partition (then its last letter is in the target partition since the
   // coloring is proper), *reversed* otherwise.
   //
   // Each adjacent letter pair (c1, c2) joins on the shared node — target
-  // of the c1-fact == source of the c2-fact — so the wiring is
-  // output-linear: O(|A| + |B| + emitted edges) per pair, never the
-  // all-pairs |A|·|B| scan. With a LabelIndex the per-node grouping of
-  // the c2 facts is the index's own source CSR; otherwise the facts are
-  // counting-sorted by source node into the scratch once per pair.
-  auto& node_bucket_offset = scratch->node_bucket_offset;
-  auto& node_bucket = scratch->node_bucket;
-  auto& node_bucket_cursor = scratch->node_bucket_cursor;
-  // Lazily (re)built per second letter; consecutive pairs sharing the
-  // letter — and the scratch buffers — keep this allocation-free in
-  // steady state.
-  char bucketed_label = '\0';
-  bool bucket_ready = false;
-  auto bucket_by_source = [&](char label) {
-    if (bucket_ready && bucketed_label == label) return;
-    bucket_ready = true;
-    bucketed_label = label;
-    std::span<const int32_t> facts = facts_with(label);
-    node_bucket_offset.assign(db.num_nodes() + 1, 0);
-    for (FactId f : facts) ++node_bucket_offset[db.fact(f).source + 1];
-    for (int v = 0; v < db.num_nodes(); ++v) {
-      node_bucket_offset[v + 1] += node_bucket_offset[v];
-    }
-    node_bucket.resize(facts.size());
-    node_bucket_cursor.assign(node_bucket_offset.begin(),
-                              node_bucket_offset.end() - 1);
-    for (FactId f : facts) {
-      node_bucket[node_bucket_cursor[db.fact(f).source]++] = f;
-    }
-  };
+  // of the c1-fact == source of the c2-fact — through the index's source
+  // CSR, so the wiring is output-linear: O(|A| + emitted edges) per pair,
+  // never the all-pairs |A|·|B| scan. Every letter of a long word was
+  // staged above: IF(L) is infix-free, so no single-letter word's letter
+  // occurs in a longer word.
   for (const std::string& w : long_words) {
     bool forward = coloring->at(w.front()) == 0;
     for (size_t i = 0; i + 1 < w.size(); ++i) {
-      const char c2 = w[i + 1];
-      if (label_index == nullptr) bucket_by_source(c2);
-      for (FactId f1 : facts_with(w[i])) {
-        NodeId shared = db.fact(f1).target;
-        auto wire = [&](FactId f2) {
-          if (start_of[f2] < 0) return;  // forced/irrelevant label
+      for (FactId f1 : index.Facts(w[i])) {
+        for (FactId f2 : index.FactsFrom(w[i + 1], db.fact(f1).target)) {
           if (forward) {
             network.AddEdge(end_of[f1], start_of[f2], kInfiniteCapacity);
           } else {
             network.AddEdge(end_of[f2], start_of[f1], kInfiniteCapacity);
-          }
-        };
-        if (label_index != nullptr) {
-          for (FactId f2 : label_index->FactsFrom(c2, shared)) wire(f2);
-        } else {
-          for (int32_t j = node_bucket_offset[shared];
-               j < node_bucket_offset[shared + 1]; ++j) {
-            wire(node_bucket[j]);
           }
         }
       }

@@ -20,9 +20,10 @@ namespace rpqres {
 class SolverScratch;
 
 /// Solves RES(Q_L, D) for a language whose infix-free sublanguage is a
-/// bipartite chain language; FailedPrecondition otherwise. `label_index`
-/// (optional, built from `db`) restricts every fact visit to the labels
-/// the chain words use; `scratch` (optional) supplies the reusable solver
+/// bipartite chain language; FailedPrecondition otherwise. Every fact
+/// visit goes through `label_index` (built from `db`), restricted to the
+/// labels the chain words use; when it is null the call builds
+/// LabelIndex(db) once. `scratch` (optional) supplies the reusable solver
 /// arena, defaulting to the calling thread's shared scratch.
 Result<ResilienceResult> SolveBclResilience(
     const Language& lang, const GraphDb& db, Semantics semantics,

@@ -4,6 +4,7 @@
 
 #include "gadgets/condensation.h"
 #include "gadgets/hypergraph.h"
+#include "graphdb/label_index.h"
 #include "graphdb/rpq_eval.h"
 #include "lang/infix_free.h"
 #include "util/check.h"
@@ -14,9 +15,11 @@ namespace {
 /// Branch & bound state shared across the recursion.
 class BranchAndBound {
  public:
-  BranchAndBound(const Language& lang, const GraphDb& db, Semantics semantics,
+  BranchAndBound(const Language& lang, const GraphDb& db,
+                 const LabelIndex& index, Semantics semantics,
                  const ExactOptions& options)
-      : lang_(lang), db_(db), semantics_(semantics), options_(options) {}
+      : lang_(lang), db_(db), index_(index), semantics_(semantics),
+        options_(options) {}
 
   Status Run() {
     removed_.assign(db_.num_facts(), false);
@@ -50,7 +53,7 @@ class BranchAndBound {
     Capacity bound = 0;
     for (;;) {
       std::optional<WitnessWalk> walk =
-          ShortestWitnessWalk(db_, lang_.enfa(), &blocked);
+          ShortestWitnessWalk(db_, index_, lang_.enfa(), &blocked);
       if (!walk) break;
       RPQRES_CHECK(!walk->empty());  // ε ∉ L was checked by the caller
       Capacity cheapest = kInfiniteCapacity;
@@ -79,7 +82,7 @@ class BranchAndBound {
     }
     if (cost + lower_bound_hint >= best_value_) return Status::OK();
     std::optional<WitnessWalk> walk =
-        ShortestWitnessWalk(db_, lang_.enfa(), &removed_);
+        ShortestWitnessWalk(db_, index_, lang_.enfa(), &removed_);
     if (!walk) {
       // Current removal set is a contingency set cheaper than the best.
       best_value_ = cost;
@@ -120,6 +123,7 @@ class BranchAndBound {
 
   const Language& lang_;
   const GraphDb& db_;
+  const LabelIndex& index_;
   Semantics semantics_;
   const ExactOptions& options_;
 
@@ -145,7 +149,9 @@ Result<ResilienceResult> SolveExactResilience(const Language& lang,
     result.infinite = true;
     return result;
   }
-  if (!EvaluatesToTrue(db, ifl)) {
+  // One index serves every evaluation of the search below.
+  const LabelIndex index(db);
+  if (!EvaluatesToTrue(db, index, ifl.enfa())) {
     return result;  // already false: resilience 0
   }
   // Infinite iff the query survives the deletion of every endogenous fact
@@ -154,11 +160,11 @@ Result<ResilienceResult> SolveExactResilience(const Language& lang,
   for (FactId f = 0; f < db.num_facts(); ++f) {
     all_endogenous_removed[f] = !db.IsExogenous(f);
   }
-  if (EvaluatesToTrue(db, ifl.enfa(), &all_endogenous_removed)) {
+  if (EvaluatesToTrue(db, index, ifl.enfa(), &all_endogenous_removed)) {
     result.infinite = true;
     return result;
   }
-  BranchAndBound solver(ifl, db, semantics, options);
+  BranchAndBound solver(ifl, db, index, semantics, options);
   RPQRES_RETURN_IF_ERROR(solver.Run());
   result.value = solver.best_value();
   result.contingency = solver.best_set();
@@ -194,6 +200,7 @@ Result<ResilienceResult> SolveBruteForceResilience(const Language& lang,
     return result;
   }
   int n = db.num_facts();
+  const LabelIndex index(db);
   Capacity best = kInfiniteCapacity;
   uint32_t best_mask = 0;
   std::vector<bool> removed(n, false);
@@ -213,7 +220,7 @@ Result<ResilienceResult> SolveBruteForceResilience(const Language& lang,
       }
     }
     if (touches_exogenous || cost >= best) continue;
-    if (!EvaluatesToTrue(db, lang.enfa(), &removed)) {
+    if (!EvaluatesToTrue(db, index, lang.enfa(), &removed)) {
       best = cost;
       best_mask = mask;
     }
@@ -257,6 +264,7 @@ Result<ResilienceResult> SolveBruteForceResilienceBetween(
     return result;
   }
   int n = db.num_facts();
+  const LabelIndex index(db);
   Capacity best = kInfiniteCapacity;
   uint32_t best_mask = 0;
   std::vector<bool> removed(n, false);
@@ -274,7 +282,7 @@ Result<ResilienceResult> SolveBruteForceResilienceBetween(
       }
     }
     if (touches_exogenous || cost >= best) continue;
-    if (!EvaluatesToTrueBetween(db, lang.enfa(), source, target,
+    if (!EvaluatesToTrueBetween(db, index, lang.enfa(), source, target,
                                 &removed)) {
       best = cost;
       best_mask = mask;
@@ -298,7 +306,8 @@ Result<ResilienceResult> SolveHittingSetResilience(const Language& lang,
   ResilienceResult result;
   result.algorithm = "hypergraph hitting set (Def 4.7)";
   if (db.is_versioned()) {
-    // Match enumeration walks the flat per-node adjacency; materialize.
+    // The hypergraph's vertices are the whole fact id space; materialize
+    // the live facts so no dead id becomes a vertex.
     std::vector<FactId> old_id_of;
     GraphDb flat = db.Compact(&old_id_of);
     RPQRES_ASSIGN_OR_RETURN(

@@ -1,6 +1,7 @@
 #include "resilience/local_resilience.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "flow/residual_graph.h"
 #include "flow/solver_scratch.h"
@@ -30,8 +31,8 @@ namespace {
 ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
                                    Semantics semantics, NodeId fixed_source,
                                    NodeId fixed_target,
-                                   const LabelIndex* label_index = nullptr,
-                                   SolverScratch* scratch = nullptr) {
+                                   const LabelIndex& label_index,
+                                   SolverScratch* scratch) {
   if (scratch == nullptr) scratch = &SolverScratch::ThreadLocal();
   ResilienceResult result;
   result.algorithm = fixed_source < 0
@@ -50,7 +51,6 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
   const int64_t product_size = int64_t{V} * S;
   const auto& letter_from = t.letter_from;
   const auto& letter_to = t.letter_to;
-  const bool use_index = label_index != nullptr;
 
   // (node, state) pairs travel the queues packed as (v << 32 | s) —
   // decoded by shifts — and key the stamped marks as v*S + s.
@@ -98,23 +98,13 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
       // Every relevant fact is enumerated at most once across the sweep
       // (its tail (source, from-state) pair pops at most once), so this
       // doubles as the candidate-edge discovery pass.
-      if (use_index) {
-        for (int32_t i = t.labels_out_offset[s]; i < t.labels_out_offset[s + 1];
-             ++i) {
-          char label = static_cast<char>(t.labels_out[i]);
-          int to_state = letter_to[static_cast<unsigned char>(label)];
-          for (FactId f : label_index->FactsFrom(label, v)) {
-            candidate_facts.push_back(f);
-            push_fwd(db.fact(f).target, to_state);
-          }
-        }
-      } else {
-        for (FactId f : db.OutFactsLive(v)) {
-          unsigned char label = static_cast<unsigned char>(db.fact(f).label);
-          if (letter_from[label] == s) {
-            candidate_facts.push_back(f);
-            push_fwd(db.fact(f).target, letter_to[label]);
-          }
+      for (int32_t i = t.labels_out_offset[s]; i < t.labels_out_offset[s + 1];
+           ++i) {
+        char label = static_cast<char>(t.labels_out[i]);
+        int to_state = letter_to[static_cast<unsigned char>(label)];
+        for (FactId f : label_index.FactsFrom(label, v)) {
+          candidate_facts.push_back(f);
+          push_fwd(db.fact(f).target, to_state);
         }
       }
     }
@@ -136,21 +126,12 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
       for (int32_t i = t.eps_in_offset[s]; i < t.eps_in_offset[s + 1]; ++i) {
         push_bwd(v, t.eps_in[i]);
       }
-      if (use_index) {
-        for (int32_t i = t.labels_in_offset[s]; i < t.labels_in_offset[s + 1];
-             ++i) {
-          char label = static_cast<char>(t.labels_in[i]);
-          int from_state = letter_from[static_cast<unsigned char>(label)];
-          for (FactId f : label_index->FactsInto(label, v)) {
-            push_bwd(db.fact(f).source, from_state);
-          }
-        }
-      } else {
-        for (FactId f : db.InFactsLive(v)) {
-          unsigned char label = static_cast<unsigned char>(db.fact(f).label);
-          if (letter_to[label] == s) {
-            push_bwd(db.fact(f).source, letter_from[label]);
-          }
+      for (int32_t i = t.labels_in_offset[s]; i < t.labels_in_offset[s + 1];
+           ++i) {
+        char label = static_cast<char>(t.labels_in[i]);
+        int from_state = letter_from[static_cast<unsigned char>(label)];
+        for (FactId f : label_index.FactsInto(label, v)) {
+          push_bwd(db.fact(f).source, from_state);
         }
       }
     }
@@ -164,18 +145,10 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
         fwd_visited.push_back(pack(v, s));
       }
     }
-    if (use_index) {
-      for (int l = 0; l < 256; ++l) {
-        if (letter_from[l] < 0) continue;
-        for (FactId f : label_index->Facts(static_cast<char>(l))) {
-          candidate_facts.push_back(f);
-        }
-      }
-    } else {
-      for (FactId f = 0; f < db.num_facts(); ++f) {
-        if (!db.IsLive(f)) continue;
-        unsigned char label = static_cast<unsigned char>(db.fact(f).label);
-        if (letter_from[label] >= 0) candidate_facts.push_back(f);
+    for (int l = 0; l < 256; ++l) {
+      if (letter_from[l] < 0) continue;
+      for (FactId f : label_index.Facts(static_cast<char>(l))) {
+        candidate_facts.push_back(f);
       }
     }
     relevant_facts = static_cast<int64_t>(candidate_facts.size());
@@ -315,8 +288,10 @@ ResilienceResult SolveLocalResilienceWithTables(const RoProductTables& tables,
                                                 Semantics semantics,
                                                 const LabelIndex* label_index,
                                                 SolverScratch* scratch) {
-  return SolveLocalProduct(tables, db, semantics, /*fixed_source=*/-1,
-                           /*fixed_target=*/-1, label_index, scratch);
+  std::optional<LabelIndex> built;
+  return SolveLocalProduct(
+      tables, db, semantics, /*fixed_source=*/-1, /*fixed_target=*/-1,
+      label_index != nullptr ? *label_index : built.emplace(db), scratch);
 }
 
 ResilienceResult SolveLocalResilienceWithRoEnfa(
@@ -328,18 +303,23 @@ ResilienceResult SolveLocalResilienceWithRoEnfa(
 
 Result<ResilienceResult> SolveLocalResilience(const Language& lang,
                                               const GraphDb& db,
-                                              Semantics semantics) {
+                                              Semantics semantics,
+                                              const LabelIndex* label_index,
+                                              SolverScratch* scratch) {
   RPQRES_ASSIGN_OR_RETURN(Enfa ro,
                           RoEnfaForSolver(lang, /*require_exact=*/false));
-  return SolveLocalResilienceWithRoEnfa(ro, db, semantics);
+  return SolveLocalResilienceWithRoEnfa(ro, db, semantics, label_index,
+                                        scratch);
 }
 
 ResilienceResult SolveLocalResilienceFixedEndpointsWithTables(
     const RoProductTables& tables, const GraphDb& db, NodeId source,
     NodeId target, Semantics semantics, const LabelIndex* label_index,
     SolverScratch* scratch) {
-  return SolveLocalProduct(tables, db, semantics, source, target, label_index,
-                           scratch);
+  std::optional<LabelIndex> built;
+  return SolveLocalProduct(
+      tables, db, semantics, source, target,
+      label_index != nullptr ? *label_index : built.emplace(db), scratch);
 }
 
 Result<ResilienceResult> SolveLocalResilienceFixedEndpoints(

@@ -21,21 +21,20 @@ namespace rpqres {
 class SolverScratch;
 
 /// Solves RES(Q_L, D) for a language whose infix-free sublanguage is local.
-/// Fails with FailedPrecondition otherwise.
-Result<ResilienceResult> SolveLocalResilience(const Language& lang,
-                                              const GraphDb& db,
-                                              Semantics semantics);
+/// Fails with FailedPrecondition otherwise. `label_index` and `scratch` as
+/// for SolveLocalResilienceWithRoEnfa.
+Result<ResilienceResult> SolveLocalResilience(
+    const Language& lang, const GraphDb& db, Semantics semantics,
+    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
 
 /// Core of Theorem 3.13: resilience given an RO-εNFA for the language.
 /// `ro` must be read-once (checked); the language may be any local language.
-/// `label_index` (optional, must be built from `db`) lets both the
-/// product-pruning sweep and the network construction visit only facts
-/// whose label the automaton reads, instead of scanning and filtering all
-/// facts — the registered-database hot path. `scratch` (optional) supplies
-/// the reusable solver arena; the calling thread's shared scratch is used
-/// when absent. Note the indexed and unindexed paths may return
-/// *different* (equally optimal, both witness-verified) minimum
-/// contingency sets, because network edge order differs.
+/// Both the product-pruning sweep and the network construction read the
+/// facts through `label_index`, which must be built from `db`, so they
+/// visit only facts whose label the automaton reads. When it is null the
+/// call builds LabelIndex(db) once; the registered-database hot path
+/// passes the snapshot's index. `scratch` (optional) supplies the reusable
+/// solver arena; the calling thread's shared scratch is used when absent.
 ResilienceResult SolveLocalResilienceWithRoEnfa(
     const Enfa& ro, const GraphDb& db, Semantics semantics,
     const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);

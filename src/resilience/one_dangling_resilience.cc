@@ -1,6 +1,7 @@
 #include "resilience/one_dangling_resilience.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "lang/infix_free.h"
 #include "lang/ro_enfa.h"
@@ -12,10 +13,10 @@ namespace {
 
 // Picks a printable letter absent from `used` ∪ {x, y} ∪ db labels.
 char PickFreshLetter(const Language& base, char x, char y,
-                     const GraphDb& db) {
+                     const LabelIndex& index) {
   std::vector<bool> taken(256, false);
   for (char c : base.used_letters()) taken[static_cast<unsigned char>(c)] = true;
-  for (char c : db.Labels()) taken[static_cast<unsigned char>(c)] = true;
+  for (char c : index.labels()) taken[static_cast<unsigned char>(c)] = true;
   taken[static_cast<unsigned char>(x)] = true;
   taken[static_cast<unsigned char>(y)] = true;
   const std::string candidates =
@@ -64,22 +65,15 @@ Result<ResilienceResult> SolveOneDanglingCore(
     result.infinite = true;
     return result;
   }
+  std::optional<LabelIndex> built;
+  const LabelIndex& index =
+      label_index != nullptr ? *label_index : built.emplace(db);
   // The signed-multiplicity rewrite of Prp 7.9 manipulates x/y costs
-  // arithmetically, which has no meaningful extension to +∞ costs. Visit
-  // the x/y facts through the index when the caller has one.
-  auto for_each_xy_fact = [&](const auto& visit) {
-    if (label_index != nullptr) {
-      for (FactId f : label_index->Facts(x)) visit(f);
-      for (FactId f : label_index->Facts(y)) visit(f);
-    } else {
-      for (FactId f = 0; f < db.num_facts(); ++f) {
-        char label = db.fact(f).label;
-        if (label == x || label == y) visit(f);
-      }
-    }
-  };
+  // arithmetically, which has no meaningful extension to +∞ costs.
   bool exogenous_xy = false;
-  for_each_xy_fact([&](FactId f) { exogenous_xy |= db.IsExogenous(f); });
+  for (char label : {x, y}) {
+    for (FactId f : index.Facts(label)) exogenous_xy |= db.IsExogenous(f);
+  }
   if (exogenous_xy) {
     return Status::Unimplemented(
         "SolveOneDanglingCore: exogenous x/y-labeled facts are not "
@@ -87,7 +81,7 @@ Result<ResilienceResult> SolveOneDanglingCore(
   }
 
   RPQRES_ASSIGN_OR_RETURN(Enfa ro_base, BuildRoEnfa(base));
-  char z = PickFreshLetter(base, x, y, db);
+  char z = PickFreshLetter(base, x, y, index);
   Enfa ro_rewritten = RewriteXtoXZ(ro_base, x, z);
   RPQRES_CHECK(IsRoEnfa(ro_rewritten));
 
@@ -98,14 +92,13 @@ Result<ResilienceResult> SolveOneDanglingCore(
   // contributes free_cost = Σ_v min(0, Xin(v) − Yout(v)).
   std::vector<Capacity> x_in(db.num_nodes(), 0), y_out(db.num_nodes(), 0);
   Capacity kappa = 0;
-  for_each_xy_fact([&](FactId f) {
-    const Fact& fact = db.fact(f);
-    if (fact.label == x) x_in[fact.target] += db.Cost(f, semantics);
-    if (fact.label == y) {
-      y_out[fact.source] += db.Cost(f, semantics);
-      kappa += db.Cost(f, semantics);
-    }
-  });
+  for (FactId f : index.Facts(x)) {
+    x_in[db.fact(f).target] += db.Cost(f, semantics);
+  }
+  for (FactId f : index.Facts(y)) {
+    y_out[db.fact(f).source] += db.Cost(f, semantics);
+    kappa += db.Cost(f, semantics);
+  }
   Capacity free_cost = 0;
   for (NodeId v = 0; v < db.num_nodes(); ++v) {
     free_cost += std::min<Capacity>(0, x_in[v] - y_out[v]);
@@ -161,9 +154,9 @@ Result<ResilienceResult> SolveOneDanglingCore(
   // --- Solve the local instance and combine --------------------------------
   // The rewritten multiplicities already encode costs, so solve in bag
   // semantics regardless of the original semantics.
+  const LabelIndex rewritten_index(rewritten);
   ResilienceResult local = SolveLocalResilienceWithRoEnfa(
-      ro_rewritten, rewritten, Semantics::kBag, /*label_index=*/nullptr,
-      scratch);
+      ro_rewritten, rewritten, Semantics::kBag, &rewritten_index, scratch);
   if (local.infinite) {
     // A base-language walk made of exogenous facts only (ε ∉ base was
     // checked above): the query cannot be falsified.
@@ -201,18 +194,12 @@ Result<ResilienceResult> SolveOneDanglingCore(
     }
     if (z_removed) {
       // Case (a): take every x-fact into v.
-      for (FactId f : db.InFacts(v)) {
-        if (db.fact(f).label == x) contingency.push_back(f);
-      }
+      for (FactId f : index.FactsInto(x, v)) contingency.push_back(f);
     } else {
       // Case (b): take every y-fact out of v, plus the cut x-facts into v.
-      for (FactId f : db.OutFacts(v)) {
-        if (db.fact(f).label == y) contingency.push_back(f);
-      }
-      for (FactId f : rewritten.InFacts(in_node[v])) {
-        if (cut[f] && rewritten.fact(f).label == x) {
-          contingency.push_back(original_of[f]);
-        }
+      for (FactId f : index.FactsFrom(y, v)) contingency.push_back(f);
+      for (FactId f : rewritten_index.FactsInto(x, in_node[v])) {
+        if (cut[f]) contingency.push_back(original_of[f]);
       }
     }
   }
@@ -260,14 +247,16 @@ Result<ResilienceResult> SolveOneDanglingResilience(
     std::optional<OneDanglingDecomposition> decomposition =
         FindOneDanglingDecomposition(candidate);
     if (!decomposition) continue;
-    GraphDb oriented = mirrored ? db.MirrorDb() : db;
+    std::optional<GraphDb> mirror;
+    const GraphDb& oriented = mirrored ? mirror.emplace(db.MirrorDb()) : db;
     if (decomposition->y_in_base) {
       // Only x is fresh: mirror once more so the fresh letter trails.
       // mirror(base ∪ {xy}) = mirror(base) ∪ {yx}.
       OneDanglingDecomposition flipped{
           decomposition->y, decomposition->x, decomposition->base.Mirror(),
           decomposition->y_in_base, decomposition->x_in_base};
-      // Doubly-mirrored database: the caller's index does not describe it.
+      // Doubly-mirrored database: the caller's index does not describe
+      // it, so the core builds one.
       RPQRES_ASSIGN_OR_RETURN(
           ResilienceResult r,
           SolveOneDanglingCore(flipped, oriented.MirrorDb(), semantics,

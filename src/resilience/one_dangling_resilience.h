@@ -28,18 +28,19 @@ class SolverScratch;
 
 /// Solves RES(Q_L, D) for a language whose infix-free sublanguage is
 /// one-dangling, directly or after mirroring (Prp 6.3). FailedPrecondition
-/// if no decomposition exists. `label_index` (optional, built from `db`)
-/// speeds the x/y fact scans on the non-mirrored path (the mirrored path
-/// solves against a rewritten copy the index does not describe);
-/// `scratch` (optional) backs the inner local flow solve on the rewritten
-/// database.
+/// if no decomposition exists. `label_index` (built from `db`) serves the
+/// x/y fact scans and the witness mapping on the direct path; when it is
+/// null, and for mirrored or compacted inputs it does not describe, the
+/// core builds an index of the database it solves. `scratch` (optional)
+/// backs the inner local flow solve on the rewritten database.
 Result<ResilienceResult> SolveOneDanglingResilience(
     const Language& lang, const GraphDb& db, Semantics semantics,
     const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
 
 /// Core of Prp 7.9 for an explicit decomposition base ∪ {xy}. Requires
 /// y ∉ Σ(base) (callers mirror first when only x is fresh). `label_index`
-/// must be built from `db` when given.
+/// must be built from `db`; when it is null the call builds
+/// LabelIndex(db) once. The rewritten database gets its own index.
 Result<ResilienceResult> SolveOneDanglingCore(
     const OneDanglingDecomposition& decomposition, const GraphDb& db,
     Semantics semantics, const LabelIndex* label_index = nullptr,

@@ -31,7 +31,7 @@ Result<ResiliencePlan> PlanResilienceWithIF(Language ifl,
   }
   ResiliencePlan plan{std::move(ifl), ResilienceMethod::kExact,
                       /*trivial_infinite=*/false, /*trivial_empty=*/false,
-                      /*ro_enfa=*/std::nullopt, /*ro_tables=*/std::nullopt};
+                      /*ro_tables=*/std::nullopt};
   if (plan.if_language.ContainsEpsilon()) {
     plan.trivial_infinite = true;
     return plan;
@@ -42,9 +42,8 @@ Result<ResiliencePlan> PlanResilienceWithIF(Language ifl,
   }
   if (IsLocal(plan.if_language)) {
     plan.method = ResilienceMethod::kLocalFlow;
-    RPQRES_ASSIGN_OR_RETURN(plan.ro_enfa, BuildRoEnfa(plan.if_language));
-    RPQRES_ASSIGN_OR_RETURN(plan.ro_tables,
-                            BuildRoProductTables(*plan.ro_enfa));
+    RPQRES_ASSIGN_OR_RETURN(Enfa ro, BuildRoEnfa(plan.if_language));
+    RPQRES_ASSIGN_OR_RETURN(plan.ro_tables, BuildRoProductTables(ro));
     return plan;
   }
   if (IsBipartiteChainLanguage(plan.if_language)) {
@@ -81,15 +80,9 @@ Result<ResilienceResult> ComputeResilienceWithPlan(
   }
   switch (plan.method) {
     case ResilienceMethod::kLocalFlow:
-      if (plan.ro_tables.has_value()) {
-        return SolveLocalResilienceWithTables(*plan.ro_tables, db, semantics,
-                                              label_index, scratch);
-      }
-      if (plan.ro_enfa.has_value()) {
-        return SolveLocalResilienceWithRoEnfa(*plan.ro_enfa, db, semantics,
-                                              label_index, scratch);
-      }
-      return SolveLocalResilience(plan.if_language, db, semantics);
+      if (!plan.ro_tables.has_value()) break;  // see ResiliencePlan
+      return SolveLocalResilienceWithTables(*plan.ro_tables, db, semantics,
+                                            label_index, scratch);
     case ResilienceMethod::kBclFlow:
       return SolveBclResilience(plan.if_language, db, semantics, label_index,
                                 scratch);
@@ -115,14 +108,17 @@ Result<ResilienceResult> ComputeResilienceWithPlan(
 Result<ResilienceResult> ComputeResilience(const Language& lang,
                                            const GraphDb& db,
                                            Semantics semantics,
-                                           const ResilienceOptions& options) {
+                                           const ResilienceOptions& options,
+                                           const LabelIndex* label_index,
+                                           SolverScratch* scratch) {
   switch (options.method) {
     case ResilienceMethod::kLocalFlow:
-      return SolveLocalResilience(lang, db, semantics);
+      return SolveLocalResilience(lang, db, semantics, label_index, scratch);
     case ResilienceMethod::kBclFlow:
-      return SolveBclResilience(lang, db, semantics);
+      return SolveBclResilience(lang, db, semantics, label_index, scratch);
     case ResilienceMethod::kOneDanglingFlow:
-      return SolveOneDanglingResilience(lang, db, semantics);
+      return SolveOneDanglingResilience(lang, db, semantics, label_index,
+                                        scratch);
     case ResilienceMethod::kExact:
       return SolveExactResilience(lang, db, semantics, options.exact);
     case ResilienceMethod::kBruteForce:
@@ -135,7 +131,8 @@ Result<ResilienceResult> ComputeResilience(const Language& lang,
   // callers pay the plan derivation here; repeated callers should plan
   // once and use ComputeResilienceWithPlan (or the engine, which caches).
   RPQRES_ASSIGN_OR_RETURN(ResiliencePlan plan, PlanResilience(lang, options));
-  return ComputeResilienceWithPlan(plan, db, semantics, options.exact);
+  return ComputeResilienceWithPlan(plan, db, semantics, options.exact,
+                                   label_index, scratch);
 }
 
 Result<bool> ResilienceAtMost(const Language& lang, const GraphDb& db,
@@ -154,11 +151,12 @@ Status VerifyResilienceImpl(const Language& lang, const GraphDb& db,
                             Semantics semantics,
                             const ResilienceResult& result, NodeId source,
                             NodeId target) {
+  const LabelIndex index(db);
   auto holds = [&](const std::vector<bool>* removed) {
     return source < 0
-               ? EvaluatesToTrue(db, lang.enfa(), removed)
-               : EvaluatesToTrueBetween(db, lang.enfa(), source, target,
-                                        removed);
+               ? EvaluatesToTrue(db, index, lang.enfa(), removed)
+               : EvaluatesToTrueBetween(db, index, lang.enfa(), source,
+                                        target, removed);
   };
   // Resilience is +∞ iff ε ∈ L (for fixed endpoints: and they coincide),
   // or the query survives deleting every endogenous fact (a

@@ -44,14 +44,22 @@ struct ResilienceOptions {
 };
 
 /// Computes RES(Q_L, D) under the given semantics. See ResilienceResult for
-/// the contract on the returned witness contingency set.
+/// the contract on the returned witness contingency set. `label_index`
+/// and `scratch` are forwarded to the flow solvers as in
+/// ComputeResilienceWithPlan.
 Result<ResilienceResult> ComputeResilience(
     const Language& lang, const GraphDb& db, Semantics semantics,
-    const ResilienceOptions& options = {});
+    const ResilienceOptions& options = {},
+    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
 
 /// A precompiled kAuto dispatch decision: the infix-free sublanguage plus
 /// the solver selected for it, derived once from the query and reusable
 /// across any number of databases (the engine's plan-cache payload).
+///
+/// Invariant: PlanResilienceWithIF is the only code that builds a plan,
+/// and it sets `ro_tables` exactly when `method` is kLocalFlow (and the
+/// plan is not trivial). ComputeResilienceWithPlan relies on it and
+/// refuses a local-flow plan without tables as unexecutable.
 struct ResiliencePlan {
   /// The language handed to the solver — IF(L) (Q_L = Q_IF(L), Section 2).
   Language if_language;
@@ -61,12 +69,10 @@ struct ResiliencePlan {
   bool trivial_infinite = false;
   /// IF(L) = ∅: resilience is 0 on every database; no solver runs.
   bool trivial_empty = false;
-  /// Precompiled RO-εNFA (Lemma 3.17) when method == kLocalFlow, so each
-  /// ComputeResilienceWithPlan call skips straight to the Thm 3.13 product.
-  std::optional<Enfa> ro_enfa;
-  /// Solver-ready tables derived from `ro_enfa` (letter transitions,
-  /// ε-CSRs, per-state labels, initial/final bits), so the product
-  /// construction does zero per-solve automaton preprocessing.
+  /// Solver-ready tables of IF(L)'s RO-εNFA (Lemma 3.17) when method ==
+  /// kLocalFlow: letter transitions, ε-CSRs, per-state labels and
+  /// initial/final bits. Each ComputeResilienceWithPlan call skips straight
+  /// to the Thm 3.13 product with zero per-solve automaton preprocessing.
   std::optional<RoProductTables> ro_tables;
 };
 
@@ -88,10 +94,11 @@ Result<ResiliencePlan> PlanResilienceWithIF(
 /// `exact_options` only applies when the plan routes to the exact solver
 /// (adversarial instances can make the branch & bound explode; callers
 /// like the differential oracle bound it and treat OutOfRange as an
-/// inconclusive budget exhaustion, not an answer). `label_index`, when
-/// given, must be built from `db`; flow-network construction then iterates
-/// per-label fact lists instead of scanning every fact (the DbRegistry
-/// snapshot hot path). `scratch`, when given, supplies the reusable flow
+/// inconclusive budget exhaustion, not an answer). `label_index` must be
+/// built from `db`; the flow solvers read every fact through it, and when
+/// it is null the solver builds LabelIndex(db) once for the call (the
+/// DbRegistry snapshot hot path passes the snapshot's index, built at
+/// Register time). `scratch`, when given, supplies the reusable flow
 /// solver arena (flow/solver_scratch.h); the flow solvers otherwise fall
 /// back to the calling thread's shared scratch, so repeated calls are
 /// allocation-free in steady state either way.

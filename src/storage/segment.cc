@@ -10,9 +10,11 @@
 #include <bit>
 #include <cerrno>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -37,7 +39,9 @@ static_assert(sizeof(Capacity) == 8);
 static_assert(sizeof(FactId) == 4);
 
 constexpr char kMagic[8] = {'R', 'P', 'Q', 'S', 'E', 'G', '0', '1'};
-constexpr uint32_t kFormatVersion = 1;
+// Version 2 dropped version 1's four GraphDb CSR sections: the label
+// index is the segment's only adjacency. Version-1 files are refused.
+constexpr uint32_t kFormatVersion = 2;
 constexpr size_t kHeaderBytes = 64;
 constexpr size_t kTableEntryBytes = 32;
 constexpr size_t kSectionAlign = 64;
@@ -49,19 +53,15 @@ enum SectionKind : uint32_t {
   kFacts = 4,            // num_facts * 12-byte Fact records
   kMultiplicities = 5,   // num_facts * i64
   kExogenous = 6,        // num_facts * u8 (0/1)
-  kOutOffset = 7,        // (num_nodes + 1) * i32 CSR offsets
-  kOutAdj = 8,           // num_facts * i32
-  kInOffset = 9,         // (num_nodes + 1) * i32
-  kInAdj = 10,           // num_facts * i32
-  kSortedByKey = 11,     // num_facts * i32, sorted by (source, label, target)
-  kLabelDir = 12,        // per label: u32 label byte, u32 fact count
-  kLabelFacts = 13,      // concatenated per-label fact lists, i32
-  kLabelBySource = 14,   // concatenated per-label source-CSR adjacency, i32
-  kLabelSourceOffset = 15,  // per label: (num_nodes + 1) * i32
-  kLabelByTarget = 16,   // concatenated per-label target-CSR adjacency, i32
-  kLabelTargetOffset = 17,  // per label: (num_nodes + 1) * i32
+  kSortedByKey = 7,      // num_facts * i32, sorted by (source, label, target)
+  kLabelDir = 8,         // per label: u32 label byte, u32 fact count
+  kLabelFacts = 9,       // concatenated per-label fact lists, i32
+  kLabelBySource = 10,   // concatenated per-label source-CSR adjacency, i32
+  kLabelSourceOffset = 11,  // per label: (num_nodes + 1) * i32
+  kLabelByTarget = 12,   // concatenated per-label target-CSR adjacency, i32
+  kLabelTargetOffset = 13,  // per label: (num_nodes + 1) * i32
 };
-constexpr uint32_t kSectionCount = 17;
+constexpr uint32_t kSectionCount = 13;
 
 size_t AlignUp(size_t n) {
   return (n + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
@@ -75,6 +75,13 @@ void PutU32(std::vector<uint8_t>* buf, uint32_t v) {
 
 void PutI32(std::vector<uint8_t>* buf, int32_t v) {
   PutU32(buf, static_cast<uint32_t>(v));
+}
+
+void PutI32s(std::vector<uint8_t>* buf, std::span<const int32_t> values) {
+  if (values.empty()) return;  // data() may be null; memcpy forbids it
+  const size_t at = buf->size();
+  buf->resize(at + values.size_bytes());
+  std::memcpy(buf->data() + at, values.data(), values.size_bytes());
 }
 
 void PutI64(std::vector<uint8_t>* buf, int64_t v) {
@@ -108,6 +115,60 @@ struct Mapping {
     }
   }
 };
+
+// Checks every id and offset the mapped arrays of `db` hold, once, at
+// read time. The checksums only prove that the bytes are the ones some
+// writer sealed; solvers index memory with these values unchecked, so a
+// checksum-consistent file with an id out of range must not load.
+template <typename DataLoss>
+Status ValidateMappedArrays(
+    const GraphDb& db, const MappedFlatStorage& storage,
+    const std::vector<LabelIndex::LabelArrays>& entries,
+    const DataLoss& data_loss) {
+  const int32_t num_nodes = db.num_nodes();
+  const int32_t num_facts = storage.num_facts;
+  auto is_node = [num_nodes](NodeId v) { return v >= 0 && v < num_nodes; };
+  for (FactId f = 0; f < num_facts; ++f) {
+    const Fact& fact = storage.facts[f];
+    if (!is_node(fact.source) || !is_node(fact.target)) {
+      return data_loss("fact " + std::to_string(f) +
+                       " has an endpoint outside the node table");
+    }
+    if (storage.multiplicities[f] < 1 || storage.exogenous[f] > 1) {
+      return data_loss("fact " + std::to_string(f) +
+                       " has a bad multiplicity or exogenous flag");
+    }
+    const FactId sorted = storage.sorted_by_key[f];
+    if (sorted < 0 || sorted >= num_facts) {
+      return data_loss("sorted key permutation holds an invalid fact id");
+    }
+  }
+  // With every endpoint in range LabelIndex(db) is safe to build, and the
+  // mapped arrays must equal its arrays: that puts every fact id in range
+  // and in its own label's list, and every CSR entry at its own node,
+  // with offsets running from 0 to the label's count.
+  const LabelIndex rebuilt(db);
+  if (rebuilt.labels().size() != entries.size()) {
+    return data_loss("label directory does not match the facts' labels");
+  }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const LabelIndex::LabelArrays& got = entries[i];
+    if (got.label != rebuilt.labels()[i]) {
+      return data_loss("label directory does not match the facts' labels");
+    }
+    const LabelIndex::LabelArrays want = rebuilt.Arrays(got.label);
+    if (!std::ranges::equal(got.facts, want.facts) ||
+        !std::ranges::equal(got.by_source, want.by_source) ||
+        !std::ranges::equal(got.source_offset, want.source_offset) ||
+        !std::ranges::equal(got.by_target, want.by_target) ||
+        !std::ranges::equal(got.target_offset, want.target_offset)) {
+      return data_loss(
+          "label " + std::to_string(static_cast<unsigned char>(got.label)) +
+          " arrays do not match its facts");
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -171,23 +232,6 @@ Status WriteSegment(const std::string& path, const GraphDb& db,
     }
   }
   {
-    std::vector<uint8_t>* out_off = section(kOutOffset);
-    std::vector<uint8_t>* out_adj = section(kOutAdj);
-    std::vector<uint8_t>* in_off = section(kInOffset);
-    std::vector<uint8_t>* in_adj = section(kInAdj);
-    int32_t out_at = 0, in_at = 0;
-    PutI32(out_off, 0);
-    PutI32(in_off, 0);
-    for (NodeId v = 0; v < num_nodes; ++v) {
-      for (FactId f : db.OutFacts(v)) PutI32(out_adj, f);
-      out_at += static_cast<int32_t>(db.OutFacts(v).size());
-      PutI32(out_off, out_at);
-      for (FactId f : db.InFacts(v)) PutI32(in_adj, f);
-      in_at += static_cast<int32_t>(db.InFacts(v).size());
-      PutI32(in_off, in_at);
-    }
-  }
-  {
     // FindFact on a mapped database binary-searches this permutation.
     std::vector<FactId> perm(num_facts);
     std::iota(perm.begin(), perm.end(), 0);
@@ -201,46 +245,19 @@ Status WriteSegment(const std::string& path, const GraphDb& db,
     for (FactId f : perm) PutI32(s, f);
   }
   {
-    // Per-label CSR arrays, built with the same counting sort as
-    // LabelIndex::BuildEntry so a reopened index answers identically to
-    // the one built in memory at Register time.
-    std::array<std::vector<FactId>, 256> facts_by_label;
-    for (FactId f = 0; f < num_facts; ++f) {
-      facts_by_label[static_cast<unsigned char>(db.fact(f).label)]
-          .push_back(f);
-    }
-    std::vector<uint8_t>* dir = section(kLabelDir);
-    std::vector<uint8_t>* lfacts = section(kLabelFacts);
-    std::vector<uint8_t>* by_src = section(kLabelBySource);
-    std::vector<uint8_t>* src_off = section(kLabelSourceOffset);
-    std::vector<uint8_t>* by_tgt = section(kLabelByTarget);
-    std::vector<uint8_t>* tgt_off = section(kLabelTargetOffset);
-    for (int l = 0; l < 256; ++l) {
-      const std::vector<FactId>& facts = facts_by_label[l];
-      if (facts.empty()) continue;
-      PutU32(dir, static_cast<uint32_t>(l));
-      PutU32(dir, static_cast<uint32_t>(facts.size()));
-      for (FactId f : facts) PutI32(lfacts, f);
-      std::vector<int32_t> soff(num_nodes + 1, 0), toff(num_nodes + 1, 0);
-      for (FactId f : facts) {
-        ++soff[db.fact(f).source + 1];
-        ++toff[db.fact(f).target + 1];
-      }
-      for (int v = 0; v < num_nodes; ++v) {
-        soff[v + 1] += soff[v];
-        toff[v + 1] += toff[v];
-      }
-      std::vector<FactId> bs(facts.size()), bt(facts.size());
-      std::vector<int32_t> sc(soff.begin(), soff.end() - 1);
-      std::vector<int32_t> tc(toff.begin(), toff.end() - 1);
-      for (FactId f : facts) {
-        bs[sc[db.fact(f).source]++] = f;
-        bt[tc[db.fact(f).target]++] = f;
-      }
-      for (FactId f : bs) PutI32(by_src, f);
-      for (int32_t v : soff) PutI32(src_off, v);
-      for (FactId f : bt) PutI32(by_tgt, f);
-      for (int32_t v : toff) PutI32(tgt_off, v);
+    // The arrays of LabelIndex(db), label by label, which ReadSegment
+    // hands to LabelIndex::FromMapped. A full build has num_nodes + 1
+    // offsets per label.
+    const LabelIndex index(db);
+    for (char label : index.labels()) {
+      const LabelIndex::LabelArrays arrays = index.Arrays(label);
+      PutU32(section(kLabelDir), static_cast<unsigned char>(label));
+      PutU32(section(kLabelDir), static_cast<uint32_t>(arrays.facts.size()));
+      PutI32s(section(kLabelFacts), arrays.facts);
+      PutI32s(section(kLabelBySource), arrays.by_source);
+      PutI32s(section(kLabelSourceOffset), arrays.source_offset);
+      PutI32s(section(kLabelByTarget), arrays.by_target);
+      PutI32s(section(kLabelTargetOffset), arrays.target_offset);
     }
   }
 
@@ -265,7 +282,7 @@ Status WriteSegment(const std::string& path, const GraphDb& db,
   std::vector<uint8_t> file(payload_at, 0);
   std::memcpy(file.data(), kMagic, sizeof(kMagic));
   auto put_at = [&file](size_t at, const void* src, size_t n) {
-    std::memcpy(file.data() + at, src, n);
+    if (n != 0) std::memcpy(file.data() + at, src, n);  // src may be null
   };
   const uint32_t format_version = kFormatVersion;
   const uint32_t section_count = kSectionCount;
@@ -428,6 +445,10 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
   meta.snapshot_id = read_u64(40);
   const uint32_t num_nodes = read_u32(28);
   const uint32_t num_facts = read_u32(32);
+  // Node and fact ids are int32 everywhere; larger counts cannot be valid.
+  if (num_nodes > INT32_MAX || num_facts > INT32_MAX) {
+    return data_loss("node or fact count exceeds int32");
+  }
 
   struct Section {
     size_t offset = 0;
@@ -495,10 +516,6 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
   RPQRES_RETURN_IF_ERROR(expect_size(kFacts, num_facts * sizeof(Fact)));
   RPQRES_RETURN_IF_ERROR(expect_size(kMultiplicities, num_facts * 8ul));
   RPQRES_RETURN_IF_ERROR(expect_size(kExogenous, num_facts * 1ul));
-  RPQRES_RETURN_IF_ERROR(expect_size(kOutOffset, (num_nodes + 1) * 4ul));
-  RPQRES_RETURN_IF_ERROR(expect_size(kOutAdj, num_facts * 4ul));
-  RPQRES_RETURN_IF_ERROR(expect_size(kInOffset, (num_nodes + 1) * 4ul));
-  RPQRES_RETURN_IF_ERROR(expect_size(kInAdj, num_facts * 4ul));
   RPQRES_RETURN_IF_ERROR(expect_size(kSortedByKey, num_facts * 4ul));
 
   {
@@ -536,24 +553,18 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
   storage->multiplicities = reinterpret_cast<const Capacity*>(
       base + sec(kMultiplicities).offset);
   storage->exogenous = base + sec(kExogenous).offset;
-  storage->out_offset =
-      reinterpret_cast<const int32_t*>(base + sec(kOutOffset).offset);
-  storage->out_adj =
-      reinterpret_cast<const FactId*>(base + sec(kOutAdj).offset);
-  storage->in_offset =
-      reinterpret_cast<const int32_t*>(base + sec(kInOffset).offset);
-  storage->in_adj = reinterpret_cast<const FactId*>(base + sec(kInAdj).offset);
   storage->sorted_by_key =
       reinterpret_cast<const FactId*>(base + sec(kSortedByKey).offset);
   storage->num_facts = static_cast<int32_t>(num_facts);
   storage->mapping = mapping;
 
   // Per-label CSR views straight into the mapped sections.
-  std::vector<LabelIndex::MappedLabelEntry> entries;
+  std::vector<LabelIndex::LabelArrays> entries;
   {
     const Section& dir = sec(kLabelDir);
     if (dir.size % 8 != 0) return data_loss("label directory size not 8k");
     const size_t num_labels = dir.size / 8;
+    if (num_labels > 256) return data_loss("label directory too long");
     const uint32_t* d = reinterpret_cast<const uint32_t*>(base + dir.offset);
     const FactId* lfacts =
         reinterpret_cast<const FactId*>(base + sec(kLabelFacts).offset);
@@ -580,7 +591,7 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
       if (total > num_facts) {
         return data_loss("label directory fact counts exceed num_facts");
       }
-      LabelIndex::MappedLabelEntry e;
+      LabelIndex::LabelArrays e;
       e.label = static_cast<char>(label);
       e.facts = {lfacts + facts_at, count};
       e.by_source = {by_src + facts_at, count};
@@ -601,6 +612,8 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
 
   LoadedSegment out;
   out.db = GraphDb::FromMappedFlat(std::move(node_names), storage);
+  RPQRES_RETURN_IF_ERROR(
+      ValidateMappedArrays(out.db, *storage, entries, data_loss));
   out.label_index = LabelIndex::FromMapped(entries, mapping);
   out.meta = std::move(meta);
   out.file_bytes = static_cast<int64_t>(size);

@@ -1,5 +1,5 @@
 // Tests for the serving API v2 surface: DbRegistry/DbHandle lifetime,
-// the per-label index hot path agreeing with the unindexed path, async
+// the snapshot-index hot path agreeing with a one-shot direct solve, async
 // Submit/SubmitBatch futures, and deadline / cooperative-cancellation
 // semantics (an adversarial star-language instance must stop with
 // DeadlineExceeded promptly, with engine stats staying consistent).
@@ -101,10 +101,11 @@ TEST(DbRegistryTest, LabelIndexMatchesDatabase) {
   EXPECT_TRUE(index.Facts('z').empty());
 }
 
-// The indexed (registered handle) and unindexed (direct solver) paths
-// must agree on values — they may pick different, equally-minimal
-// witnesses.
-TEST(DbRegistryTest, IndexedPathAgreesWithUnindexedPath) {
+// The engine path (registered handle, the snapshot's index built at
+// Register time) and the one-shot direct path (ComputeResilience, which
+// builds its own index per call) must agree on values and witnesses
+// must verify.
+TEST(DbRegistryTest, EnginePathAgreesWithDirectSolve) {
   Rng rng(13);
   DbRegistry registry;
   for (int round = 0; round < 5; ++round) {
@@ -117,12 +118,12 @@ TEST(DbRegistryTest, IndexedPathAgreesWithUnindexedPath) {
       ResilienceResponse indexed = engine.Evaluate(
           {.regex = regex, .db = registered, .semantics = Semantics::kBag});
       Language lang = Language::MustFromRegexString(regex);
-      Result<ResilienceResult> unindexed =
+      Result<ResilienceResult> direct =
           ComputeResilience(lang, db, Semantics::kBag);
-      ASSERT_EQ(indexed.status.ok(), unindexed.ok());
+      ASSERT_EQ(indexed.status.ok(), direct.ok());
       if (!indexed.status.ok()) continue;
-      EXPECT_EQ(indexed.result.infinite, unindexed->infinite);
-      EXPECT_EQ(indexed.result.value, unindexed->value);
+      EXPECT_EQ(indexed.result.infinite, direct->infinite);
+      EXPECT_EQ(indexed.result.value, direct->value);
       EXPECT_EQ(VerifyResilienceResult(lang, db, Semantics::kBag,
                                        indexed.result),
                 Status::OK());

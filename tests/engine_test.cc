@@ -17,6 +17,7 @@
 #include "engine/request.h"
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
 #include "graphdb/rpq_eval.h"
 #include "lang/language.h"
 #include "resilience/local_resilience.h"
@@ -320,7 +321,7 @@ TEST(EngineCompiledQueryTest, ExposesClassificationAndPlan) {
   EXPECT_EQ(q.semantics, Semantics::kBag);
   EXPECT_EQ(q.classification.complexity, ComplexityClass::kPtime);
   EXPECT_EQ(q.plan.method, ResilienceMethod::kLocalFlow);
-  EXPECT_TRUE(q.plan.ro_enfa.has_value());
+  EXPECT_TRUE(q.plan.ro_tables.has_value());
   EXPECT_GT(q.compile_micros, 0);
 
   // A precompiled handle in the request skips the cache entirely.
@@ -413,8 +414,8 @@ TEST(FixedEndpointRequestTest, MatchesDirectSolverAndBooleanBound) {
   // The targeted witness must actually sever every s -> t route.
   std::vector<bool> removed(graph.num_facts(), false);
   for (FactId f : targeted.result.contingency) removed[f] = true;
-  EXPECT_FALSE(
-      EvaluatesToTrueBetween(graph, lang.enfa(), s, t, &removed));
+  EXPECT_FALSE(EvaluatesToTrueBetween(graph, LabelIndex(graph), lang.enfa(),
+                                      s, t, &removed));
 }
 
 TEST(FixedEndpointRequestTest, ValidationAndNonLocalRefusal) {

@@ -1,10 +1,10 @@
 // Differential parity suite for the zero-copy flow core: across >= 500
 // workload seeds per flow-backed class (local, BCL, one-dangling), the
 // CSR/pruned product path must produce the same cut value as (a) the
-// unindexed path, (b) the unpruned construction (the retired pre-CSR
-// behavior, reproduced via SolverScratch::disable_product_pruning), and
-// (c) the independent exact branch & bound — with every flow witness
-// verifying against the database. This is the regression net under every
+// unpruned construction (the retired pre-CSR behavior, reproduced via
+// SolverScratch::disable_product_pruning), and (b) the independent exact
+// branch & bound — with every flow witness verifying against the
+// database. This is the regression net under every
 // future flow optimization; the CI ASan/UBSan job runs it over the same
 // seeds with sanitizers on.
 
@@ -68,10 +68,6 @@ TEST_P(FlowParityTest, PrunedCsrPathMatchesSeedSemantics) {
     Result<ResilienceResult> indexed =
         ComputeResilienceWithPlan(*plan, db, semantics, {}, &index, &scratch);
     ASSERT_TRUE(indexed.ok()) << indexed.status();
-    // Same construction without the index (per-node fact filtering).
-    Result<ResilienceResult> unindexed =
-        ComputeResilienceWithPlan(*plan, db, semantics, {}, nullptr, &scratch);
-    ASSERT_TRUE(unindexed.ok()) << unindexed.status();
     // The retired construction: full |V|·|S| product, no pruning.
     scratch.disable_product_pruning = true;
     Result<ResilienceResult> unpruned =
@@ -80,14 +76,11 @@ TEST_P(FlowParityTest, PrunedCsrPathMatchesSeedSemantics) {
     ASSERT_TRUE(unpruned.ok()) << unpruned.status();
     ++counters.flow_solved;
 
-    EXPECT_EQ(indexed->infinite, unindexed->infinite);
     EXPECT_EQ(indexed->infinite, unpruned->infinite);
     if (!indexed->infinite) {
-      EXPECT_EQ(indexed->value, unindexed->value);
       EXPECT_EQ(indexed->value, unpruned->value);
     }
-    for (const Result<ResilienceResult>* r :
-         {&indexed, &unindexed, &unpruned}) {
+    for (const Result<ResilienceResult>* r : {&indexed, &unpruned}) {
       EXPECT_EQ(VerifyResilienceResult(*lang, db, semantics, **r),
                 Status::OK());
     }

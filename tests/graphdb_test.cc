@@ -3,14 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
 #include "graphdb/rpq_eval.h"
 #include "lang/language.h"
 #include "util/rng.h"
 
 namespace rpqres {
 namespace {
+
+std::vector<FactId> ToVector(std::span<const FactId> facts) {
+  return std::vector<FactId>(facts.begin(), facts.end());
+}
 
 TEST(GraphDbTest, NodesAndFacts) {
   GraphDb db;
@@ -53,11 +61,15 @@ TEST(GraphDbTest, AdjacencyAndLabels) {
   FactId f1 = db.AddFact(u, 'a', v);
   FactId f2 = db.AddFact(u, 'b', w);
   FactId f3 = db.AddFact(v, 'a', w);
-  EXPECT_EQ(std::vector<FactId>(db.OutFacts(u).begin(), db.OutFacts(u).end()),
-            (std::vector<FactId>{f1, f2}));
-  EXPECT_EQ(std::vector<FactId>(db.InFacts(w).begin(), db.InFacts(w).end()),
-            (std::vector<FactId>{f2, f3}));
+  // The adjacency is the label index: per label, ascending fact ids.
+  LabelIndex index(db);
+  EXPECT_EQ(ToVector(index.Facts('a')), (std::vector<FactId>{f1, f3}));
+  EXPECT_EQ(ToVector(index.FactsFrom('a', u)), (std::vector<FactId>{f1}));
+  EXPECT_EQ(ToVector(index.FactsFrom('b', u)), (std::vector<FactId>{f2}));
+  EXPECT_EQ(ToVector(index.FactsInto('a', w)), (std::vector<FactId>{f3}));
+  EXPECT_EQ(ToVector(index.FactsInto('b', w)), (std::vector<FactId>{f2}));
   EXPECT_EQ(db.Labels(), (std::vector<char>{'a', 'b'}));
+  EXPECT_EQ(index.labels(), db.Labels());
   EXPECT_EQ(db.TotalCost(Semantics::kSet), 3);
 }
 
@@ -151,9 +163,10 @@ TEST(RpqEvalTest, RemovalMaskRespected) {
   GraphDb db = PathDb("ab");
   Language query = Language::MustFromRegexString("ab");
   std::vector<bool> removed(db.num_facts(), false);
-  EXPECT_TRUE(EvaluatesToTrue(db, query.enfa(), &removed));
+  LabelIndex index(db);
+  EXPECT_TRUE(EvaluatesToTrue(db, index, query.enfa(), &removed));
   removed[0] = true;
-  EXPECT_FALSE(EvaluatesToTrue(db, query.enfa(), &removed));
+  EXPECT_FALSE(EvaluatesToTrue(db, index, query.enfa(), &removed));
 }
 
 TEST(RpqEvalTest, WalkLabelAndMatch) {

@@ -1,11 +1,12 @@
 // GraphDb copy-on-write overlays: the storage layer under DbRegistry v3
 // delta commits. Pins the id-space contract (dead ids stay allocated but
-// invisible), the live views, multiplicity overrides, re-add ordering,
+// invisible to a LabelIndex), multiplicity overrides, re-add ordering,
 // Compact's renumbering, and the incremental LabelIndex's equivalence to
 // full rebuilds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -17,10 +18,16 @@
 namespace rpqres {
 namespace {
 
-std::vector<FactId> Collect(GraphDb::IncidentFacts view) {
-  std::vector<FactId> out;
-  for (FactId f : view) out.push_back(f);
-  return out;
+// Live facts out of (`out`) or into `node` over every label, ascending.
+std::vector<FactId> Incident(const LabelIndex& index, NodeId node, bool out) {
+  std::vector<FactId> facts;
+  for (char label : index.labels()) {
+    std::span<const FactId> span =
+        out ? index.FactsFrom(label, node) : index.FactsInto(label, node);
+    facts.insert(facts.end(), span.begin(), span.end());
+  }
+  std::sort(facts.begin(), facts.end());
+  return facts;
 }
 
 std::vector<FactId> ToVector(std::span<const FactId> facts) {
@@ -44,8 +51,9 @@ TEST(GraphDbOverlayTest, FlatDatabasesAreAllLive) {
   EXPECT_EQ(db.num_live_facts(), 3);
   EXPECT_EQ(db.overlay_size(), 0);
   for (FactId f = 0; f < db.num_facts(); ++f) EXPECT_TRUE(db.IsLive(f));
-  EXPECT_EQ(Collect(db.OutFactsLive(0)), (std::vector<FactId>{0, 2}));
-  EXPECT_EQ(Collect(db.InFactsLive(2)), (std::vector<FactId>{1, 2}));
+  LabelIndex index(db);
+  EXPECT_EQ(Incident(index, 0, /*out=*/true), (std::vector<FactId>{0, 2}));
+  EXPECT_EQ(Incident(index, 2, /*out=*/false), (std::vector<FactId>{1, 2}));
 }
 
 TEST(GraphDbOverlayTest, OverlaySharesBaseAndAppends) {
@@ -65,9 +73,10 @@ TEST(GraphDbOverlayTest, OverlaySharesBaseAndAppends) {
   // Base reads go through unchanged.
   EXPECT_EQ(overlay.fact(1).label, 'x');
   EXPECT_EQ(overlay.multiplicity(1), 3);
-  // Views chain base and overlay facts.
-  EXPECT_EQ(Collect(overlay.OutFactsLive(2)), (std::vector<FactId>{3}));
-  EXPECT_EQ(Collect(overlay.InFactsLive(3)), (std::vector<FactId>{3}));
+  // The overlay's index sees base and overlay facts.
+  LabelIndex index(overlay);
+  EXPECT_EQ(Incident(index, 2, /*out=*/true), (std::vector<FactId>{3}));
+  EXPECT_EQ(Incident(index, 3, /*out=*/false), (std::vector<FactId>{3}));
   // The base itself is untouched.
   EXPECT_EQ(base->num_facts(), 3);
   EXPECT_EQ(base->num_nodes(), 3);
@@ -81,7 +90,8 @@ TEST(GraphDbOverlayTest, RemoveFactTombstonesWithoutRenumbering) {
   EXPECT_EQ(overlay.num_live_facts(), 2);
   EXPECT_FALSE(overlay.IsLive(0));
   EXPECT_EQ(overlay.FindFact(0, 'a', 1), -1);
-  EXPECT_EQ(Collect(overlay.OutFactsLive(0)), (std::vector<FactId>{2}));
+  EXPECT_EQ(Incident(LabelIndex(overlay), 0, /*out=*/true),
+            (std::vector<FactId>{2}));
   // Removing it again: NotFound.
   EXPECT_EQ(overlay.RemoveFact(0, 'a', 1).code(), StatusCode::kNotFound);
   // Removing an overlay-added fact works too.

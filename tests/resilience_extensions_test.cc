@@ -8,6 +8,7 @@
 
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
 #include "graphdb/rpq_eval.h"
 #include "lang/language.h"
 #include "resilience/bcl_resilience.h"
@@ -130,15 +131,16 @@ TEST(ExogenousTest, RandomizedAgainstBruteForce) {
 
 TEST(FixedEndpointTest, EvaluatesToTrueBetween) {
   GraphDb db = PathDb("axb");  // nodes 0..3
+  LabelIndex index(db);
   Enfa query = Language::MustFromRegexString("ax*b").enfa();
-  EXPECT_TRUE(EvaluatesToTrueBetween(db, query, 0, 3));
-  EXPECT_FALSE(EvaluatesToTrueBetween(db, query, 1, 3));
-  EXPECT_FALSE(EvaluatesToTrueBetween(db, query, 0, 2));
+  EXPECT_TRUE(EvaluatesToTrueBetween(db, index, query, 0, 3));
+  EXPECT_FALSE(EvaluatesToTrueBetween(db, index, query, 1, 3));
+  EXPECT_FALSE(EvaluatesToTrueBetween(db, index, query, 0, 2));
   // ε ∈ L: empty walk only at coinciding endpoints.
   Enfa star = Language::MustFromRegexString("x*").enfa();
-  EXPECT_TRUE(EvaluatesToTrueBetween(db, star, 2, 2));
-  EXPECT_FALSE(EvaluatesToTrueBetween(db, star, 0, 3));
-  EXPECT_TRUE(EvaluatesToTrueBetween(db, star, 1, 2));  // the x edge
+  EXPECT_TRUE(EvaluatesToTrueBetween(db, index, star, 2, 2));
+  EXPECT_FALSE(EvaluatesToTrueBetween(db, index, star, 0, 3));
+  EXPECT_TRUE(EvaluatesToTrueBetween(db, index, star, 1, 2));  // the x edge
 }
 
 TEST(FixedEndpointTest, ResilienceBasic) {
@@ -218,8 +220,8 @@ TEST(FixedEndpointTest, RandomizedAgainstBruteForce) {
       if (!flow->infinite) {
         std::vector<bool> removed(db.num_facts(), false);
         for (FactId f : flow->contingency) removed[f] = true;
-        EXPECT_FALSE(
-            EvaluatesToTrueBetween(db, lang.enfa(), s, t, &removed));
+        EXPECT_FALSE(EvaluatesToTrueBetween(db, LabelIndex(db), lang.enfa(),
+                                            s, t, &removed));
       }
     }
   }

@@ -8,18 +8,24 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
 #include "graphdb/label_index.h"
 #include "graphdb/serialization.h"
+#include "lang/language.h"
+#include "lang/ro_enfa.h"
+#include "resilience/local_resilience.h"
 #include "storage/journal.h"
 #include "storage/segment.h"
 #include "storage/xxhash64.h"
+#include "util/rng.h"
 
 namespace rpqres {
 namespace storage {
@@ -50,6 +56,69 @@ std::vector<FactId> ToVector(std::span<const FactId> span) {
   return std::vector<FactId>(span.begin(), span.end());
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Segment byte layout, as segment.h documents it: a 64-byte header whose
+// format version sits at byte 8, the table checksum at 48 and the header
+// checksum at 56, then one 32-byte table entry per section
+// {kind u32, reserved u32, offset i64, size i64, XXH64 u64}.
+constexpr size_t kHeaderBytes = 64;
+constexpr size_t kTableEntryBytes = 32;
+constexpr uint32_t kLabelFactsSection = 9;  // per-label fact lists
+
+template <typename T>
+T Load(const std::string& file, size_t at) {
+  T value;
+  std::memcpy(&value, file.data() + at, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void Store(std::string* file, size_t at, T value) {
+  std::memcpy(file->data() + at, &value, sizeof(T));
+}
+
+struct SectionBytes {
+  uint32_t kind = 0;
+  size_t offset = 0;
+  size_t size = 0;
+};
+
+std::vector<SectionBytes> Sections(const std::string& file) {
+  std::vector<SectionBytes> sections;
+  const uint32_t count = Load<uint32_t>(file, 12);
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t at = kHeaderBytes + i * kTableEntryBytes;
+    sections.push_back({Load<uint32_t>(file, at),
+                        static_cast<size_t>(Load<int64_t>(file, at + 8)),
+                        static_cast<size_t>(Load<int64_t>(file, at + 16))});
+  }
+  return sections;
+}
+
+// Recomputes every section checksum, then the table and header checksums:
+// the file a writer would have sealed around the (edited) bytes.
+void Reseal(std::string* file) {
+  const std::vector<SectionBytes> sections = Sections(*file);
+  for (size_t i = 0; i < sections.size(); ++i) {
+    Store(file, kHeaderBytes + i * kTableEntryBytes + 24,
+          XxHash64(file->data() + sections[i].offset, sections[i].size));
+  }
+  Store(file, 48,
+        XxHash64(file->data() + kHeaderBytes,
+                 sections.size() * kTableEntryBytes));
+  Store(file, 56, XxHash64(file->data(), 56));
+}
+
 TEST(SegmentTest, RoundTripsDbAndIndex) {
   const std::string path = TempPath("seg_roundtrip");
   GraphDb db = SampleDb();
@@ -76,8 +145,6 @@ TEST(SegmentTest, RoundTripsDbAndIndex) {
   ASSERT_EQ(loaded->db.num_nodes(), db.num_nodes());
   for (NodeId v = 0; v < db.num_nodes(); ++v) {
     EXPECT_EQ(loaded->db.node_name(v), db.node_name(v));
-    EXPECT_EQ(ToVector(loaded->db.OutFacts(v)), ToVector(db.OutFacts(v)));
-    EXPECT_EQ(ToVector(loaded->db.InFacts(v)), ToVector(db.InFacts(v)));
   }
   ASSERT_EQ(loaded->db.num_facts(), db.num_facts());
   for (FactId f = 0; f < db.num_facts(); ++f) {
@@ -90,7 +157,8 @@ TEST(SegmentTest, RoundTripsDbAndIndex) {
   EXPECT_EQ(loaded->db.FindFact(2, 'x', 0), db.FindFact(2, 'x', 0));
   EXPECT_EQ(loaded->db.FindFact(0, 'q', 1), db.FindFact(0, 'q', 1));
 
-  // The mapped label index matches a full rebuild span for span.
+  // The mapped label index — the segment's only adjacency — matches the
+  // in-memory index span for span, per label and per node.
   LabelIndex rebuilt(db);
   ASSERT_EQ(loaded->label_index.labels(), rebuilt.labels());
   for (char label : rebuilt.labels()) {
@@ -176,6 +244,145 @@ TEST(SegmentTest, DetectsCorruptionAnywhere) {
     Result<LoadedSegment> loaded = ReadSegment(path);
     EXPECT_FALSE(loaded.ok()) << "truncation to " << keep << " loaded";
   }
+  std::filesystem::remove(path);
+}
+
+TEST(SegmentTest, FormatVersionOneIsRefused) {
+  // Version 2 dropped version 1's per-node CSR sections; a version-1
+  // header, even correctly sealed, must not be read as version 2.
+  const std::string path = TempPath("seg_version1");
+  ASSERT_TRUE(WriteSegment(path, SampleDb(), SegmentMeta{}).ok());
+  std::string file = ReadFile(path);
+  Store<uint32_t>(&file, 8, 1);
+  Reseal(&file);
+  WriteFile(path, file);
+  Result<LoadedSegment> loaded = ReadSegment(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("version 1"), std::string::npos)
+      << loaded.status().ToString();
+  std::filesystem::remove(path);
+}
+
+TEST(SegmentTest, ChecksumConsistentOutOfRangeFactIdIsDataLoss) {
+  // A per-label fact id far past the fact table, with every checksum
+  // re-sealed around it: only id validation can refuse this file.
+  const std::string path = TempPath("seg_bad_id");
+  GraphDb db;
+  NodeId u = db.AddNode("u"), v = db.AddNode("v"), w = db.AddNode("w");
+  db.AddFact(u, 'a', v);
+  db.AddFact(v, 'a', w);
+  db.AddFact(w, 'b', u);
+  ASSERT_TRUE(WriteSegment(path, db, SegmentMeta{}).ok());
+  std::string file = ReadFile(path);
+  for (const SectionBytes& section : Sections(file)) {
+    if (section.kind == kLabelFactsSection) {
+      Store<int32_t>(&file, section.offset, 1000000);
+    }
+  }
+  Reseal(&file);
+  WriteFile(path, file);
+  Result<LoadedSegment> loaded = ReadSegment(path);
+  ASSERT_FALSE(loaded.ok()) << "fact id 1000000 of a 3-fact table loaded";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  std::filesystem::remove(path);
+}
+
+TEST(SegmentTest, ResealedWordCorruptionIsRefusedOrStaysInRange) {
+  // Seeded: overwrite one 4-byte word of an array section, re-seal every
+  // checksum, read. The reader must refuse the file with kDataLoss, or
+  // hand out a database and index whose every id and span is in range —
+  // and a local solve over them must complete. The sanitize job runs
+  // this under ASan/UBSan.
+  const std::string path = TempPath("seg_word_fuzz");
+  Rng db_rng(5);
+  GraphDb db = RandomGraphDb(&db_rng, 12, 40, {'a', 'x', 'b'}, 5);
+  db.SetExogenous(0);
+  ASSERT_TRUE(WriteSegment(path, db, SegmentMeta{}).ok());
+  const std::string original = ReadFile(path);
+  std::vector<SectionBytes> arrays;
+  for (const SectionBytes& section : Sections(original)) {
+    // Meta and the node-name heap are byte strings, not arrays.
+    if (section.kind != 1 && section.kind != 3 && section.size >= 4) {
+      arrays.push_back(section);
+    }
+  }
+  const RoProductTables tables =
+      BuildRoProductTables(
+          BuildRoEnfa(Language::MustFromRegexString("ax*b")).ValueOrDie())
+          .ValueOrDie();
+
+  int refused = 0, accepted = 0;
+  for (uint64_t seed = 0; seed < 400; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const SectionBytes& section = arrays[rng.NextBelow(arrays.size())];
+    const size_t at = section.offset + 4 * rng.NextBelow(section.size / 4);
+    const uint32_t old_word = Load<uint32_t>(original, at);
+    uint32_t word = 0;
+    switch (rng.NextBelow(3)) {
+      case 0:  // anything
+        word = static_cast<uint32_t>(rng.Next());
+        break;
+      case 1:  // near the old value: off-by-a-few ids and offsets
+        word = old_word + static_cast<uint32_t>(rng.NextInRange(-3, 3));
+        break;
+      default:  // a small value, often a valid-looking id
+        word = static_cast<uint32_t>(rng.NextBelow(64));
+        break;
+    }
+    std::string file = original;
+    Store(&file, at, word);
+    Reseal(&file);
+    WriteFile(path, file);
+
+    Result<LoadedSegment> loaded = ReadSegment(path);
+    if (!loaded.ok()) {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+          << loaded.status().ToString();
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    const GraphDb& mapped = loaded->db;
+    const LabelIndex& index = loaded->label_index;
+    const int n = mapped.num_nodes();
+    const int m = mapped.num_facts();
+    for (FactId f = 0; f < m; ++f) {
+      ASSERT_GE(mapped.fact(f).source, 0);
+      ASSERT_LT(mapped.fact(f).source, n);
+      ASSERT_GE(mapped.fact(f).target, 0);
+      ASSERT_LT(mapped.fact(f).target, n);
+    }
+    for (char label : index.labels()) {
+      for (FactId f : index.Facts(label)) {
+        ASSERT_GE(f, 0);
+        ASSERT_LT(f, m);
+        ASSERT_EQ(mapped.fact(f).label, label);
+      }
+      for (NodeId v = 0; v < n; ++v) {
+        for (FactId f : index.FactsFrom(label, v)) {
+          ASSERT_GE(f, 0);
+          ASSERT_LT(f, m);
+          ASSERT_EQ(mapped.fact(f).source, v);
+        }
+        for (FactId f : index.FactsInto(label, v)) {
+          ASSERT_GE(f, 0);
+          ASSERT_LT(f, m);
+          ASSERT_EQ(mapped.fact(f).target, v);
+        }
+      }
+    }
+    // Set semantics: a multiplicity word may legitimately reach the flow
+    // core's capacity limit, which bag semantics would trip; the ids and
+    // spans this test pins are read identically under both.
+    ResilienceResult result = SolveLocalResilienceWithTables(
+        tables, mapped, Semantics::kSet, &index);
+    EXPECT_TRUE(result.infinite || result.value >= 0);
+  }
+  // Both outcomes occur, so neither leg is vacuous.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(accepted, 0);
   std::filesystem::remove(path);
 }
 

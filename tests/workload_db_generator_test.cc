@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graphdb/generators.h"
+#include "graphdb/label_index.h"
 #include "graphdb/serialization.h"
 #include "workload/db_generator.h"
 
@@ -31,9 +32,15 @@ TEST(DbGeneratorTest, StructuralInvariants) {
   EXPECT_EQ(cycle.num_nodes(), 5);
   EXPECT_EQ(cycle.num_facts(), 5);
   // Every node has exactly one out- and one in-fact.
+  LabelIndex cycle_index(cycle);
   for (NodeId v = 0; v < cycle.num_nodes(); ++v) {
-    EXPECT_EQ(cycle.OutFacts(v).size(), 1u);
-    EXPECT_EQ(cycle.InFacts(v).size(), 1u);
+    size_t out_degree = 0, in_degree = 0;
+    for (char label : cycle_index.labels()) {
+      out_degree += cycle_index.FactsFrom(label, v).size();
+      in_degree += cycle_index.FactsInto(label, v).size();
+    }
+    EXPECT_EQ(out_degree, 1u);
+    EXPECT_EQ(in_degree, 1u);
   }
 
   GraphDb grid = GridDb(&rng, 3, 4, labels, 2);
