@@ -23,6 +23,13 @@ about, enforced over the source tree:
       definition) must carry an inline justification comment on the
       same or the preceding line. Blanket analysis opt-outs rot.
 
+  solver-db-rebuild
+      The flow solvers (src/resilience/{local,bcl,one_dangling}_resilience.cc)
+      read the caller's database through its LabelIndex and emit their
+      networks straight into the scratch ResidualGraph; they never build
+      a database. A call to `AddNode(`, `AddFact(`, `MirrorDb(`,
+      `Compact(` or `RemoveFacts(` there is a violation.
+
 Suppressions: a violating line is waived by `invariant-ok: <reason>`
 (optionally `invariant-ok(<rule>): <reason>`) in a comment on the same
 line or the line directly above. The reason is mandatory — an empty
@@ -57,6 +64,14 @@ NONDETERMINISM_RES = [
 ]
 
 TSA_OPTOUT = "RPQRES_NO_THREAD_SAFETY_ANALYSIS"
+
+# The flow solvers, and the GraphDb calls that would build a database.
+FLOW_SOLVER_FILES = {
+    f"src/resilience/{name}_resilience.cc"
+    for name in ("local", "bcl", "one_dangling")
+}
+DB_REBUILD_RE = re.compile(
+    r"\b(AddNode|AddFact|MirrorDb|Compact|RemoveFacts)\s*\(")
 
 
 class Finding:
@@ -99,6 +114,7 @@ def scan_file(rel_path: str, text: str):
     in_storage = rel_path.startswith("src/storage/")
     in_workload = rel_path.startswith("src/workload/")
     is_annotation_header = rel_path.endswith("util/thread_annotations.h")
+    is_flow_solver = rel_path in FLOW_SOLVER_FILES
 
     def check(idx: int, rule: str, message: str):
         nonlocal suppressions
@@ -131,6 +147,13 @@ def scan_file(rel_path: str, text: str):
             # the one above; reuse the suppression mechanism for that.
             check(idx, "tsa-suppression-justified",
                   f"{TSA_OPTOUT} without an invariant-ok justification")
+        if is_flow_solver:
+            m = DB_REBUILD_RE.search(line)
+            if m:
+                check(idx, "solver-db-rebuild",
+                      f"{m.group(1)}( in a flow solver — read the caller's "
+                      "database through its LabelIndex and emit the network "
+                      "into the scratch ResidualGraph instead")
     return findings, suppressions
 
 
@@ -207,6 +230,29 @@ SELF_TEST_CASES = [
         "// invariant-ok(tsa-suppression-justified): racy-read stats probe,\n"
         "void Peek() RPQRES_NO_THREAD_SAFETY_ANALYSIS {\n"
         "}\n",
+        [],
+    ),
+    (
+        "src/resilience/one_dangling_resilience.cc",
+        "GraphDb rewritten;\n"
+        "NodeId mid = rewritten.AddNode(\"(v,in)\");\n"
+        "rewritten.AddFact(mid, z, v, z_mult);\n"
+        "GraphDb flat = db.Compact(&old_id_of);\n"
+        "GraphDb mirror = db.MirrorDb();\n"
+        "GraphDb rest = db.RemoveFacts(cut);\n"
+        "int32_t middle = network.AddVertex();\n",
+        [
+            ("solver-db-rebuild", 2),
+            ("solver-db-rebuild", 3),
+            ("solver-db-rebuild", 4),
+            ("solver-db-rebuild", 5),
+            ("solver-db-rebuild", 6),
+        ],
+    ),
+    (
+        # Building databases is fine outside the flow solvers.
+        "src/resilience/exact.cc",
+        "GraphDb rest = db.RemoveFacts(cut);\n",
         [],
     ),
     (

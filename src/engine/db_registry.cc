@@ -125,8 +125,15 @@ Result<FactId> DeltaBatch::AddFact(NodeId source, char label, NodeId target,
     return Status::InvalidArgument(
         "AddFact: node ids must reference existing nodes");
   }
-  if (multiplicity < 1) {
-    return Status::InvalidArgument("AddFact: multiplicity must be >= 1");
+  if (multiplicity < 1 || multiplicity > kMaxMultiplicity) {
+    return Status::InvalidArgument("AddFact: multiplicity must be in [1, " +
+                                   std::to_string(kMaxMultiplicity) + "]");
+  }
+  if (FactId seen = work_.FindFact(source, label, target);
+      seen >= 0 && work_.multiplicity(seen) > kMaxMultiplicity - multiplicity) {
+    return Status::InvalidArgument(
+        "AddFact: accumulated multiplicity exceeds " +
+        std::to_string(kMaxMultiplicity));
   }
   ++ops_;
   int before = work_.num_facts();

@@ -167,7 +167,9 @@ class DeltaBatch {
   /// Appends a node; ids continue the parent's node space.
   NodeId AddNode(std::string name = "");
   /// Adds (or multiplicity-bumps) a fact between existing nodes (parent
-  /// or batch-added). InvalidArgument on out-of-range node ids.
+  /// or batch-added). InvalidArgument on out-of-range node ids, and when
+  /// the fact's multiplicity, bumps included, would leave
+  /// [1, kMaxMultiplicity].
   Result<FactId> AddFact(NodeId source, char label, NodeId target,
                          Capacity multiplicity = 1);
   /// Tombstones a live fact; NotFound when no such fact exists.

@@ -100,11 +100,14 @@ bool ResidualGraph::Bfs() {
       int to = arc_to_[a];
       if (arc_cap_[a] > 0 && level_[to] < 0) {
         level_[to] = level_[v] + 1;
+        // Every shortest augmenting path is leveled once the target is:
+        // BlockingFlow never uses a vertex at or past the target's level.
+        if (to == target_) return true;
         queue_.push_back(to);
       }
     }
   }
-  return level_[target_] >= 0;
+  return false;
 }
 
 bool ResidualGraph::BlockingFlow() {
@@ -187,9 +190,10 @@ const MinCutView& ResidualGraph::Solve(obs::TraceContext* trace) {
   obs::ScopedSpan cut_span(trace, obs::SpanKind::kCutExtract);
   view_.value = flow_;
 
-  // Residual reachability split: the final (failed) BFS already computed
-  // it — a vertex is reachable from the source iff it got a level. No
-  // blocking flow ran after that BFS, so the levels are pristine.
+  // Residual reachability split: the final BFS already computed it. That
+  // BFS failed, so it never stopped early at the target and ran to
+  // exhaustion — a vertex is reachable from the source iff it got a
+  // level. No blocking flow ran after it, so the levels are pristine.
   side_.resize(num_vertices_);
   for (int v = 0; v < num_vertices_; ++v) side_[v] = level_[v] >= 0 ? 1 : 0;
   cut_edges_.clear();

@@ -22,7 +22,8 @@ size_t SolverScratch::total_capacity_bytes() const {
          product_id.capacity_bytes() + VectorBytes(fwd_visited) +
          VectorBytes(bwd_queue) + VectorBytes(live_list) +
          VectorBytes(candidate_facts) + VectorBytes(start_of) +
-         VectorBytes(end_of);
+         VectorBytes(end_of) + VectorBytes(split_z) + VectorBytes(middle_of) +
+         VectorBytes(middle_nodes) + VectorBytes(z_cut);
 }
 
 }  // namespace rpqres

@@ -2,9 +2,10 @@
 //
 // Every flow-backed resilience solve needs the same transient state: the
 // residual graph, the fact↔edge mapping, flat per-letter transition
-// tables, ε-adjacency over automaton states, and (for the Thm 3.13
+// tables, ε-adjacency over automaton states, (for the Thm 3.13
 // product) reachability marks plus dense vertex ids over (node, state)
-// pairs. A SolverScratch owns all of it in grow-only buffers, so a warm
+// pairs, and (for Prp 7.9) per-node split costs, middle vertices and cut
+// marks. A SolverScratch owns all of it in grow-only buffers, so a warm
 // scratch makes steady-state serving allocation-free per solve.
 //
 // Ownership model: the engine's worker pool holds one scratch per thread
@@ -135,6 +136,17 @@ class SolverScratch {
   // --- BCL solver state (Prp 7.6) ------------------------------------------
   /// Fact id -> start/end network vertex, -1 for irrelevant facts.
   std::vector<int32_t> start_of, end_of;
+
+  // --- one-dangling split state (Prp 7.9, LetterSplit) ---------------------
+  /// Per node: z-edge capacity, the split letter's cost at the node minus
+  /// the fresh letter's.
+  std::vector<Capacity> split_z;
+  /// Per node: the node's middle vertex, -1 when none was staged.
+  std::vector<int32_t> middle_of;
+  /// Nodes with a middle vertex, in z-edge staging order.
+  std::vector<int32_t> middle_nodes;
+  /// Per node: 1 iff the node's z-edge is in the minimum cut.
+  std::vector<uint8_t> z_cut;
 
   /// Test-only knob: emit the full (unpruned) product network. The pruned
   /// and unpruned constructions must produce identical cut values — the

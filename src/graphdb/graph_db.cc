@@ -46,9 +46,16 @@ FactId GraphDb::AddFact(NodeId source, char label, NodeId target,
                         Capacity multiplicity) {
   RPQRES_DCHECK(source >= 0 && source < num_nodes());
   RPQRES_DCHECK(target >= 0 && target < num_nodes());
-  RPQRES_CHECK_MSG(multiplicity >= 1, "fact multiplicity must be >= 1");
+  RPQRES_CHECK_MSG(multiplicity >= 1 && multiplicity <= kMaxMultiplicity,
+                   "fact multiplicity must be in [1, kMaxMultiplicity]");
   RPQRES_CHECK_MSG(mapped_ == nullptr,
                    "AddFact: mapped databases are immutable");
+  // A duplicate accumulates, and the total obeys the same bound.
+  auto bumped = [multiplicity](Capacity current) {
+    RPQRES_CHECK_MSG(multiplicity <= kMaxMultiplicity - current,
+                     "accumulated fact multiplicity exceeds kMaxMultiplicity");
+    return current + multiplicity;
+  };
   auto key = std::make_tuple(source, label, target);
   // Live-duplicate detection: overlay additions first, then the base
   // (a tombstoned base fact does NOT merge — a re-add is a new fact at
@@ -59,7 +66,8 @@ FactId GraphDb::AddFact(NodeId source, char label, NodeId target,
     // database, overlay additions of a versioned one), so the id is
     // always at or above the watermark.
     FactId id = it->second;
-    multiplicities_[id - base_facts_] += multiplicity;
+    Capacity& stored = multiplicities_[id - base_facts_];
+    stored = bumped(stored);
     return id;
   }
   if (base_ != nullptr) {
@@ -71,10 +79,10 @@ FactId GraphDb::AddFact(NodeId source, char label, NodeId target,
             return entry.first < k;
           });
       if (pos != mult_override_.end() && pos->first == base_id) {
-        pos->second += multiplicity;
+        pos->second = bumped(pos->second);
       } else {
         mult_override_.insert(
-            pos, {base_id, base_->multiplicity(base_id) + multiplicity});
+            pos, {base_id, bumped(base_->multiplicity(base_id))});
       }
       return base_id;
     }

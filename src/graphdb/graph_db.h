@@ -95,7 +95,10 @@ class GraphDb {
   /// Adds a fact with the given multiplicity (>= 1); if the fact already
   /// exists (and is live) its multiplicity is increased. Returns the fact
   /// id. On an overlay, bumping a base fact records a multiplicity
-  /// override; the fact keeps its id and position.
+  /// override; the fact keeps its id and position. CHECK-fails when the
+  /// resulting multiplicity would exceed kMaxMultiplicity: input paths
+  /// (ParseGraphDb, DeltaBatch::AddFact, ReadSegment) refuse such facts
+  /// with a Status before they get here.
   FactId AddFact(NodeId source, char label, NodeId target,
                  Capacity multiplicity = 1);
   /// Fact id of the *live* (source, label, target), or -1.

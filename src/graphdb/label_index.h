@@ -5,8 +5,8 @@
 // the facts at a node through an index. The paper's polynomial
 // algorithms all read the database one (label, node) pair at a time —
 // the product network of Thm 3.13, the chain wiring of Prp 7.6 and the
-// κ/z rewrite of Prp 7.9 — which is exactly what FactsFrom / FactsInto
-// answer, without touching a fact of any other label.
+// κ/z split network of Prp 7.9 — which is exactly what FactsFrom /
+// FactsInto answer, without touching a fact of any other label.
 //
 // An index is built once per immutable database snapshot (the DbRegistry
 // does this at Register time, and a segment stores one on disk) and

@@ -87,7 +87,10 @@ Result<GraphDb> ParseGraphDb(const std::string& text) {
         } catch (...) {
           return error("bad multiplicity '" + token + "'");
         }
-        if (multiplicity < 1) return error("multiplicity must be >= 1");
+        if (multiplicity < 1 || multiplicity > kMaxMultiplicity) {
+          return error("multiplicity must be in [1, " +
+                       std::to_string(kMaxMultiplicity) + "]");
+        }
         if (fields >> token) {
           if (token != "exo") return error("unexpected token '" + token +
                                            "'");
@@ -96,8 +99,15 @@ Result<GraphDb> ParseGraphDb(const std::string& text) {
       }
     }
     if (fields >> token) return error("unexpected token '" + token + "'");
-    FactId id = db.AddFact(db.GetOrAddNode(source), label[0],
-                           db.GetOrAddNode(target), multiplicity);
+    const NodeId source_id = db.GetOrAddNode(source);
+    const NodeId target_id = db.GetOrAddNode(target);
+    // A repeated fact accumulates its multiplicity; bound the total too.
+    if (FactId seen = db.FindFact(source_id, label[0], target_id);
+        seen >= 0 && db.multiplicity(seen) > kMaxMultiplicity - multiplicity) {
+      return error("accumulated multiplicity exceeds " +
+                   std::to_string(kMaxMultiplicity));
+    }
+    FactId id = db.AddFact(source_id, label[0], target_id, multiplicity);
     if (exogenous) db.SetExogenous(id);
   }
   return db;

@@ -24,7 +24,9 @@ namespace rpqres {
 /// Renders `db` in the text format (round-trips through ParseGraphDb).
 std::string SerializeGraphDb(const GraphDb& db);
 
-/// Parses the text format; InvalidArgument with a line number on errors.
+/// Parses the text format; InvalidArgument with a line number on errors,
+/// including a multiplicity outside [1, kMaxMultiplicity] once repeated
+/// lines of one fact have accumulated.
 Result<GraphDb> ParseGraphDb(const std::string& text);
 
 }  // namespace rpqres

@@ -27,8 +27,10 @@ struct OneDanglingDecomposition {
 /// word xy ∈ L, x ≠ y, such that L \ {xy} is local and x or y does not
 /// occur in L \ {xy}. Returns nullopt if none exists.
 ///
-/// Note this analyzes L as given; Prp 6.3 lets callers also try Mirror(L)
-/// (the resilience solver does so internally for the y ∈ Σ case).
+/// Note this analyzes L as given; Prp 6.3 lets callers also try Mirror(L).
+/// BuildOneDanglingTables (resilience/one_dangling_resilience.h) does so
+/// at plan time and maps either orientation, and the y ∈ Σ case, back
+/// onto D, so no solve mirrors a database.
 std::optional<OneDanglingDecomposition> FindOneDanglingDecomposition(
     const Language& lang);
 

@@ -1,7 +1,6 @@
 #include "resilience/bcl_resilience.h"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <optional>
 
@@ -13,48 +12,82 @@
 
 namespace rpqres {
 
-Result<ResilienceResult> SolveBclResilience(const Language& lang,
-                                            const GraphDb& db,
-                                            Semantics semantics,
-                                            const LabelIndex* label_index,
-                                            SolverScratch* scratch) {
-  if (scratch == nullptr) scratch = &SolverScratch::ThreadLocal();
-  ResilienceResult result;
-  result.algorithm = "bipartite chain flow (Prp 7.6)";
+namespace {
 
-  // Work on IF(L) (same query; BCL-ness is preserved by IF, Lem 7.5).
-  Language ifl = InfixFreeSublanguage(lang);
-  if (ifl.ContainsEpsilon()) {
-    result.infinite = true;
-    return result;
+constexpr const char* kAlgorithm = "bipartite chain flow (Prp 7.6)";
+
+// The letters marked in `marked`, ascending as unsigned chars.
+std::vector<char> MarkedLetters(const std::array<bool, 256>& marked) {
+  std::vector<char> letters;
+  for (int l = 0; l < 256; ++l) {
+    if (marked[l]) letters.push_back(static_cast<char>(l));
   }
+  return letters;
+}
+
+}  // namespace
+
+Result<BclTables> BuildBclTables(const Language& ifl) {
   ChainAnalysis chain = AnalyzeChain(ifl);
   if (!chain.is_chain) {
-    return Status::FailedPrecondition(
-        "SolveBclResilience: IF(" + lang.description() +
-        ") is not a chain language: " + chain.violation);
+    return Status::FailedPrecondition("is not a chain language: " +
+                                      chain.violation);
   }
-
   // Preprocessing (proof of Prp 7.6): single-letter words force the removal
   // of every fact with that label. In the infix-free language, such a
   // letter occurs in no other word, so those facts are inert afterwards.
-  std::array<bool, 256> forced_label{};
+  std::array<bool, 256> forced{};
+  std::array<bool, 256> relevant{};
   std::vector<std::string> long_words;
   for (const std::string& w : chain.words) {
-    RPQRES_CHECK(!w.empty());  // ε was handled above
+    RPQRES_CHECK_MSG(!w.empty(), "BuildBclTables: ε ∈ IF(L)");
     if (w.size() == 1) {
-      forced_label[static_cast<unsigned char>(w[0])] = true;
+      forced[static_cast<unsigned char>(w[0])] = true;
     } else {
       long_words.push_back(w);
+      for (char c : w) relevant[static_cast<unsigned char>(c)] = true;
     }
   }
+  // Bipartition of the endpoint graph (Def 7.2): 0 = source partition,
+  // 1 = target partition.
+  std::optional<std::map<char, int>> coloring =
+      BipartitionEndpointGraph(BuildEndpointGraph(long_words));
+  if (!coloring) {
+    return Status::FailedPrecondition("has an endpoint graph that is not "
+                                      "bipartite");
+  }
+  BclTables tables;
+  tables.forced_labels = MarkedLetters(forced);
+  tables.relevant_labels = MarkedLetters(relevant);
+  tables.endpoint_side.fill(-1);
+  for (std::string& w : long_words) {
+    const int front = coloring->at(w.front());
+    tables.endpoint_side[static_cast<unsigned char>(w.front())] =
+        static_cast<int8_t>(front);
+    tables.endpoint_side[static_cast<unsigned char>(w.back())] =
+        static_cast<int8_t>(coloring->at(w.back()));
+    // A word is *forward* if its first letter lies in the source
+    // partition (then its last letter is in the target partition since
+    // the coloring is proper), *reversed* otherwise.
+    tables.long_words.push_back({std::move(w), front == 0});
+  }
+  return tables;
+}
+
+ResilienceResult SolveBclWithTables(const BclTables& tables, const GraphDb& db,
+                                    Semantics semantics,
+                                    const LabelIndex* label_index,
+                                    SolverScratch* scratch) {
+  if (scratch == nullptr) scratch = &SolverScratch::ThreadLocal();
+  ResilienceResult result;
+  result.algorithm = kAlgorithm;
   std::optional<LabelIndex> built;
   const LabelIndex& index =
       label_index != nullptr ? *label_index : built.emplace(db);
+
   Capacity forced_cost = 0;
-  for (int l = 0; l < 256; ++l) {
-    if (!forced_label[l]) continue;
-    for (FactId f : index.Facts(static_cast<char>(l))) {
+  for (char label : tables.forced_labels) {
+    for (FactId f : index.Facts(label)) {
       if (db.IsExogenous(f)) {
         // A single-letter-word match on an undeletable fact: the query
         // cannot be falsified.
@@ -66,37 +99,10 @@ Result<ResilienceResult> SolveBclResilience(const Language& lang,
       result.contingency.push_back(f);
     }
   }
-
-  // Bipartition of the endpoint graph (Def 7.2): 0 = source partition,
-  // 1 = target partition.
-  EndpointGraph endpoint_graph = BuildEndpointGraph(long_words);
-  std::optional<std::map<char, int>> coloring =
-      BipartitionEndpointGraph(endpoint_graph);
-  if (!coloring) {
-    return Status::FailedPrecondition(
-        "SolveBclResilience: the endpoint graph of IF(" + lang.description() +
-        ") is not bipartite");
-  }
-
-  if (long_words.empty()) {
+  if (tables.long_words.empty()) {
     result.value = forced_cost;
     std::sort(result.contingency.begin(), result.contingency.end());
     return result;
-  }
-
-  // Letters relevant to matches of the long words, and endpoint letters
-  // with their partition side — all flat 256-entry tables.
-  std::array<bool, 256> relevant_label{};
-  for (const std::string& w : long_words) {
-    for (char c : w) relevant_label[static_cast<unsigned char>(c)] = true;
-  }
-  std::array<int16_t, 256> endpoint_side;  // -1: not an endpoint letter
-  endpoint_side.fill(-1);
-  for (const std::string& w : long_words) {
-    endpoint_side[static_cast<unsigned char>(w.front())] =
-        static_cast<int16_t>(coloring->at(w.front()));
-    endpoint_side[static_cast<unsigned char>(w.back())] =
-        static_cast<int16_t>(coloring->at(w.back()));
   }
 
   // Network: one start/end vertex pair and one finite fact edge per
@@ -112,35 +118,29 @@ Result<ResilienceResult> SolveBclResilience(const Language& lang,
   end_of.assign(db.num_facts(), -1);
   auto& fact_of_edge = scratch->fact_of_edge;
   fact_of_edge.clear();
-  auto stage_fact = [&](FactId f) {
-    start_of[f] = network.AddVertex();
-    end_of[f] = network.AddVertex();
-    int32_t edge =
-        network.AddEdge(start_of[f], end_of[f], db.Cost(f, semantics));
-    RPQRES_CHECK(edge == static_cast<int32_t>(fact_of_edge.size()));
-    fact_of_edge.push_back(f);
-  };
-  for (int l = 0; l < 256; ++l) {
-    if (!relevant_label[l] || forced_label[l]) continue;
-    for (FactId f : index.Facts(static_cast<char>(l))) stage_fact(f);
+  for (char label : tables.relevant_labels) {
+    for (FactId f : index.Facts(label)) {
+      start_of[f] = network.AddVertex();
+      end_of[f] = network.AddVertex();
+      int32_t edge =
+          network.AddEdge(start_of[f], end_of[f], db.Cost(f, semantics));
+      RPQRES_CHECK(edge == static_cast<int32_t>(fact_of_edge.size()));
+      fact_of_edge.push_back(f);
+    }
   }
 
-  // Word wiring. A word is *forward* if its first letter lies in the source
-  // partition (then its last letter is in the target partition since the
-  // coloring is proper), *reversed* otherwise.
-  //
-  // Each adjacent letter pair (c1, c2) joins on the shared node — target
-  // of the c1-fact == source of the c2-fact — through the index's source
-  // CSR, so the wiring is output-linear: O(|A| + emitted edges) per pair,
-  // never the all-pairs |A|·|B| scan. Every letter of a long word was
-  // staged above: IF(L) is infix-free, so no single-letter word's letter
-  // occurs in a longer word.
-  for (const std::string& w : long_words) {
-    bool forward = coloring->at(w.front()) == 0;
+  // Word wiring, by each word's orientation. Each adjacent letter pair
+  // (c1, c2) joins on the shared node — target of the c1-fact == source
+  // of the c2-fact — through the index's source CSR, so the wiring is
+  // output-linear: O(|A| + emitted edges) per pair, never the all-pairs
+  // |A|·|B| scan. Every letter of a long word was staged above: IF(L) is
+  // infix-free, so no single-letter word's letter occurs in a longer word.
+  for (const BclTables::Word& word : tables.long_words) {
+    const std::string& w = word.letters;
     for (size_t i = 0; i + 1 < w.size(); ++i) {
       for (FactId f1 : index.Facts(w[i])) {
         for (FactId f2 : index.FactsFrom(w[i + 1], db.fact(f1).target)) {
-          if (forward) {
+          if (word.forward) {
             network.AddEdge(end_of[f1], start_of[f2], kInfiniteCapacity);
           } else {
             network.AddEdge(end_of[f2], start_of[f1], kInfiniteCapacity);
@@ -151,7 +151,8 @@ Result<ResilienceResult> SolveBclResilience(const Language& lang,
   }
   // Source/target hookup by endpoint letter partition.
   for (FactId f : fact_of_edge) {
-    int side = endpoint_side[static_cast<unsigned char>(db.fact(f).label)];
+    int side =
+        tables.endpoint_side[static_cast<unsigned char>(db.fact(f).label)];
     if (side == 0) {
       network.AddEdge(0, start_of[f], kInfiniteCapacity);
     } else if (side == 1) {
@@ -167,6 +168,7 @@ Result<ResilienceResult> SolveBclResilience(const Language& lang,
     return result;
   }
   result.value = forced_cost + cut.value;
+  result.contingency.reserve(result.contingency.size() + cut.cut_edges.size());
   for (int32_t edge : cut.cut_edges) {
     RPQRES_CHECK_MSG(
         edge >= 0 && edge < static_cast<int32_t>(fact_of_edge.size()),
@@ -180,6 +182,28 @@ Result<ResilienceResult> SolveBclResilience(const Language& lang,
   result.network_vertices = network.num_vertices();
   result.network_edges = network.num_edges();
   return result;
+}
+
+Result<ResilienceResult> SolveBclResilience(const Language& lang,
+                                            const GraphDb& db,
+                                            Semantics semantics,
+                                            const LabelIndex* label_index,
+                                            SolverScratch* scratch) {
+  // Work on IF(L) (same query; BCL-ness is preserved by IF, Lem 7.5).
+  Language ifl = InfixFreeSublanguage(lang);
+  if (ifl.ContainsEpsilon()) {
+    ResilienceResult result;
+    result.algorithm = kAlgorithm;
+    result.infinite = true;
+    return result;
+  }
+  Result<BclTables> tables = BuildBclTables(ifl);
+  if (!tables.ok()) {
+    return Status::FailedPrecondition("SolveBclResilience: IF(" +
+                                      lang.description() + ") " +
+                                      tables.status().message());
+  }
+  return SolveBclWithTables(*tables, db, semantics, label_index, scratch);
 }
 
 }  // namespace rpqres

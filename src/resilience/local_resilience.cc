@@ -19,7 +19,8 @@ namespace {
 // per-automaton tables. With fixed_source/fixed_target >= 0, only walks
 // between those nodes count (the non-Boolean extension; the
 // cut↔contingency correspondence is unaffected by which product vertices
-// hook to the terminals).
+// hook to the terminals). With a `split`, facts of the split letter pass
+// through per-node middle vertices (Prp 7.9; see LetterSplit).
 //
 // Product pruning: a product vertex (v, s) can lie on a source-target
 // path only if it is reachable from a hooked-up (node, initial) pair AND
@@ -27,11 +28,16 @@ namespace {
 // database corresponds to a path through live vertices only, so emitting
 // arcs (fact, ε, and terminal hookups) at live vertices alone preserves
 // every cut and its value; dead vertices — usually the bulk of |V|·|S| —
-// are never materialized.
+// are never materialized. A middle vertex has one way in and one way out
+// (its split facts on one side, its z-edge on the other), so the sweeps
+// step over it: a split fact counts as a product edge iff its split-side
+// node has a z-edge, and the middle vertex is live iff one of its split
+// facts is staged.
 ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
                                    Semantics semantics, NodeId fixed_source,
                                    NodeId fixed_target,
                                    const LabelIndex& label_index,
+                                   const LetterSplit* split,
                                    SolverScratch* scratch) {
   if (scratch == nullptr) scratch = &SolverScratch::ThreadLocal();
   ResilienceResult result;
@@ -59,6 +65,22 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
   };
   auto key_of = [S](int64_t packed) {
     return (packed >> 32) * S + (packed & 0xffffffff);
+  };
+
+  // The split letter, or -1 when there is no split or the automaton does
+  // not read the letter (then no split fact can join the network). A
+  // split fact is *open* iff its split-side node has a z-edge.
+  const int split_label =
+      split != nullptr &&
+              letter_from[static_cast<unsigned char>(split->letter)] >= 0
+          ? static_cast<unsigned char>(split->letter)
+          : -1;
+  auto split_node = [&](FactId f) {
+    const Fact& fact = db.fact(f);
+    return split->at_target ? fact.target : fact.source;
+  };
+  auto open = [&](int label, FactId f) {
+    return label != split_label || split->z[split_node(f)] > 0;
   };
 
   // --- Reach / co-reach sweep over (node, state) ---------------------------
@@ -100,9 +122,10 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
       // doubles as the candidate-edge discovery pass.
       for (int32_t i = t.labels_out_offset[s]; i < t.labels_out_offset[s + 1];
            ++i) {
-        char label = static_cast<char>(t.labels_out[i]);
-        int to_state = letter_to[static_cast<unsigned char>(label)];
-        for (FactId f : label_index.FactsFrom(label, v)) {
+        const int label = t.labels_out[i];
+        const int to_state = letter_to[label];
+        for (FactId f : label_index.FactsFrom(static_cast<char>(label), v)) {
+          if (!open(label, f)) continue;
           candidate_facts.push_back(f);
           push_fwd(db.fact(f).target, to_state);
         }
@@ -128,9 +151,10 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
       }
       for (int32_t i = t.labels_in_offset[s]; i < t.labels_in_offset[s + 1];
            ++i) {
-        char label = static_cast<char>(t.labels_in[i]);
-        int from_state = letter_from[static_cast<unsigned char>(label)];
-        for (FactId f : label_index.FactsInto(label, v)) {
+        const int label = t.labels_in[i];
+        const int from_state = letter_from[label];
+        for (FactId f : label_index.FactsInto(static_cast<char>(label), v)) {
+          if (!open(label, f)) continue;
           push_bwd(db.fact(f).source, from_state);
         }
       }
@@ -148,7 +172,7 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
     for (int l = 0; l < 256; ++l) {
       if (letter_from[l] < 0) continue;
       for (FactId f : label_index.Facts(static_cast<char>(l))) {
-        candidate_facts.push_back(f);
+        if (open(l, f)) candidate_facts.push_back(f);
       }
     }
     relevant_facts = static_cast<int64_t>(candidate_facts.size());
@@ -184,6 +208,13 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
   // fact_of_edge.
   auto& fact_of_edge = scratch->fact_of_edge;  // edge id -> fact id
   fact_of_edge.clear();
+  auto& middle_of = scratch->middle_of;
+  auto& middle_nodes = scratch->middle_nodes;
+  middle_nodes.clear();
+  if (split != nullptr) {
+    middle_of.assign(V, -1);
+    scratch->z_cut.assign(V, 0);
+  }
   for (FactId f : candidate_facts) {
     const Fact& fact = db.fact(f);
     unsigned char label = static_cast<unsigned char>(fact.label);
@@ -192,9 +223,31 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
     if (from < 0) continue;
     int32_t to = product_id.Get(int64_t{fact.target} * S + letter_to[label]);
     if (to < 0) continue;
+    if (label == split_label) {
+      // The z-edge will join the middle vertex to the product vertex on
+      // the split side, which is live because this fact is.
+      const NodeId node = split_node(f);
+      if (middle_of[node] < 0) {
+        middle_of[node] = network.AddVertex();
+        middle_nodes.push_back(node);
+      }
+      (split->at_target ? to : from) = middle_of[node];
+    }
     int32_t edge = network.AddEdge(from, to, db.Cost(f, semantics));
     RPQRES_CHECK(edge == static_cast<int32_t>(fact_of_edge.size()));
     fact_of_edge.push_back(f);
+  }
+  // One z-edge per middle vertex, right after the fact edges: edge id
+  // fact_of_edge.size() + i is the z-edge of middle_nodes[i].
+  for (NodeId node : middle_nodes) {
+    const int state = split->at_target ? letter_to[split_label]
+                                        : letter_from[split_label];
+    const int32_t product = product_id.Get(int64_t{node} * S + state);
+    if (split->at_target) {
+      network.AddEdge(middle_of[node], product, split->z[node]);
+    } else {
+      network.AddEdge(product, middle_of[node], split->z[node]);
+    }
   }
 
   // Structural edges at live vertices only: ε-transitions within each
@@ -227,11 +280,17 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
     return result;
   }
   result.value = cut.value;
+  const int32_t fact_edges = static_cast<int32_t>(fact_of_edge.size());
+  const int32_t z_edges = static_cast<int32_t>(middle_nodes.size());
+  result.contingency.reserve(cut.cut_edges.size());
   for (int32_t edge : cut.cut_edges) {
-    RPQRES_CHECK_MSG(
-        edge >= 0 && edge < static_cast<int32_t>(fact_of_edge.size()),
-        "cut contains a non-fact edge");
-    result.contingency.push_back(fact_of_edge[edge]);
+    RPQRES_CHECK_MSG(edge >= 0 && edge < fact_edges + z_edges,
+                     "cut contains a structural edge");
+    if (edge < fact_edges) {
+      result.contingency.push_back(fact_of_edge[edge]);
+    } else {
+      scratch->z_cut[middle_nodes[edge - fact_edges]] = 1;
+    }
   }
   std::sort(result.contingency.begin(), result.contingency.end());
   result.contingency.erase(
@@ -242,13 +301,19 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
   // Pruning telemetry: what the full |V|·|S| construction would have
   // materialized beyond what we staged (the fact component counts only
   // sweep-discovered candidates, so it is a conservative lower bound).
+  // A split adds one middle vertex and one z-edge per node with a z-edge.
+  int64_t open_nodes = 0;
+  if (split_label >= 0) {
+    for (Capacity z : split->z) open_nodes += z > 0 ? 1 : 0;
+  }
   int64_t full_edges =
-      relevant_facts + t.eps_transitions * V +
+      relevant_facts + open_nodes + t.eps_transitions * V +
       (fixed_source < 0 ? int64_t{V} : 1) *
           static_cast<int64_t>(t.initial_states.size()) +
       (fixed_target < 0 ? int64_t{V} : 1) *
           static_cast<int64_t>(t.final_states.size());
-  result.product_vertices_pruned = product_size - live_count;
+  result.product_vertices_pruned =
+      product_size + open_nodes - (network.num_vertices() - 2);
   result.product_edges_pruned = full_edges - network.num_edges();
   return result;
 }
@@ -283,6 +348,17 @@ RoProductTables MustBuildTables(const Enfa& ro) {
 
 }  // namespace
 
+ResilienceResult SolveLocalResilienceWithSplit(const RoProductTables& tables,
+                                               const LetterSplit& split,
+                                               const GraphDb& db,
+                                               Semantics semantics,
+                                               const LabelIndex& label_index,
+                                               SolverScratch* scratch) {
+  RPQRES_CHECK(static_cast<int64_t>(split.z.size()) == db.num_nodes());
+  return SolveLocalProduct(tables, db, semantics, /*fixed_source=*/-1,
+                           /*fixed_target=*/-1, label_index, &split, scratch);
+}
+
 ResilienceResult SolveLocalResilienceWithTables(const RoProductTables& tables,
                                                 const GraphDb& db,
                                                 Semantics semantics,
@@ -291,7 +367,8 @@ ResilienceResult SolveLocalResilienceWithTables(const RoProductTables& tables,
   std::optional<LabelIndex> built;
   return SolveLocalProduct(
       tables, db, semantics, /*fixed_source=*/-1, /*fixed_target=*/-1,
-      label_index != nullptr ? *label_index : built.emplace(db), scratch);
+      label_index != nullptr ? *label_index : built.emplace(db),
+      /*split=*/nullptr, scratch);
 }
 
 ResilienceResult SolveLocalResilienceWithRoEnfa(
@@ -319,7 +396,8 @@ ResilienceResult SolveLocalResilienceFixedEndpointsWithTables(
   std::optional<LabelIndex> built;
   return SolveLocalProduct(
       tables, db, semantics, source, target,
-      label_index != nullptr ? *label_index : built.emplace(db), scratch);
+      label_index != nullptr ? *label_index : built.emplace(db),
+      /*split=*/nullptr, scratch);
 }
 
 Result<ResilienceResult> SolveLocalResilienceFixedEndpoints(

@@ -4,9 +4,16 @@
 // one MinCut: each fact of D contributes exactly one finite-capacity edge
 // (read-once!), all structural edges are infinite, so minimum cuts are
 // exactly minimum contingency sets. Runs in Õ(|A|·|D|·|Σ|) plus the MinCut.
+//
+// The same sweep serves Prp 7.9 (resilience/one_dangling_resilience.h):
+// with a LetterSplit, the facts of one letter pass through per-node middle
+// vertices whose z-edges carry signed per-node costs, which is the
+// rewritten database D′ of the proof emitted straight from D's index.
 
 #ifndef RPQRES_RESILIENCE_LOCAL_RESILIENCE_H_
 #define RPQRES_RESILIENCE_LOCAL_RESILIENCE_H_
+
+#include <span>
 
 #include "automata/enfa.h"
 #include "graphdb/graph_db.h"
@@ -45,6 +52,30 @@ ResilienceResult SolveLocalResilienceWithRoEnfa(
 ResilienceResult SolveLocalResilienceWithTables(
     const RoProductTables& tables, const GraphDb& db, Semantics semantics,
     const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
+
+/// Prp 7.9's letter split. Every fact of `letter` passes through one
+/// middle vertex at its split-side node v: its target when `at_target`,
+/// its source otherwise. The middle vertex joins the product vertex at v
+/// (the letter's to-state when `at_target`, its from-state otherwise) by
+/// one finite *z-edge* of capacity z[v]. A node with z[v] <= 0 gets no
+/// middle vertex, and its split facts are left out of the network.
+struct LetterSplit {
+  char letter = '\0';
+  bool at_target = true;
+  /// One z-edge capacity per node of the database.
+  std::span<const Capacity> z;
+};
+
+/// The Thm 3.13 product of `tables` and `db` with `split` applied; the
+/// core of SolveOneDanglingWithTables. The contingency holds the cut
+/// facts only; afterwards scratch->z_cut[v] is 1 iff v's z-edge is in the
+/// minimum cut. `scratch` as for SolveLocalResilienceWithRoEnfa.
+ResilienceResult SolveLocalResilienceWithSplit(const RoProductTables& tables,
+                                               const LetterSplit& split,
+                                               const GraphDb& db,
+                                               Semantics semantics,
+                                               const LabelIndex& label_index,
+                                               SolverScratch* scratch);
 
 /// **Extension beyond the paper** (its Section 8 lists the non-Boolean
 /// setting as future work): resilience with *fixed endpoints* — the

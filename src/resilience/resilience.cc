@@ -4,10 +4,8 @@
 
 #include "flow/solver_scratch.h"
 #include "graphdb/rpq_eval.h"
-#include "lang/chain.h"
 #include "lang/infix_free.h"
 #include "lang/local.h"
-#include "lang/one_dangling.h"
 #include "lang/ro_enfa.h"
 #include "obs/trace.h"
 #include "resilience/bcl_resilience.h"
@@ -29,9 +27,13 @@ Result<ResiliencePlan> PlanResilienceWithIF(Language ifl,
         "PlanResilience plans the kAuto dispatch; to force a solver, call "
         "ComputeResilience with that method directly");
   }
-  ResiliencePlan plan{std::move(ifl), ResilienceMethod::kExact,
-                      /*trivial_infinite=*/false, /*trivial_empty=*/false,
-                      /*ro_tables=*/std::nullopt};
+  ResiliencePlan plan{std::move(ifl),
+                      ResilienceMethod::kExact,
+                      /*trivial_infinite=*/false,
+                      /*trivial_empty=*/false,
+                      /*ro_tables=*/std::nullopt,
+                      /*bcl_tables=*/std::nullopt,
+                      /*one_dangling_tables=*/std::nullopt};
   if (plan.if_language.ContainsEpsilon()) {
     plan.trivial_infinite = true;
     return plan;
@@ -46,12 +48,17 @@ Result<ResiliencePlan> PlanResilienceWithIF(Language ifl,
     RPQRES_ASSIGN_OR_RETURN(plan.ro_tables, BuildRoProductTables(ro));
     return plan;
   }
-  if (IsBipartiteChainLanguage(plan.if_language)) {
+  // Each builder runs its class's analysis once and keeps the result.
+  if (Result<BclTables> bcl = BuildBclTables(plan.if_language); bcl.ok()) {
     plan.method = ResilienceMethod::kBclFlow;
+    plan.bcl_tables = *std::move(bcl);
     return plan;
   }
-  if (IsOneDanglingOrMirror(plan.if_language)) {
+  if (Result<OneDanglingTables> one_dangling =
+          BuildOneDanglingTables(plan.if_language);
+      one_dangling.ok()) {
     plan.method = ResilienceMethod::kOneDanglingFlow;
+    plan.one_dangling_tables = *std::move(one_dangling);
     return plan;
   }
   if (!options.allow_exponential) {
@@ -84,11 +91,13 @@ Result<ResilienceResult> ComputeResilienceWithPlan(
       return SolveLocalResilienceWithTables(*plan.ro_tables, db, semantics,
                                             label_index, scratch);
     case ResilienceMethod::kBclFlow:
-      return SolveBclResilience(plan.if_language, db, semantics, label_index,
+      if (!plan.bcl_tables.has_value()) break;  // see ResiliencePlan
+      return SolveBclWithTables(*plan.bcl_tables, db, semantics, label_index,
                                 scratch);
     case ResilienceMethod::kOneDanglingFlow:
-      return SolveOneDanglingResilience(plan.if_language, db, semantics,
-                                        label_index, scratch);
+      if (!plan.one_dangling_tables.has_value()) break;  // see ResiliencePlan
+      return SolveOneDanglingWithTables(*plan.one_dangling_tables, db,
+                                        semantics, label_index, scratch);
     case ResilienceMethod::kExact: {
       // The branch & bound does not take a scratch; bracket it here so
       // the trace still attributes the (potentially exponential) time.

@@ -14,7 +14,9 @@
 #include "graphdb/graph_db.h"
 #include "graphdb/label_index.h"
 #include "lang/language.h"
+#include "resilience/bcl_resilience.h"
 #include "resilience/exact.h"
+#include "resilience/one_dangling_resilience.h"
 #include "resilience/result.h"
 #include "resilience/ro_tables.h"
 #include "util/status.h"
@@ -57,9 +59,11 @@ Result<ResilienceResult> ComputeResilience(
 /// across any number of databases (the engine's plan-cache payload).
 ///
 /// Invariant: PlanResilienceWithIF is the only code that builds a plan,
-/// and it sets `ro_tables` exactly when `method` is kLocalFlow (and the
-/// plan is not trivial). ComputeResilienceWithPlan relies on it and
-/// refuses a local-flow plan without tables as unexecutable.
+/// and it sets a flow method's tables exactly when it picks that method
+/// (and the plan is not trivial): `ro_tables` for kLocalFlow,
+/// `bcl_tables` for kBclFlow, `one_dangling_tables` for kOneDanglingFlow.
+/// ComputeResilienceWithPlan relies on it and refuses a flow plan without
+/// its tables as unexecutable, so a planned request does no language work.
 struct ResiliencePlan {
   /// The language handed to the solver — IF(L) (Q_L = Q_IF(L), Section 2).
   Language if_language;
@@ -74,6 +78,12 @@ struct ResiliencePlan {
   /// initial/final bits. Each ComputeResilienceWithPlan call skips straight
   /// to the Thm 3.13 product with zero per-solve automaton preprocessing.
   std::optional<RoProductTables> ro_tables;
+  /// IF(L)'s forced and relevant labels, endpoint sides and oriented long
+  /// words when method == kBclFlow (Prp 7.6).
+  std::optional<BclTables> bcl_tables;
+  /// IF(L)'s one-dangling decomposition, with B's RO-εNFA tables and the
+  /// split letter and side, when method == kOneDanglingFlow (Prp 7.9).
+  std::optional<OneDanglingTables> one_dangling_tables;
 };
 
 /// Derives the kAuto dispatch plan for `lang`. Plans are a kAuto notion:
@@ -90,7 +100,8 @@ Result<ResiliencePlan> PlanResilienceWithIF(
 
 /// Computes RES(Q_L, D) by executing a precompiled plan. Equivalent to
 /// ComputeResilience(lang, db, semantics) with kAuto, minus all per-query
-/// work (parse, determinize, IF, classification, RO-εNFA construction).
+/// work (parse, determinize, IF, classification, RO-εNFA construction,
+/// chain analysis, one-dangling decomposition).
 /// `exact_options` only applies when the plan routes to the exact solver
 /// (adversarial instances can make the branch & bound explode; callers
 /// like the differential oracle bound it and treat OutOfRange as an

@@ -134,7 +134,9 @@ Status ValidateMappedArrays(
       return data_loss("fact " + std::to_string(f) +
                        " has an endpoint outside the node table");
     }
-    if (storage.multiplicities[f] < 1 || storage.exogenous[f] > 1) {
+    if (storage.multiplicities[f] < 1 ||
+        storage.multiplicities[f] > kMaxMultiplicity ||
+        storage.exogenous[f] > 1) {
       return data_loss("fact " + std::to_string(f) +
                        " has a bad multiplicity or exogenous flag");
     }

@@ -92,6 +92,29 @@ TEST(DbRegistryV3Test, DeltaBatchValidatesArguments) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(DbRegistryV3Test, DeltaBatchBoundsMultiplicities) {
+  GraphDb base = ChainDb();
+  base.AddFact(0, 'a', 1, kMaxMultiplicity - 2);  // bumps a-fact 0 to 2^29 − 1
+  DbRegistry registry;
+  DbHandle v1 = registry.Register(std::move(base));
+  DeltaBatch batch = registry.BeginDelta(v1);
+  // A new fact: the bound is accepted, one more is not.
+  EXPECT_EQ(batch.AddFact(2, 'b', 0, kMaxMultiplicity + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(batch.AddFact(2, 'b', 0, kMaxMultiplicity).ok());
+  EXPECT_EQ(batch.AddFact(2, 'b', 0).status().code(),
+            StatusCode::kInvalidArgument);
+  // Bumps of a base fact accumulate up to the bound, never past it.
+  EXPECT_EQ(batch.AddFact(0, 'a', 1, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(batch.AddFact(0, 'a', 1).ok());
+  Result<DbHandle> v2 = batch.Commit();
+  ASSERT_TRUE(v2.ok()) << v2.status();
+  EXPECT_EQ(v2->db().multiplicity(0), kMaxMultiplicity);
+  EXPECT_EQ(v2->db().multiplicity(v2->db().FindFact(2, 'b', 0)),
+            kMaxMultiplicity);
+}
+
 TEST(DbRegistryV3Test, ConcurrentCommitOnSameParentAborts) {
   DbRegistry registry;
   DbHandle v1 = registry.Register(ChainDb(), "orders");

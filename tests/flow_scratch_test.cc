@@ -11,6 +11,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string_view>
+#include <utility>
 
 #include "engine/db_registry.h"
 #include "engine/engine.h"
@@ -23,6 +25,7 @@
 #include "obs/trace.h"
 #include "resilience/bcl_resilience.h"
 #include "resilience/local_resilience.h"
+#include "resilience/resilience.h"
 #include "util/rng.h"
 
 namespace {
@@ -126,33 +129,92 @@ TEST(SolverScratchTest, BclSolveReusesBuffers) {
   }
 }
 
+// A planned BCL or one-dangling solve reads only its plan's tables and
+// the database's index: once warm, it allocates its result (contingency
+// vector, algorithm string) and nothing that grows with the language or
+// the database.
+void ExpectPlannedSolveAllocatesOnlyItsResult(const char* regex,
+                                              ResilienceMethod method) {
+  SCOPED_TRACE(regex);
+  Rng rng(31);
+  GraphDb db = RandomGraphDb(&rng, 50, 150, {'a', 'b', 'c', 'e'}, 3);
+  LabelIndex index(db);
+  Result<ResiliencePlan> plan =
+      PlanResilience(Language::MustFromRegexString(regex));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->method, method);
+
+  SolverScratch scratch;
+  Result<ResilienceResult> first = ComputeResilienceWithPlan(
+      *plan, db, Semantics::kBag, {}, &index, &scratch);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_GT(first->value, 0);
+  const size_t warm_bytes = scratch.total_capacity_bytes();
+
+  for (int round = 0; round < 10; ++round) {
+    long long before = g_allocations.load(std::memory_order_relaxed);
+    Result<ResilienceResult> again = ComputeResilienceWithPlan(
+        *plan, db, Semantics::kBag, {}, &index, &scratch);
+    long long solver_allocations =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->value, first->value);
+    EXPECT_EQ(again->contingency, first->contingency);
+    EXPECT_EQ(scratch.total_capacity_bytes(), warm_bytes)
+        << "round " << round << " grew a scratch buffer";
+    EXPECT_LE(solver_allocations, 16) << "round " << round;
+  }
+}
+
+TEST(SolverScratchTest, PlannedBclSolveAllocatesOnlyItsResult) {
+  ExpectPlannedSolveAllocatesOnlyItsResult("ab|bc",
+                                           ResilienceMethod::kBclFlow);
+}
+
+TEST(SolverScratchTest, PlannedOneDanglingSolveAllocatesOnlyItsResult) {
+  ExpectPlannedSolveAllocatesOnlyItsResult("abc|be",
+                                           ResilienceMethod::kOneDanglingFlow);
+}
+
 // End-to-end: the engine's per-thread scratch reaches a steady state
-// where repeated identical requests stop growing it. Single-threaded so
-// every request lands on the same worker scratch.
+// where repeated identical requests stop growing it, for each flow
+// solver. Single-threaded so every request lands on the same worker
+// scratch.
 TEST(SolverScratchTest, EngineThreadScratchReachesSteadyState) {
   Rng rng(7);
   DbRegistry registry;
-  DbHandle db = registry.Register(LayeredFlowDb(&rng, 4, 8, 6, 4, 0.4, 50));
+  DbHandle layered =
+      registry.Register(LayeredFlowDb(&rng, 4, 8, 6, 4, 0.4, 50));
+  DbHandle random =
+      registry.Register(RandomGraphDb(&rng, 50, 150, {'a', 'b', 'c', 'e'}, 3));
   EngineOptions options;
   options.num_threads = 1;
   ResilienceEngine engine(options);
-  ResilienceRequest request{
-      .regex = "ax*b", .db = db, .semantics = Semantics::kBag};
+  for (const auto& [regex, db] : {std::pair{"ax*b", layered},
+                                  std::pair{"ab|bc", random},
+                                  std::pair{"abc|be", random}}) {
+    SCOPED_TRACE(regex);
+    ResilienceRequest request{
+        .regex = regex, .db = db, .semantics = Semantics::kBag};
 
-  ResilienceResponse first = engine.Evaluate(request);
-  ASSERT_TRUE(first.status.ok()) << first.status;
-  EXPECT_GT(first.result.product_vertices_pruned, 0);
-  // Warm up, then bound the per-request allocation count: response
-  // strings and result vectors only, never O(network) buffers.
-  for (int i = 0; i < 3; ++i) engine.Evaluate(request);
-  for (int round = 0; round < 10; ++round) {
-    long long before = g_allocations.load(std::memory_order_relaxed);
-    ResilienceResponse again = engine.Evaluate(request);
-    long long request_allocations =
-        g_allocations.load(std::memory_order_relaxed) - before;
-    ASSERT_TRUE(again.status.ok());
-    EXPECT_EQ(again.result.value, first.result.value);
-    EXPECT_LE(request_allocations, 24) << "round " << round;
+    ResilienceResponse first = engine.Evaluate(request);
+    ASSERT_TRUE(first.status.ok()) << first.status;
+    if (std::string_view(regex) == "ax*b") {
+      EXPECT_GT(first.result.product_vertices_pruned, 0);
+    }
+    EXPECT_GT(first.result.value, 0);
+    // Warm up, then bound the per-request allocation count: response
+    // strings and result vectors only, never O(network) buffers.
+    for (int i = 0; i < 3; ++i) engine.Evaluate(request);
+    for (int round = 0; round < 10; ++round) {
+      long long before = g_allocations.load(std::memory_order_relaxed);
+      ResilienceResponse again = engine.Evaluate(request);
+      long long request_allocations =
+          g_allocations.load(std::memory_order_relaxed) - before;
+      ASSERT_TRUE(again.status.ok());
+      EXPECT_EQ(again.result.value, first.result.value);
+      EXPECT_LE(request_allocations, 24) << "round " << round;
+    }
   }
 }
 

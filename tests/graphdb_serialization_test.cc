@@ -8,6 +8,8 @@
 
 #include "graphdb/generators.h"
 #include "graphdb/serialization.h"
+#include "lang/language.h"
+#include "resilience/resilience.h"
 #include "util/rng.h"
 
 namespace rpqres {
@@ -46,6 +48,34 @@ TEST(SerializationTest, ParseErrors) {
     EXPECT_FALSE(db.ok()) << bad;
     EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument) << bad;
   }
+}
+
+TEST(SerializationTest, MultiplicitiesAreBounded) {
+  // Both inputs used to reach the flow core: the first aborted a bag solve
+  // on its capacity limit, the second overflowed AddFact's int64 sum.
+  for (const char* huge : {"u a v 4611686018427387904\n",
+                           "u a v 9223372036854775807\nu a v 1\n"}) {
+    Result<GraphDb> db = ParseGraphDb(huge);
+    EXPECT_FALSE(db.ok()) << huge;
+    EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument) << huge;
+  }
+  const std::string max = std::to_string(kMaxMultiplicity);
+  const std::string over = std::to_string(kMaxMultiplicity + 1);
+  const std::string below = std::to_string(kMaxMultiplicity - 1);
+  EXPECT_TRUE(ParseGraphDb("u a v " + max + "\n").ok());
+  EXPECT_EQ(ParseGraphDb("u a v " + over + "\n").status().code(),
+            StatusCode::kInvalidArgument);
+  // A repeated fact accumulates up to the bound, never past it.
+  EXPECT_EQ(ParseGraphDb("u a v " + below + "\nu a v 2\n").status().code(),
+            StatusCode::kInvalidArgument);
+  Result<GraphDb> at_bound = ParseGraphDb("u a v " + below + "\nu a v 1\n");
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  EXPECT_EQ(at_bound->multiplicity(0), kMaxMultiplicity);
+  // The largest accepted multiplicity solves under bag semantics.
+  Result<ResilienceResult> solved = ComputeResilience(
+      Language::MustFromRegexString("a"), *at_bound, Semantics::kBag);
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  EXPECT_EQ(solved->value, kMaxMultiplicity);
 }
 
 TEST(SerializationTest, EmptyInputIsEmptyDb) {

@@ -46,6 +46,17 @@ TEST(GraphDbTest, DuplicateFactsAccumulate) {
   EXPECT_EQ(db.FindFact(v, 'a', u), -1);
 }
 
+TEST(GraphDbDeathTest, MultiplicityAboveTheBoundIsABug) {
+  // Input paths refuse these with a Status; reaching AddFact with one is
+  // a bug in the caller, for a direct add and for an accumulated bump.
+  GraphDb db;
+  NodeId u = db.AddNode(), v = db.AddNode();
+  EXPECT_DEATH(db.AddFact(u, 'a', v, kMaxMultiplicity + 1), "kMaxMultiplicity");
+  FactId f = db.AddFact(u, 'a', v, kMaxMultiplicity);
+  EXPECT_EQ(db.multiplicity(f), kMaxMultiplicity);
+  EXPECT_DEATH(db.AddFact(u, 'a', v), "kMaxMultiplicity");
+}
+
 TEST(GraphDbTest, GetOrAddNode) {
   GraphDb db;
   NodeId a = db.GetOrAddNode("x");

@@ -73,7 +73,8 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 // {kind u32, reserved u32, offset i64, size i64, XXH64 u64}.
 constexpr size_t kHeaderBytes = 64;
 constexpr size_t kTableEntryBytes = 32;
-constexpr uint32_t kLabelFactsSection = 9;  // per-label fact lists
+constexpr uint32_t kMultiplicitiesSection = 5;  // one i64 per fact
+constexpr uint32_t kLabelFactsSection = 9;      // per-label fact lists
 
 template <typename T>
 T Load(const std::string& file, size_t at) {
@@ -288,6 +289,31 @@ TEST(SegmentTest, ChecksumConsistentOutOfRangeFactIdIsDataLoss) {
   std::filesystem::remove(path);
 }
 
+TEST(SegmentTest, ChecksumConsistentMultiplicityAboveTheBoundIsDataLoss) {
+  // kMaxMultiplicity loads; one more, with every checksum re-sealed
+  // around it, is refused by validation alone.
+  const std::string path = TempPath("seg_big_multiplicity");
+  GraphDb db;
+  NodeId u = db.AddNode("u"), v = db.AddNode("v");
+  db.AddFact(u, 'a', v, kMaxMultiplicity);
+  ASSERT_TRUE(WriteSegment(path, db, SegmentMeta{}).ok());
+  Result<LoadedSegment> at_bound = ReadSegment(path);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  EXPECT_EQ(at_bound->db.multiplicity(0), kMaxMultiplicity);
+  std::string file = ReadFile(path);
+  for (const SectionBytes& section : Sections(file)) {
+    if (section.kind == kMultiplicitiesSection) {
+      Store<int64_t>(&file, section.offset, kMaxMultiplicity + 1);
+    }
+  }
+  Reseal(&file);
+  WriteFile(path, file);
+  Result<LoadedSegment> over = ReadSegment(path);
+  ASSERT_FALSE(over.ok()) << "multiplicity 2^29 + 1 loaded";
+  EXPECT_EQ(over.status().code(), StatusCode::kDataLoss);
+  std::filesystem::remove(path);
+}
+
 TEST(SegmentTest, ResealedWordCorruptionIsRefusedOrStaysInRange) {
   // Seeded: overwrite one 4-byte word of an array section, re-seal every
   // checksum, read. The reader must refuse the file with kDataLoss, or
@@ -373,11 +399,11 @@ TEST(SegmentTest, ResealedWordCorruptionIsRefusedOrStaysInRange) {
         }
       }
     }
-    // Set semantics: a multiplicity word may legitimately reach the flow
-    // core's capacity limit, which bag semantics would trip; the ids and
-    // spans this test pins are read identically under both.
+    // Bag semantics reads every multiplicity word: the reader refuses any
+    // multiplicity above kMaxMultiplicity, so no accepted file can push
+    // the flow core past its capacity limit.
     ResilienceResult result = SolveLocalResilienceWithTables(
-        tables, mapped, Semantics::kSet, &index);
+        tables, mapped, Semantics::kBag, &index);
     EXPECT_TRUE(result.infinite || result.value >= 0);
   }
   // Both outcomes occur, so neither leg is vacuous.
