@@ -42,13 +42,13 @@
 // metrics validator.
 //
 // Persist mode — `bench_engine --persist [output.json]` — benchmarks the
-// storage layer (storage/segment.h + journal.h): mmap-backed
-// segment_cold_load vs text_reparse (parse + full Register) at 4k and
-// 64k facts with equal resilience checksums, plus
-// journal_replay_100_commits (restore = segment map + 100-group journal
-// replay). Output: BENCH_persist.json; CI's check_metrics_export.py
-// --persist asserts the 64k cold-load speedup floor and checksum
-// equality.
+// storage layer (storage/segment.h + journal.h): segment_cold_load
+// (checksums plus one AddFact build and one label-index build) vs
+// text_reparse (parse + full Register) at 4k and 64k facts with equal
+// resilience checksums, plus journal_replay_100_commits (restore =
+// segment load + 100-group journal replay). Output: BENCH_persist.json;
+// CI's check_metrics_export.py --persist asserts the 64k cold-load
+// speedup floor and checksum equality.
 //
 // Faults mode — `bench_engine --faults [output.json]` — prices the
 // failpoint instrumentation (src/fault/failpoints.h) on the persistent
@@ -505,10 +505,10 @@ int RunPersistBench(const std::string& output) {
       }
     }
 
-    // Cold load: mmap the segment and materialize GraphDb + LabelIndex.
-    // Each rep opens a fresh registry; the page cache stays warm across
-    // reps (that is the deployment story too — the cold part is the
-    // parse/index work the mmap path skips, not the disk).
+    // Cold load: map and checksum the segment, build the GraphDb through
+    // AddFact and its LabelIndex. Each rep opens a fresh registry; the
+    // page cache stays warm across reps (that is the deployment story
+    // too — the cold part is the text parse a load skips, not the disk).
     PersistRun cold;
     cold.name = "segment_cold_load";
     cold.num_facts = num_facts;
@@ -574,7 +574,7 @@ int RunPersistBench(const std::string& output) {
     fs::remove_all(dir, ec);
   }
 
-  // Journal replay: restore = segment mmap + replaying 100 journaled
+  // Journal replay: restore = segment load + replaying 100 journaled
   // delta groups (compaction disabled so every group survives).
   PersistRun replay;
   replay.name = "journal_replay_100_commits";

@@ -1,5 +1,5 @@
 // examples/persistent_serving — the storage layer end to end: a registry
-// with a storage_dir persists every lineage as an mmap-able segment plus
+// with a storage_dir persists every lineage as a checksummed segment plus
 // a delta journal, survives process death, and comes back byte-identical
 // with DbRegistry::OpenStorage.
 //
@@ -7,7 +7,7 @@
 // the process "crashes" (the registry is destroyed) after two commits,
 // and a fresh registry restores every version from disk — the base from
 // the segment, the commits by journal replay — and answers the same
-// query over the memory-mapped facts without re-parsing anything.
+// query without re-parsing any database text.
 
 #include <cstdio>
 #include <filesystem>
@@ -99,11 +99,11 @@ int main() {
     return 1;
   }
   std::unique_ptr<DbRegistry> registry = std::move(*reopened);
-  std::printf("restored in %lld us (segment mmap + journal replay)\n",
+  std::printf("restored in %lld us (segment load + journal replay)\n",
               static_cast<long long>(registry->gauges().storage_replay_micros));
 
-  // Every version is back: the base (v1) straight off the mapped
-  // segment, v2 and v3 replayed from the journal on top of it.
+  // Every version is back: the base (v1) built from the segment's fact
+  // table, v2 and v3 replayed from the journal on top of it.
   for (const char* ref : {"orders@1", "orders@2", "orders@3"}) {
     auto handle = registry->Resolve(ref);
     if (!handle.ok()) {
@@ -111,15 +111,15 @@ int main() {
       return 1;
     }
     std::printf("%-10s restored (%s)\n", ref,
-                handle->db().is_mapped() ? "mapped flat"
-                                         : "overlay over mapped base");
+                handle->db().is_versioned() ? "overlay over segment base"
+                                            : "segment base");
   }
   DbHandle latest = registry->Resolve("orders").ValueOrDie();
   std::printf("latest is v%u, byte-identical to pre-crash: %s\n",
               latest.version(),
               SerializeGraphDb(latest.db()) == serialized_v3 ? "yes" : "NO");
 
-  // And it serves: the engine solves over the memory-mapped facts.
+  // And it serves: the engine solves over the restored facts.
   ResilienceRequest request;
   request.regex = "ax*b";
   request.semantics = Semantics::kBag;

@@ -28,11 +28,11 @@ Persist mode (`--persist`) validates a `bench_engine --persist` run
 (no .prom file — the persist bench measures storage, not the metrics
 exporter): BENCH_persist.json must carry segment_cold_load and
 text_reparse runs at both 4k and 64k facts with EQUAL resilience
-checksums per size (the mmap-restored database answers identically to
-a text re-registration), a journal_replay_100_commits run, and the 64k
+checksums per size (the segment-restored database answers identically
+to a text re-registration), a journal_replay_100_commits run, and the 64k
 cold-load speedup must clear the floor — segments exist to make
-restart cheaper than reparsing, and a regression to ~1x means the
-mmap path quietly fell back to copying.
+restart cheaper than reparsing: a load is the checksums plus one build
+(AddFact per fact, then the label index), against a full text parse.
 
 Faults mode (`--faults`) validates a `bench_engine --faults` run (no
 .prom file): BENCH_faults.json must carry the paired commit storms
@@ -65,10 +65,10 @@ ABS_SLACK_MICROS = 5.0
 # core-starved CI runners without letting a regression to ~1x pass.
 SERVE_SPEEDUP_FLOOR = 1.5
 # CI floor for the 64k-fact segment cold-load vs text-reparse speedup.
-# The contrast is structural (mmap + pointer fixup vs a full text parse
-# and index rebuild) and lands >100x locally; 5x leaves enormous head-
-# room for slow CI disks without letting a copy-instead-of-map
-# regression pass.
+# The contrast is structural (checksums plus one AddFact build and one
+# index build, vs a full text parse plus the same builds) and lands at
+# 10-20x locally; 5x leaves headroom for slow CI disks without letting a
+# load that costs as much as a parse pass.
 PERSIST_SPEEDUP_FLOOR = 5.0
 
 SAMPLE_RE = re.compile(

@@ -830,7 +830,7 @@ Status DbRegistry::Restore() {
     snapshot->version = segment_version;
     snapshot->name = loaded.meta.name;
     snapshot->db = std::move(loaded.db);
-    snapshot->label_index = std::move(loaded.label_index);
+    snapshot->label_index = LabelIndex(snapshot->db);
     snapshot->compacted = segment_version > 1;
     {
       MutexLock lock(mu_);

@@ -218,7 +218,7 @@ class DbRegistry {
     int64_t compaction_min_overlay = 256;
     double compaction_fraction = 0.25;
     /// When non-empty, the registry is *persistent*: Register writes
-    /// each lineage's flat base as an mmap-able segment under this
+    /// each lineage's flat base as a segment file under this
     /// directory, every delta commit appends to the lineage's journal
     /// before publishing, and a compacting commit folds the journal into
     /// a fresh segment. Reopen with DbRegistry::OpenStorage(dir), which
@@ -362,7 +362,7 @@ class DbRegistry {
   void DegradeStorageForTesting(const Status& cause) RPQRES_EXCLUDES(mu_);
 
   /// Restores this (empty, persistent) registry from its storage_dir:
-  /// maps every lineage's base segment, replays its journal — cutting a
+  /// reads every lineage's base segment, replays its journal — cutting a
   /// torn tail at the last fully committed version — and reapplies
   /// version drops. Not thread-safe; call before serving. Unreadable or
   /// corrupt segments, and journals that do not match their segment,

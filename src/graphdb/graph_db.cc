@@ -1,19 +1,46 @@
 #include "graphdb/graph_db.h"
 
 #include <algorithm>
+#include <bit>
+#include <random>
 #include <sstream>
 
 #include "util/check.h"
 
 namespace rpqres {
+namespace {
+
+// murmur3's 64-bit finalizer: a bijection that spreads every input bit.
+uint64_t Mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+// Hash of a fact key for the key table, keyed by a seed drawn once per
+// process: without it a crafted database text or segment could pick keys
+// that share one long probe chain. The table's layout never reaches an
+// answer, an id or a file, so the seed changes no output.
+uint64_t KeyHash(NodeId source, char label, NodeId target) {
+  static const uint64_t seed = [] {
+    std::random_device device;
+    return uint64_t{device()} << 32 ^ device();
+  }();
+  const uint64_t endpoints = uint64_t{static_cast<uint32_t>(source)} << 32 |
+                             static_cast<uint32_t>(target);
+  return Mix64(Mix64(endpoints ^ seed) ^ static_cast<unsigned char>(label));
+}
+
+}  // namespace
 
 NodeId GraphDb::AddNode() {
   return AddNode("n" + std::to_string(num_nodes()));
 }
 
 NodeId GraphDb::AddNode(const std::string& name) {
-  RPQRES_CHECK_MSG(mapped_ == nullptr,
-                   "AddNode: mapped databases are immutable");
   NodeId id = static_cast<NodeId>(num_nodes());
   node_names_.push_back(name);
   return id;
@@ -42,33 +69,54 @@ bool GraphDb::LookupMultOverride(FactId id, Capacity* value) const {
   return true;
 }
 
+size_t GraphDb::ProbeKey(NodeId source, char label, NodeId target) const {
+  const Fact key{source, label, target};
+  const size_t mask = key_slots_.size() - 1;
+  for (size_t slot = KeyHash(source, label, target) & mask;;
+       slot = (slot + 1) & mask) {
+    const FactId id = key_slots_[slot];
+    if (id < 0 || (facts_[id - base_facts_] == key && IsLive(id))) {
+      return slot;
+    }
+  }
+}
+
+void GraphDb::RegrowKeySlots() {
+  size_t live = 0;
+  for (FactId id = base_facts_; id < num_facts(); ++id) live += IsLive(id);
+  key_slots_.assign(std::max<size_t>(16, std::bit_ceil(4 * live)), -1);
+  key_slots_used_ = 0;
+  for (FactId id = base_facts_; id < num_facts(); ++id) {
+    if (!IsLive(id)) continue;
+    const Fact& f = facts_[id - base_facts_];
+    key_slots_[ProbeKey(f.source, f.label, f.target)] = id;
+    ++key_slots_used_;
+  }
+}
+
 FactId GraphDb::AddFact(NodeId source, char label, NodeId target,
                         Capacity multiplicity) {
   RPQRES_DCHECK(source >= 0 && source < num_nodes());
   RPQRES_DCHECK(target >= 0 && target < num_nodes());
   RPQRES_CHECK_MSG(multiplicity >= 1 && multiplicity <= kMaxMultiplicity,
                    "fact multiplicity must be in [1, kMaxMultiplicity]");
-  RPQRES_CHECK_MSG(mapped_ == nullptr,
-                   "AddFact: mapped databases are immutable");
   // A duplicate accumulates, and the total obeys the same bound.
   auto bumped = [multiplicity](Capacity current) {
     RPQRES_CHECK_MSG(multiplicity <= kMaxMultiplicity - current,
                      "accumulated fact multiplicity exceeds kMaxMultiplicity");
     return current + multiplicity;
   };
-  auto key = std::make_tuple(source, label, target);
-  // Live-duplicate detection: overlay additions first, then the base
-  // (a tombstoned base fact does NOT merge — a re-add is a new fact at
-  // the end of the id space, matching what a from-scratch rebuild does).
-  auto it = fact_index_.find(key);
-  if (it != fact_index_.end()) {
-    // fact_index_ only holds locally-stored facts (all facts of a flat
-    // database, overlay additions of a versioned one), so the id is
-    // always at or above the watermark.
-    FactId id = it->second;
-    Capacity& stored = multiplicities_[id - base_facts_];
-    stored = bumped(stored);
-    return id;
+  // Live-duplicate detection: own facts first, then the base (a
+  // tombstoned fact does NOT merge — a re-add is a new fact at the end of
+  // the id space, matching what a from-scratch rebuild does).
+  size_t slot = 0;
+  if (!key_slots_.empty()) {
+    slot = ProbeKey(source, label, target);
+    if (const FactId id = key_slots_[slot]; id >= 0) {
+      Capacity& stored = multiplicities_[id - base_facts_];
+      stored = bumped(stored);
+      return id;
+    }
   }
   if (base_ != nullptr) {
     FactId base_id = base_->FindFact(source, label, target);
@@ -87,12 +135,17 @@ FactId GraphDb::AddFact(NodeId source, char label, NodeId target,
       return base_id;
     }
   }
+  if (2 * (static_cast<size_t>(key_slots_used_) + 1) > key_slots_.size()) {
+    RegrowKeySlots();
+    slot = ProbeKey(source, label, target);
+  }
   FactId id = static_cast<FactId>(num_facts());
   facts_.push_back(Fact{source, label, target});
   multiplicities_.push_back(multiplicity);
   exogenous_.push_back(false);
   if (!dead_.empty()) dead_.push_back(0);
-  fact_index_[key] = id;
+  key_slots_[slot] = id;
+  ++key_slots_used_;
   return id;
 }
 
@@ -100,8 +153,6 @@ void GraphDb::SetExogenous(FactId id, bool exogenous) {
   RPQRES_DCHECK(id >= 0 && id < num_facts());
   RPQRES_CHECK_MSG(id >= base_facts_,
                    "SetExogenous: base facts of an overlay are immutable");
-  RPQRES_CHECK_MSG(mapped_ == nullptr,
-                   "SetExogenous: mapped databases are immutable");
   exogenous_[id - base_facts_] = exogenous;
 }
 
@@ -114,29 +165,9 @@ int GraphDb::NumExogenous() const {
 }
 
 FactId GraphDb::FindFact(NodeId source, char label, NodeId target) const {
-  if (mapped_ != nullptr) {
-    // No heap fact_index_ on a mapped database: binary search the
-    // segment's (source, label, target)-sorted permutation instead.
-    const FactId* first = mapped_->sorted_by_key;
-    const FactId* last = first + mapped_->num_facts;
-    const auto key = std::make_tuple(source, label, target);
-    auto pos = std::lower_bound(
-        first, last, key,
-        [this](FactId id, const std::tuple<NodeId, char, NodeId>& k) {
-          const Fact& f = mapped_->facts[id];
-          return std::make_tuple(f.source, f.label, f.target) < k;
-        });
-    if (pos != last) {
-      const Fact& f = mapped_->facts[*pos];
-      if (f.source == source && f.label == label && f.target == target) {
-        return *pos;
-      }
-    }
-    return -1;
-  }
-  auto it = fact_index_.find(std::make_tuple(source, label, target));
-  if (it != fact_index_.end()) {
-    return IsLive(it->second) ? it->second : -1;
+  if (!key_slots_.empty()) {
+    const FactId id = key_slots_[ProbeKey(source, label, target)];
+    if (id >= 0) return id;
   }
   if (base_ != nullptr) {
     FactId base_id = base_->FindFact(source, label, target);
@@ -177,7 +208,8 @@ GraphDb GraphDb::MakeOverlay(std::shared_ptr<const GraphDb> parent) {
     out.multiplicities_ = p.multiplicities_;
     out.exogenous_ = p.exogenous_;
     out.nodes_by_name_ = p.nodes_by_name_;
-    out.fact_index_ = p.fact_index_;
+    out.key_slots_ = p.key_slots_;
+    out.key_slots_used_ = p.key_slots_used_;
     out.num_dead_ = p.num_dead_;
     out.dead_ = p.dead_;
     out.mult_override_ = p.mult_override_;
@@ -202,9 +234,8 @@ Status GraphDb::RemoveFact(NodeId source, char label, NodeId target) {
   if (dead_.empty()) dead_.assign(num_facts(), 0);
   dead_[id] = 1;
   ++num_dead_;
-  if (id >= base_facts_) {
-    fact_index_.erase(std::make_tuple(source, label, target));
-  } else {
+  // A dead own fact stays in key_slots_, where lookups skip it.
+  if (id < base_facts_) {
     // A dead base fact needs no override; drop it so a later re-add
     // starts from a clean slate.
     auto it = std::lower_bound(
@@ -243,16 +274,6 @@ GraphDb GraphDb::Compact(std::vector<FactId>* old_id_of) const {
     if (IsExogenous(f)) out.SetExogenous(id);
     if (old_id_of != nullptr) old_id_of->push_back(f);
   }
-  return out;
-}
-
-GraphDb GraphDb::FromMappedFlat(
-    std::vector<std::string> node_names,
-    std::shared_ptr<const MappedFlatStorage> storage) {
-  RPQRES_CHECK_MSG(storage != nullptr, "FromMappedFlat: null storage");
-  GraphDb out;
-  out.node_names_ = std::move(node_names);
-  out.mapped_ = std::move(storage);
   return out;
 }
 

@@ -11,17 +11,21 @@
 // LabelIndex (graphdb/label_index.h), the one per-(label, node) CSR of
 // the system, built once per snapshot.
 //
-// Two storage forms share this one type:
+// One storage form plus the overlay:
 //
-//  * Flat databases — dense node/fact arrays built by AddNode/AddFact,
-//    either on the heap or (FromMappedFlat) in an externally owned mmap'ed
-//    segment (src/storage), which is flat, all-live and immutable.
+//  * Flat databases — dense node/fact arrays on the heap, built by
+//    AddNode/AddFact. Generators, ParseGraphDb, Compact and the segment
+//    reader (src/storage) all build them this one way.
 //  * Versioned overlays (DbRegistry v3 delta commits) — an immutable
 //    shared *base* (a flat GraphDb held by shared_ptr) plus a private
 //    overlay: appended nodes/facts, a tombstone bitmap over the combined
 //    id space, and multiplicity overrides for base facts. Building an
 //    overlay copies O(|overlay|) state, never the base, which is what
 //    makes a delta commit scale with the delta.
+//
+// Key lookup (FindFact, and AddFact's duplicate merge) goes through one
+// flat open-addressed table of the fact ids a database stores itself;
+// an overlay falls through to its base's table.
 //
 // Fact ids stay dense over [0, num_facts()) in both forms; in an overlay,
 // tombstoned ids are *dead* — IsLive(id) is false and the id never
@@ -37,7 +41,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -60,19 +63,6 @@ struct Fact {
   NodeId target = 0;
 
   bool operator==(const Fact& other) const = default;
-};
-
-/// Dense arrays of a flat database living in an externally owned buffer
-/// (an mmap'ed segment). GraphDb::FromMappedFlat wraps one of these
-/// without copying the arrays; `mapping` keeps the buffer alive for as
-/// long as any GraphDb (or overlay over it) references them.
-struct MappedFlatStorage {
-  const Fact* facts = nullptr;                 // [num_facts]
-  const Capacity* multiplicities = nullptr;    // [num_facts]
-  const uint8_t* exogenous = nullptr;          // [num_facts], 0/1
-  const FactId* sorted_by_key = nullptr;       // perm sorted by (s, l, t)
-  int32_t num_facts = 0;
-  std::shared_ptr<const void> mapping;
 };
 
 /// A graph database under set or bag semantics.
@@ -109,9 +99,8 @@ class GraphDb {
   /// On an overlay only facts added by the overlay may be toggled.
   void SetExogenous(FactId id, bool exogenous = true);
   bool IsExogenous(FactId id) const {
-    if (id < base_facts_) return base_->IsExogenous(id);
-    if (mapped_ != nullptr) return mapped_->exogenous[id] != 0;
-    return exogenous_[id - base_facts_];
+    return id < base_facts_ ? base_->IsExogenous(id)
+                            : exogenous_[id - base_facts_];
   }
   /// Number of live exogenous facts.
   int NumExogenous() const;
@@ -122,20 +111,14 @@ class GraphDb {
   /// Size of the fact id space, dead ids included. Use num_live_facts()
   /// for the logical fact count.
   int num_facts() const {
-    if (mapped_ != nullptr) return mapped_->num_facts;
     return base_facts_ + static_cast<int>(facts_.size());
   }
   int num_live_facts() const { return num_facts() - num_dead_; }
   const Fact& fact(FactId id) const {
-    if (id < base_facts_) return base_->fact(id);
-    if (mapped_ != nullptr) return mapped_->facts[id];
-    return facts_[id - base_facts_];
+    return id < base_facts_ ? base_->fact(id) : facts_[id - base_facts_];
   }
   Capacity multiplicity(FactId id) const {
-    if (id >= base_facts_) {
-      return mapped_ != nullptr ? mapped_->multiplicities[id]
-                                : multiplicities_[id - base_facts_];
-    }
+    if (id >= base_facts_) return multiplicities_[id - base_facts_];
     if (!mult_override_.empty()) {
       Capacity override_value;
       if (LookupMultOverride(id, &override_value)) return override_value;
@@ -162,18 +145,6 @@ class GraphDb {
   /// True when this database is a copy-on-write overlay over a shared
   /// immutable base.
   bool is_versioned() const { return base_ != nullptr; }
-  /// True when the dense fact arrays live in an external (mmap'ed)
-  /// buffer. A mapped database is flat, all-live, and immutable: every
-  /// mutator CHECK-fails. It can serve as an overlay base like any other
-  /// flat database.
-  bool is_mapped() const { return mapped_ != nullptr; }
-
-  /// Wraps externally owned flat arrays (an mmap'ed segment) as a
-  /// read-only flat database. Node names are the only materialized state;
-  /// the fact arrays are used in place. `storage.mapping` must keep the
-  /// bytes alive.
-  static GraphDb FromMappedFlat(std::vector<std::string> node_names,
-                                std::shared_ptr<const MappedFlatStorage> storage);
   /// False iff `id` is tombstoned. Flat databases are all-live.
   bool IsLive(FactId id) const { return dead_.empty() || !dead_[id]; }
   /// Facts the overlay added or tombstoned on top of its base — the size
@@ -222,6 +193,13 @@ class GraphDb {
 
  private:
   bool LookupMultOverride(FactId id, Capacity* value) const;
+  /// The key_slots_ slot holding the live own fact (source, label,
+  /// target), or the empty slot that ends its probe chain. key_slots_
+  /// must not be empty.
+  size_t ProbeKey(NodeId source, char label, NodeId target) const;
+  /// Rebuilds key_slots_ over the live own facts alone, at most a quarter
+  /// full, so that the next insertions find room.
+  void RegrowKeySlots();
 
   // Flat storage — for an overlay these hold the overlay's own nodes and
   // facts only; ids are offset by base_nodes_ / base_facts_.
@@ -230,12 +208,12 @@ class GraphDb {
   std::vector<Capacity> multiplicities_;
   std::vector<bool> exogenous_;
   std::map<std::string, NodeId> nodes_by_name_;
-  std::map<std::tuple<NodeId, char, NodeId>, FactId> fact_index_;
-
-  // Mapped storage (null unless built by FromMappedFlat). When set the
-  // database is flat and facts_/multiplicities_/exogenous_/fact_index_
-  // stay empty; node_names_ holds the dictionary.
-  std::shared_ptr<const MappedFlatStorage> mapped_;
+  /// Key table over the own facts: open addressing with linear probing,
+  /// a power-of-two size, -1 for an empty slot. A slot may hold a dead
+  /// id (RemoveFact erases nothing); lookups skip those, and a regrow
+  /// drops them. Regrown once half the slots are used.
+  std::vector<FactId> key_slots_;
+  int32_t key_slots_used_ = 0;
 
   // Overlay state (empty for flat databases).
   std::shared_ptr<const GraphDb> base_;  // flat; shared between versions

@@ -1,9 +1,6 @@
 #include "graphdb/label_index.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "util/check.h"
 
 namespace rpqres {
 
@@ -11,61 +8,30 @@ std::shared_ptr<const LabelIndex::PerLabel> LabelIndex::BuildEntry(
     const GraphDb& db, std::vector<FactId> facts) {
   auto entry = std::make_shared<PerLabel>();
   const int num_nodes = db.num_nodes();
-  entry->facts_store = std::move(facts);
+  entry->facts = std::move(facts);
   // Per-label CSR over source / target nodes, by counting sort (facts are
   // visited in ascending id order, so each per-node slice is ascending).
-  entry->source_offset_store.assign(num_nodes + 1, 0);
-  entry->target_offset_store.assign(num_nodes + 1, 0);
-  for (FactId f : entry->facts_store) {
-    ++entry->source_offset_store[db.fact(f).source + 1];
-    ++entry->target_offset_store[db.fact(f).target + 1];
+  entry->source_offset.assign(num_nodes + 1, 0);
+  entry->target_offset.assign(num_nodes + 1, 0);
+  for (FactId f : entry->facts) {
+    ++entry->source_offset[db.fact(f).source + 1];
+    ++entry->target_offset[db.fact(f).target + 1];
   }
   for (int v = 0; v < num_nodes; ++v) {
-    entry->source_offset_store[v + 1] += entry->source_offset_store[v];
-    entry->target_offset_store[v + 1] += entry->target_offset_store[v];
+    entry->source_offset[v + 1] += entry->source_offset[v];
+    entry->target_offset[v + 1] += entry->target_offset[v];
   }
-  entry->by_source_store.resize(entry->facts_store.size());
-  entry->by_target_store.resize(entry->facts_store.size());
-  std::vector<int32_t> src_cursor(entry->source_offset_store.begin(),
-                                  entry->source_offset_store.end() - 1);
-  std::vector<int32_t> tgt_cursor(entry->target_offset_store.begin(),
-                                  entry->target_offset_store.end() - 1);
-  for (FactId f : entry->facts_store) {
-    entry->by_source_store[src_cursor[db.fact(f).source]++] = f;
-    entry->by_target_store[tgt_cursor[db.fact(f).target]++] = f;
+  entry->by_source.resize(entry->facts.size());
+  entry->by_target.resize(entry->facts.size());
+  std::vector<int32_t> src_cursor(entry->source_offset.begin(),
+                                  entry->source_offset.end() - 1);
+  std::vector<int32_t> tgt_cursor(entry->target_offset.begin(),
+                                  entry->target_offset.end() - 1);
+  for (FactId f : entry->facts) {
+    entry->by_source[src_cursor[db.fact(f).source]++] = f;
+    entry->by_target[tgt_cursor[db.fact(f).target]++] = f;
   }
-  // The stores are final now; publish the span views. The entry is heap
-  // allocated and immutable from here on, so the spans stay valid.
-  entry->facts = entry->facts_store;
-  entry->by_source = entry->by_source_store;
-  entry->source_offset = entry->source_offset_store;
-  entry->by_target = entry->by_target_store;
-  entry->target_offset = entry->target_offset_store;
   return entry;
-}
-
-LabelIndex::LabelArrays LabelIndex::Arrays(char label) const {
-  const int16_t slot = slot_[static_cast<unsigned char>(label)];
-  RPQRES_CHECK_MSG(slot >= 0, "LabelIndex::Arrays: label not indexed");
-  const PerLabel& entry = *per_label_[slot];
-  return {label, entry.facts, entry.by_source, entry.source_offset,
-          entry.by_target, entry.target_offset};
-}
-
-LabelIndex LabelIndex::FromMapped(const std::vector<LabelArrays>& entries,
-                                  std::shared_ptr<const void> mapping) {
-  LabelIndex out;
-  for (const LabelArrays& e : entries) {
-    auto entry = std::make_shared<PerLabel>();
-    entry->facts = e.facts;
-    entry->by_source = e.by_source;
-    entry->source_offset = e.source_offset;
-    entry->by_target = e.by_target;
-    entry->target_offset = e.target_offset;
-    entry->mapping = mapping;
-    out.InsertEntry(e.label, std::move(entry));
-  }
-  return out;
 }
 
 void LabelIndex::InsertEntry(char label,

@@ -9,8 +9,8 @@
 // FactsInto answer, without touching a fact of any other label.
 //
 // An index is built once per immutable database snapshot (the DbRegistry
-// does this at Register time, and a segment stores one on disk) and
-// shared by every query against that snapshot. Solver entry points take
+// does this at Register time and when it restores a segment) and shared
+// by every query against that snapshot. Solver entry points take
 // an optional `const LabelIndex*`; a null pointer makes the entry point
 // build LabelIndex(db) once, for that call.
 //
@@ -53,8 +53,7 @@ class LabelIndex {
   LabelIndex(const GraphDb& db, const LabelIndex& parent,
              const std::vector<char>& touched_labels, FactId first_new_fact);
 
-  /// Fact ids carrying `label`, ascending; empty when absent. On a
-  /// mapped index (FromMapped) the span points into the mmap'ed segment.
+  /// Fact ids carrying `label`, ascending; empty when absent.
   std::span<const FactId> Facts(char label) const {
     int16_t slot = slot_[static_cast<unsigned char>(label)];
     return slot < 0 ? std::span<const FactId>() : per_label_[slot]->facts;
@@ -100,50 +99,16 @@ class LabelIndex {
   /// delta-commit path.
   int shared_labels() const { return shared_labels_; }
 
-  /// One label's CSR arrays: what a segment stores, what Arrays returns
-  /// and what FromMapped wraps. Fact ids ascend; offsets have one entry
-  /// per node of the entry's build, plus one.
-  struct LabelArrays {
-    char label = '\0';
-    std::span<const FactId> facts;
-    std::span<const FactId> by_source;
-    std::span<const int32_t> source_offset;
-    std::span<const FactId> by_target;
-    std::span<const int32_t> target_offset;
-  };
-
-  /// The arrays of `label`, which must be one of labels().
-  LabelArrays Arrays(char label) const;
-
-  /// Wraps pre-built per-label CSR arrays living in an external buffer
-  /// (an mmap'ed segment) without copying them. `entries` must be sorted
-  /// by label (as unsigned char); `mapping` keeps the buffer alive and is
-  /// pinned per entry, so incremental child indexes that share an entry
-  /// keep the mapping alive too.
-  static LabelIndex FromMapped(const std::vector<LabelArrays>& entries,
-                               std::shared_ptr<const void> mapping);
-
  private:
   struct PerLabel {
-    std::span<const FactId> facts;  ///< ascending live fact ids, this label
+    std::vector<FactId> facts;  ///< ascending live fact ids, this label
     /// CSR over source nodes: facts of node v are
     /// by_source[source_offset[v] .. source_offset[v+1]).
-    std::span<const FactId> by_source;
-    std::span<const int32_t> source_offset;  ///< size num_nodes + 1 at build
+    std::vector<FactId> by_source;
+    std::vector<int32_t> source_offset;  ///< size num_nodes + 1 at build
     /// CSR over target nodes, same layout.
-    std::span<const FactId> by_target;
-    std::span<const int32_t> target_offset;
-
-    // Owned storage behind the spans for heap-built entries. Mapped
-    // entries leave these empty and pin the segment via `mapping`
-    // instead. The keepalive lives on the entry (not the index) because
-    // incremental builds share entries across index generations.
-    std::vector<FactId> facts_store;
-    std::vector<FactId> by_source_store;
-    std::vector<int32_t> source_offset_store;
-    std::vector<FactId> by_target_store;
-    std::vector<int32_t> target_offset_store;
-    std::shared_ptr<const void> mapping;
+    std::vector<FactId> by_target;
+    std::vector<int32_t> target_offset;
   };
 
   /// Builds one label's entry from its ascending live fact ids.

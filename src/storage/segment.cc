@@ -12,23 +12,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <numeric>
-#include <span>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "fault/failpoints.h"
 #include "storage/xxhash64.h"
-#include "util/check.h"
 
 namespace rpqres {
 namespace storage {
 namespace {
 
-// The segment format *is* the in-memory layout, little-endian. Refuse to
-// compile anywhere that would silently break it.
+// The fact and multiplicity columns use the in-memory layouts,
+// little-endian, and ReadSegment reads them in place. Refuse to compile
+// anywhere that would silently break them.
 static_assert(std::endian::native == std::endian::little,
               "segment format requires a little-endian host");
 static_assert(sizeof(Fact) == 12, "Fact must be 12 bytes on disk");
@@ -36,12 +32,12 @@ static_assert(offsetof(Fact, source) == 0);
 static_assert(offsetof(Fact, label) == 4);
 static_assert(offsetof(Fact, target) == 8);
 static_assert(sizeof(Capacity) == 8);
-static_assert(sizeof(FactId) == 4);
 
 constexpr char kMagic[8] = {'R', 'P', 'Q', 'S', 'E', 'G', '0', '1'};
-// Version 2 dropped version 1's four GraphDb CSR sections: the label
-// index is the segment's only adjacency. Version-1 files are refused.
-constexpr uint32_t kFormatVersion = 2;
+// Version 3 stores the fact table alone. Versions 1 and 2 also stored
+// derived arrays (adjacency, a sorted key permutation, the label index)
+// and are refused.
+constexpr uint32_t kFormatVersion = 3;
 constexpr size_t kHeaderBytes = 64;
 constexpr size_t kTableEntryBytes = 32;
 constexpr size_t kSectionAlign = 64;
@@ -53,15 +49,8 @@ enum SectionKind : uint32_t {
   kFacts = 4,            // num_facts * 12-byte Fact records
   kMultiplicities = 5,   // num_facts * i64
   kExogenous = 6,        // num_facts * u8 (0/1)
-  kSortedByKey = 7,      // num_facts * i32, sorted by (source, label, target)
-  kLabelDir = 8,         // per label: u32 label byte, u32 fact count
-  kLabelFacts = 9,       // concatenated per-label fact lists, i32
-  kLabelBySource = 10,   // concatenated per-label source-CSR adjacency, i32
-  kLabelSourceOffset = 11,  // per label: (num_nodes + 1) * i32
-  kLabelByTarget = 12,   // concatenated per-label target-CSR adjacency, i32
-  kLabelTargetOffset = 13,  // per label: (num_nodes + 1) * i32
 };
-constexpr uint32_t kSectionCount = 13;
+constexpr uint32_t kSectionCount = 6;
 
 size_t AlignUp(size_t n) {
   return (n + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
@@ -71,17 +60,6 @@ void PutU32(std::vector<uint8_t>* buf, uint32_t v) {
   const size_t at = buf->size();
   buf->resize(at + sizeof(v));
   std::memcpy(buf->data() + at, &v, sizeof(v));
-}
-
-void PutI32(std::vector<uint8_t>* buf, int32_t v) {
-  PutU32(buf, static_cast<uint32_t>(v));
-}
-
-void PutI32s(std::vector<uint8_t>* buf, std::span<const int32_t> values) {
-  if (values.empty()) return;  // data() may be null; memcpy forbids it
-  const size_t at = buf->size();
-  buf->resize(at + values.size_bytes());
-  std::memcpy(buf->data() + at, values.data(), values.size_bytes());
 }
 
 void PutI64(std::vector<uint8_t>* buf, int64_t v) {
@@ -104,73 +82,13 @@ Status ErrnoStatus(const std::string& what, const std::string& path) {
   return Status::Internal(std::move(msg));
 }
 
-/// An open mmap'ed file; the shared_ptr deleter unmaps it.
+/// An open mmap'ed file, unmapped when it goes out of scope.
 struct Mapping {
   const uint8_t* data = nullptr;
   size_t size = 0;
 
-  ~Mapping() {
-    if (data != nullptr) {
-      ::munmap(const_cast<uint8_t*>(data), size);
-    }
-  }
+  ~Mapping() { ::munmap(const_cast<uint8_t*>(data), size); }
 };
-
-// Checks every id and offset the mapped arrays of `db` hold, once, at
-// read time. The checksums only prove that the bytes are the ones some
-// writer sealed; solvers index memory with these values unchecked, so a
-// checksum-consistent file with an id out of range must not load.
-template <typename DataLoss>
-Status ValidateMappedArrays(
-    const GraphDb& db, const MappedFlatStorage& storage,
-    const std::vector<LabelIndex::LabelArrays>& entries,
-    const DataLoss& data_loss) {
-  const int32_t num_nodes = db.num_nodes();
-  const int32_t num_facts = storage.num_facts;
-  auto is_node = [num_nodes](NodeId v) { return v >= 0 && v < num_nodes; };
-  for (FactId f = 0; f < num_facts; ++f) {
-    const Fact& fact = storage.facts[f];
-    if (!is_node(fact.source) || !is_node(fact.target)) {
-      return data_loss("fact " + std::to_string(f) +
-                       " has an endpoint outside the node table");
-    }
-    if (storage.multiplicities[f] < 1 ||
-        storage.multiplicities[f] > kMaxMultiplicity ||
-        storage.exogenous[f] > 1) {
-      return data_loss("fact " + std::to_string(f) +
-                       " has a bad multiplicity or exogenous flag");
-    }
-    const FactId sorted = storage.sorted_by_key[f];
-    if (sorted < 0 || sorted >= num_facts) {
-      return data_loss("sorted key permutation holds an invalid fact id");
-    }
-  }
-  // With every endpoint in range LabelIndex(db) is safe to build, and the
-  // mapped arrays must equal its arrays: that puts every fact id in range
-  // and in its own label's list, and every CSR entry at its own node,
-  // with offsets running from 0 to the label's count.
-  const LabelIndex rebuilt(db);
-  if (rebuilt.labels().size() != entries.size()) {
-    return data_loss("label directory does not match the facts' labels");
-  }
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const LabelIndex::LabelArrays& got = entries[i];
-    if (got.label != rebuilt.labels()[i]) {
-      return data_loss("label directory does not match the facts' labels");
-    }
-    const LabelIndex::LabelArrays want = rebuilt.Arrays(got.label);
-    if (!std::ranges::equal(got.facts, want.facts) ||
-        !std::ranges::equal(got.by_source, want.by_source) ||
-        !std::ranges::equal(got.source_offset, want.source_offset) ||
-        !std::ranges::equal(got.by_target, want.by_target) ||
-        !std::ranges::equal(got.target_offset, want.target_offset)) {
-      return data_loss(
-          "label " + std::to_string(static_cast<unsigned char>(got.label)) +
-          " arrays do not match its facts");
-    }
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -233,36 +151,6 @@ Status WriteSegment(const std::string& path, const GraphDb& db,
       exo->push_back(db.IsExogenous(f) ? 1 : 0);
     }
   }
-  {
-    // FindFact on a mapped database binary-searches this permutation.
-    std::vector<FactId> perm(num_facts);
-    std::iota(perm.begin(), perm.end(), 0);
-    std::sort(perm.begin(), perm.end(), [&db](FactId a, FactId b) {
-      const Fact& fa = db.fact(a);
-      const Fact& fb = db.fact(b);
-      return std::make_tuple(fa.source, fa.label, fa.target) <
-             std::make_tuple(fb.source, fb.label, fb.target);
-    });
-    std::vector<uint8_t>* s = section(kSortedByKey);
-    for (FactId f : perm) PutI32(s, f);
-  }
-  {
-    // The arrays of LabelIndex(db), label by label, which ReadSegment
-    // hands to LabelIndex::FromMapped. A full build has num_nodes + 1
-    // offsets per label.
-    const LabelIndex index(db);
-    for (char label : index.labels()) {
-      const LabelIndex::LabelArrays arrays = index.Arrays(label);
-      PutU32(section(kLabelDir), static_cast<unsigned char>(label));
-      PutU32(section(kLabelDir), static_cast<uint32_t>(arrays.facts.size()));
-      PutI32s(section(kLabelFacts), arrays.facts);
-      PutI32s(section(kLabelBySource), arrays.by_source);
-      PutI32s(section(kLabelSourceOffset), arrays.source_offset);
-      PutI32s(section(kLabelByTarget), arrays.by_target);
-      PutI32s(section(kLabelTargetOffset), arrays.target_offset);
-    }
-  }
-
   // --- assemble the file ---------------------------------------------------
   const size_t table_at = kHeaderBytes;
   size_t payload_at = AlignUp(table_at + kSectionCount * kTableEntryBytes);
@@ -395,16 +283,12 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
   if (addr == MAP_FAILED) {
     return ErrnoStatus("ReadSegment: mmap failed for", path);
   }
-  auto mapping = std::make_shared<Mapping>();
-  mapping->data = static_cast<const uint8_t*>(addr);
-  mapping->size = size;
-  // Fault the pages in up front: segments are read hot immediately after
-  // open (restore then serve), and eager read-ahead keeps page-fault
-  // timing out of query latencies — and out of sanitizer/CI runs, where
-  // lazy major faults would make mmap-backed tests nondeterministic.
+  const Mapping mapping{static_cast<const uint8_t*>(addr), size};
+  // Fault the pages in up front: every byte is checksummed and read once,
+  // right away.
   ::madvise(addr, size, MADV_WILLNEED);
 
-  const uint8_t* base = mapping->data;
+  const uint8_t* base = mapping.data;
   auto data_loss = [&path](const std::string& why) {
     return Status::DataLoss("ReadSegment: '" + path + "': " + why);
   };
@@ -457,6 +341,7 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
     size_t size = 0;
   };
   std::array<Section, kSectionCount> secs;
+  size_t end = kHeaderBytes + table_bytes;
   for (uint32_t i = 0; i < section_count; ++i) {
     const size_t at = kHeaderBytes + i * kTableEntryBytes;
     const uint32_t kind = read_u32(at);
@@ -474,6 +359,15 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
       return data_loss("section " + std::to_string(kind) +
                        " checksum mismatch");
     }
+    end = std::max(end, s.offset + s.size);
+  }
+  // The writer ends the file at the aligned end of its last section; a
+  // longer file was appended to and a shorter one lost its tail, even
+  // when the bytes cut were only padding.
+  if (size != AlignUp(end)) {
+    return data_loss("file is " + std::to_string(size) +
+                     " bytes, its sections end at " +
+                     std::to_string(AlignUp(end)));
   }
   // The checksums cover header, table, and every section; the only bytes
   // left are alignment padding, which WriteSegment zeroes. Verifying they
@@ -518,7 +412,6 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
   RPQRES_RETURN_IF_ERROR(expect_size(kFacts, num_facts * sizeof(Fact)));
   RPQRES_RETURN_IF_ERROR(expect_size(kMultiplicities, num_facts * 8ul));
   RPQRES_RETURN_IF_ERROR(expect_size(kExogenous, num_facts * 1ul));
-  RPQRES_RETURN_IF_ERROR(expect_size(kSortedByKey, num_facts * 4ul));
 
   {
     const Section& m = sec(kMeta);
@@ -530,9 +423,10 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
                      name_len);
   }
 
-  // Node names are the one materialized piece of state.
-  std::vector<std::string> node_names;
-  node_names.reserve(num_nodes);
+  // The database is built the way every other input builds one: AddNode
+  // per node, then AddFact and SetExogenous per fact.
+  LoadedSegment out;
+  GraphDb& db = out.db;
   {
     const uint32_t* offs =
         reinterpret_cast<const uint32_t*>(base + sec(kNodeNameOffsets).offset);
@@ -546,77 +440,41 @@ Result<LoadedSegment> ReadSegment(const std::string& path) {
       if (offs[v + 1] < offs[v] || offs[v + 1] > heap_size) {
         return data_loss("node name offsets not monotonic");
       }
-      node_names.emplace_back(heap + offs[v], offs[v + 1] - offs[v]);
+      db.AddNode(std::string(heap + offs[v], offs[v + 1] - offs[v]));
     }
   }
-
-  auto storage = std::make_shared<MappedFlatStorage>();
-  storage->facts = reinterpret_cast<const Fact*>(base + sec(kFacts).offset);
-  storage->multiplicities = reinterpret_cast<const Capacity*>(
+  // Each fact is checked before AddFact sees it: AddFact CHECK-fails on a
+  // bad multiplicity and merges a repeated key, and a repeated key is not
+  // a database (facts are a set).
+  const Fact* facts = reinterpret_cast<const Fact*>(base + sec(kFacts).offset);
+  const Capacity* multiplicities = reinterpret_cast<const Capacity*>(
       base + sec(kMultiplicities).offset);
-  storage->exogenous = base + sec(kExogenous).offset;
-  storage->sorted_by_key =
-      reinterpret_cast<const FactId*>(base + sec(kSortedByKey).offset);
-  storage->num_facts = static_cast<int32_t>(num_facts);
-  storage->mapping = mapping;
-
-  // Per-label CSR views straight into the mapped sections.
-  std::vector<LabelIndex::LabelArrays> entries;
-  {
-    const Section& dir = sec(kLabelDir);
-    if (dir.size % 8 != 0) return data_loss("label directory size not 8k");
-    const size_t num_labels = dir.size / 8;
-    if (num_labels > 256) return data_loss("label directory too long");
-    const uint32_t* d = reinterpret_cast<const uint32_t*>(base + dir.offset);
-    const FactId* lfacts =
-        reinterpret_cast<const FactId*>(base + sec(kLabelFacts).offset);
-    const FactId* by_src =
-        reinterpret_cast<const FactId*>(base + sec(kLabelBySource).offset);
-    const int32_t* src_off = reinterpret_cast<const int32_t*>(
-        base + sec(kLabelSourceOffset).offset);
-    const FactId* by_tgt =
-        reinterpret_cast<const FactId*>(base + sec(kLabelByTarget).offset);
-    const int32_t* tgt_off = reinterpret_cast<const int32_t*>(
-        base + sec(kLabelTargetOffset).offset);
-    size_t facts_at = 0;
-    uint64_t total = 0;
-    const size_t off_stride = num_nodes + 1;
-    RPQRES_RETURN_IF_ERROR(
-        expect_size(kLabelSourceOffset, num_labels * off_stride * 4));
-    RPQRES_RETURN_IF_ERROR(
-        expect_size(kLabelTargetOffset, num_labels * off_stride * 4));
-    for (size_t i = 0; i < num_labels; ++i) {
-      const uint32_t label = d[2 * i];
-      const uint32_t count = d[2 * i + 1];
-      if (label > 255) return data_loss("label directory byte out of range");
-      total += count;
-      if (total > num_facts) {
-        return data_loss("label directory fact counts exceed num_facts");
-      }
-      LabelIndex::LabelArrays e;
-      e.label = static_cast<char>(label);
-      e.facts = {lfacts + facts_at, count};
-      e.by_source = {by_src + facts_at, count};
-      e.source_offset = {src_off + i * off_stride, off_stride};
-      e.by_target = {by_tgt + facts_at, count};
-      e.target_offset = {tgt_off + i * off_stride, off_stride};
-      entries.push_back(e);
-      facts_at += count;
+  const uint8_t* exogenous = base + sec(kExogenous).offset;
+  auto is_node = [num_nodes](NodeId v) {
+    return v >= 0 && static_cast<uint32_t>(v) < num_nodes;
+  };
+  for (FactId f = 0; f < static_cast<FactId>(num_facts); ++f) {
+    const Fact& fact = facts[f];
+    auto bad_fact = [&](const std::string& why) {
+      return data_loss("fact " + std::to_string(f) + " " + why);
+    };
+    if (!is_node(fact.source) || !is_node(fact.target)) {
+      return bad_fact("has an endpoint outside the node table");
     }
-    RPQRES_RETURN_IF_ERROR(expect_size(kLabelFacts, facts_at * 4));
-    RPQRES_RETURN_IF_ERROR(expect_size(kLabelBySource, facts_at * 4));
-    RPQRES_RETURN_IF_ERROR(expect_size(kLabelByTarget, facts_at * 4));
-    if (total != num_facts) {
-      return data_loss("label directory covers " + std::to_string(total) +
-                       " facts, want " + std::to_string(num_facts));
+    if (multiplicities[f] < 1 || multiplicities[f] > kMaxMultiplicity) {
+      return bad_fact("has a multiplicity outside [1, kMaxMultiplicity]");
     }
+    if (exogenous[f] > 1) {
+      return bad_fact("has an exogenous flag other than 0 or 1");
+    }
+    const FactId earlier = db.FindFact(fact.source, fact.label, fact.target);
+    if (earlier >= 0) {
+      return bad_fact("repeats the key of fact " + std::to_string(earlier));
+    }
+    const FactId id =
+        db.AddFact(fact.source, fact.label, fact.target, multiplicities[f]);
+    if (exogenous[f] != 0) db.SetExogenous(id);
   }
-
-  LoadedSegment out;
-  out.db = GraphDb::FromMappedFlat(std::move(node_names), storage);
-  RPQRES_RETURN_IF_ERROR(
-      ValidateMappedArrays(out.db, *storage, entries, data_loss));
-  out.label_index = LabelIndex::FromMapped(entries, mapping);
   out.meta = std::move(meta);
   out.file_bytes = static_cast<int64_t>(size);
   return out;

@@ -381,7 +381,7 @@ ChaosReport ChaosHarness::Run(std::string_view site, uint64_t seed) {
 
   if (report.ok()) {
     // Answer equality on the restored bytes. A scratch lineage forces a
-    // fresh solve over the mmap-backed facts instead of a cache hit.
+    // fresh solve over the restored facts instead of a cache hit.
     DbRegistry scratch;
     ResilienceRequest request;
     request.regex = plan.regex;

@@ -346,7 +346,7 @@ ChurnReport ChurnHarness::Run(uint64_t seed) {
         } else if (report.ok()) {
           // Engine answer on the restored data. Registering a copy under
           // a scratch lineage forces a fresh solve (new ResultCache key)
-          // over the mmap-backed facts instead of a cache hit on the
+          // over the restored facts instead of a cache hit on the
           // original (lineage, version).
           DbRegistry scratch;
           ResilienceRequest request;

@@ -322,31 +322,43 @@ TEST(DbRegistryV3Test, ResolveLatestDuringCommitsIsInternallyConsistent) {
   std::atomic<bool> done{false};
   std::atomic<int64_t> torn_handles{0};
   std::atomic<int64_t> resolutions{0};
+  std::atomic<int> started{0};  // resolvers past their first pass
 
   auto resolver = [&] {
+    bool first = true;
     while (!done.load(std::memory_order_acquire)) {
       Result<DbHandle> latest = registry.Resolve("hot@latest");
       if (!latest.ok()) {
         torn_handles.fetch_add(1);
-        continue;
+      } else {
+        const uint32_t version = latest->version();
+        const GraphDb& db = latest->db();
+        int64_t scanned = 0;
+        for (FactId id = 0; id < static_cast<FactId>(db.num_facts()); ++id) {
+          if (db.IsLive(id) && db.fact(id).label == 'y') ++scanned;
+        }
+        const int64_t indexed =
+            static_cast<int64_t>(latest->label_index()->Facts('y').size());
+        // All three views must describe the same version.
+        if (scanned != static_cast<int64_t>(version) - 1 ||
+            indexed != scanned) {
+          torn_handles.fetch_add(1);
+        }
+        resolutions.fetch_add(1);
       }
-      const uint32_t version = latest->version();
-      const GraphDb& db = latest->db();
-      int64_t scanned = 0;
-      for (FactId id = 0; id < static_cast<FactId>(db.num_facts()); ++id) {
-        if (db.IsLive(id) && db.fact(id).label == 'y') ++scanned;
+      if (first) {
+        first = false;
+        started.fetch_add(1, std::memory_order_release);
       }
-      const int64_t indexed =
-          static_cast<int64_t>(latest->label_index()->Facts('y').size());
-      // All three views must describe the same version.
-      if (scanned != static_cast<int64_t>(version) - 1 ||
-          indexed != scanned) {
-        torn_handles.fetch_add(1);
-      }
-      resolutions.fetch_add(1);
     }
   };
   std::thread r1(resolver), r2(resolver);
+  // Commit only once both resolvers have finished one resolution:
+  // otherwise the scheduler may run all the commits before either
+  // resolver, and the resolutions > 0 check below would fail.
+  while (started.load(std::memory_order_acquire) < 2) {
+    std::this_thread::yield();
+  }
 
   for (int i = 0; i < kCommits; ++i) {
     DeltaBatch delta = registry.BeginDelta(head);

@@ -129,6 +129,77 @@ TEST(GraphDbOverlayTest, ReAddAfterRemoveAppendsLikeARebuild) {
   EXPECT_EQ(SerializeGraphDb(overlay), SerializeGraphDb(twin));
 }
 
+TEST(GraphDbOverlayTest, ReAddOfAnOverlayFactFindsTheNewerId) {
+  // The dead id stays in the key table; lookups skip it and reach the
+  // re-added id further along the probe chain, in this overlay and in
+  // the overlays built on it.
+  auto base = std::make_shared<const GraphDb>(SmallDb());
+  GraphDb overlay = GraphDb::MakeOverlay(base);
+  EXPECT_EQ(overlay.AddFact(2, 'c', 0), 3);
+  ASSERT_TRUE(overlay.RemoveFact(2, 'c', 0).ok());
+  EXPECT_EQ(overlay.FindFact(2, 'c', 0), -1);
+  EXPECT_EQ(overlay.RemoveFact(2, 'c', 0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(overlay.AddFact(2, 'c', 0, 2), 4);
+  EXPECT_EQ(overlay.FindFact(2, 'c', 0), 4);
+  EXPECT_EQ(overlay.AddFact(2, 'c', 0), 4);  // merges into the live copy
+  EXPECT_EQ(overlay.multiplicity(4), 3);
+  EXPECT_FALSE(overlay.IsLive(3));
+
+  auto parent = std::make_shared<const GraphDb>(std::move(overlay));
+  GraphDb child = GraphDb::MakeOverlay(parent);
+  EXPECT_EQ(child.FindFact(2, 'c', 0), 4);
+  ASSERT_TRUE(child.RemoveFact(2, 'c', 0).ok());
+  EXPECT_EQ(child.AddFact(2, 'c', 0, 5), 5);
+  EXPECT_EQ(child.FindFact(2, 'c', 0), 5);
+  EXPECT_EQ(parent->FindFact(2, 'c', 0), 4);  // the parent is untouched
+
+  GraphDb twin = SmallDb();
+  twin.AddFact(2, 'c', 0, 5);
+  EXPECT_EQ(SerializeGraphDb(child), SerializeGraphDb(twin));
+}
+
+TEST(GraphDbOverlayTest, KeyLookupSurvivesChurnAcrossRegrows) {
+  // 600 distinct keys grow the key table several times; removing and
+  // re-adding a third of them leaves dead ids that a regrow drops.
+  auto base = std::make_shared<const GraphDb>(SmallDb());
+  GraphDb overlay = GraphDb::MakeOverlay(base);
+  for (int i = 0; i < 20; ++i) overlay.AddNode();
+  auto key = [](int i) {
+    return Fact{i % 20 + 3, static_cast<char>('c' + i / 400), (i / 20) % 20};
+  };
+  std::vector<FactId> id_of(600);
+  for (int i = 0; i < 600; ++i) {
+    const Fact k = key(i);
+    id_of[i] = overlay.AddFact(k.source, k.label, k.target);
+    EXPECT_EQ(id_of[i], 3 + i);
+  }
+  for (int i = 0; i < 600; i += 3) {
+    const Fact k = key(i);
+    ASSERT_TRUE(overlay.RemoveFact(k.source, k.label, k.target).ok());
+  }
+  for (int i = 0; i < 600; ++i) {
+    const Fact k = key(i);
+    EXPECT_EQ(overlay.FindFact(k.source, k.label, k.target),
+              i % 3 == 0 ? -1 : id_of[i]);
+  }
+  for (int i = 0; i < 600; i += 3) {
+    const Fact k = key(i);
+    id_of[i] = overlay.AddFact(k.source, k.label, k.target);
+  }
+  for (int i = 0; i < 600; ++i) {
+    const Fact k = key(i);
+    EXPECT_EQ(overlay.FindFact(k.source, k.label, k.target), id_of[i]);
+  }
+  EXPECT_EQ(overlay.FindFact(0, 'a', 1), 0);  // base facts still resolve
+  EXPECT_EQ(overlay.FindFact(3, 'z', 3), -1);
+
+  GraphDb flat = overlay.Compact();
+  for (FactId f = 0; f < flat.num_facts(); ++f) {
+    const Fact& k = flat.fact(f);
+    EXPECT_EQ(flat.FindFact(k.source, k.label, k.target), f);
+  }
+}
+
 TEST(GraphDbOverlayTest, ChainedOverlaysShareOneFlatBase) {
   auto base = std::make_shared<const GraphDb>(SmallDb());
   auto level1 = std::make_shared<const GraphDb>([&] {

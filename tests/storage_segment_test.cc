@@ -1,12 +1,13 @@
-// Unit tests for the storage layer's two file formats: mmap-able base
-// segments (storage/segment.h) and per-lineage delta journals
-// (storage/journal.h). Round trips, checksum/corruption detection, and
-// the torn-tail rule — the registry-level crash-recovery sweep lives in
-// storage_recovery_test.cc.
+// Unit tests for the storage layer's two file formats: base segments
+// (storage/segment.h) and per-lineage delta journals (storage/journal.h).
+// Round trips, checksum/corruption detection, the torn-tail rule, and
+// sweeps that flip every byte of each format — the registry-level
+// crash-recovery sweep lives in storage_recovery_test.cc.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -73,8 +74,8 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 // {kind u32, reserved u32, offset i64, size i64, XXH64 u64}.
 constexpr size_t kHeaderBytes = 64;
 constexpr size_t kTableEntryBytes = 32;
+constexpr uint32_t kFactsSection = 4;           // one 12-byte Fact per fact
 constexpr uint32_t kMultiplicitiesSection = 5;  // one i64 per fact
-constexpr uint32_t kLabelFactsSection = 9;      // per-label fact lists
 
 template <typename T>
 T Load(const std::string& file, size_t at) {
@@ -139,7 +140,6 @@ TEST(SegmentTest, RoundTripsDbAndIndex) {
   EXPECT_EQ(loaded->meta.snapshot_id, 99u);
   EXPECT_EQ(loaded->meta.name, "sample");
   EXPECT_EQ(loaded->file_bytes, bytes);
-  EXPECT_TRUE(loaded->db.is_mapped());
 
   // Content equality, down to node names and multiplicities.
   EXPECT_EQ(SerializeGraphDb(loaded->db), SerializeGraphDb(db));
@@ -154,36 +154,39 @@ TEST(SegmentTest, RoundTripsDbAndIndex) {
     EXPECT_EQ(loaded->db.fact(f).target, db.fact(f).target);
     EXPECT_EQ(loaded->db.multiplicity(f), db.multiplicity(f));
     EXPECT_EQ(loaded->db.IsExogenous(f), db.IsExogenous(f));
+    const Fact& fact = loaded->db.fact(f);
+    EXPECT_EQ(loaded->db.FindFact(fact.source, fact.label, fact.target), f);
   }
   EXPECT_EQ(loaded->db.FindFact(2, 'x', 0), db.FindFact(2, 'x', 0));
   EXPECT_EQ(loaded->db.FindFact(0, 'q', 1), db.FindFact(0, 'q', 1));
 
-  // The mapped label index — the segment's only adjacency — matches the
-  // in-memory index span for span, per label and per node.
+  // The label index of the loaded database matches the in-memory index
+  // span for span, per label and per node.
   LabelIndex rebuilt(db);
-  ASSERT_EQ(loaded->label_index.labels(), rebuilt.labels());
+  const LabelIndex loaded_index(loaded->db);
+  ASSERT_EQ(loaded_index.labels(), rebuilt.labels());
   for (char label : rebuilt.labels()) {
-    EXPECT_EQ(ToVector(loaded->label_index.Facts(label)),
+    EXPECT_EQ(ToVector(loaded_index.Facts(label)),
               ToVector(rebuilt.Facts(label)));
     for (NodeId v = 0; v < db.num_nodes(); ++v) {
-      EXPECT_EQ(ToVector(loaded->label_index.FactsFrom(label, v)),
+      EXPECT_EQ(ToVector(loaded_index.FactsFrom(label, v)),
                 ToVector(rebuilt.FactsFrom(label, v)));
-      EXPECT_EQ(ToVector(loaded->label_index.FactsInto(label, v)),
+      EXPECT_EQ(ToVector(loaded_index.FactsInto(label, v)),
                 ToVector(rebuilt.FactsInto(label, v)));
     }
   }
   std::filesystem::remove(path);
 }
 
-TEST(SegmentTest, MappedDbIsImmutableButCopyable) {
-  const std::string path = TempPath("seg_immutable");
+TEST(SegmentTest, LoadedDbServesAsAnOverlayBase) {
+  const std::string path = TempPath("seg_overlay_base");
   GraphDb db = SampleDb();
   SegmentMeta meta;
   meta.lineage = 1;
   ASSERT_TRUE(WriteSegment(path, db, meta).ok());
   Result<LoadedSegment> loaded = ReadSegment(path);
   ASSERT_TRUE(loaded.ok());
-  // An overlay over a mapped base is the normal delta-commit path.
+  // An overlay over a loaded base is the normal delta-commit path.
   auto base = std::make_shared<GraphDb>(loaded->db);
   GraphDb overlay =
       GraphDb::MakeOverlay(std::shared_ptr<const GraphDb>(base, base.get()));
@@ -249,24 +252,30 @@ TEST(SegmentTest, DetectsCorruptionAnywhere) {
 }
 
 TEST(SegmentTest, FormatVersionOneIsRefused) {
-  // Version 2 dropped version 1's per-node CSR sections; a version-1
-  // header, even correctly sealed, must not be read as version 2.
+  // Versions 1 and 2 stored derived sections that version 3 dropped; an
+  // older header, even correctly sealed, must not be read as version 3.
   const std::string path = TempPath("seg_version1");
   ASSERT_TRUE(WriteSegment(path, SampleDb(), SegmentMeta{}).ok());
-  std::string file = ReadFile(path);
-  Store<uint32_t>(&file, 8, 1);
-  Reseal(&file);
-  WriteFile(path, file);
-  Result<LoadedSegment> loaded = ReadSegment(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(loaded.status().message().find("version 1"), std::string::npos)
-      << loaded.status().ToString();
+  const std::string original = ReadFile(path);
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string file = original;
+    Store<uint32_t>(&file, 8, version);
+    Reseal(&file);
+    WriteFile(path, file);
+    Result<LoadedSegment> loaded = ReadSegment(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(loaded.status().message().find("unsupported format version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
   std::filesystem::remove(path);
 }
 
 TEST(SegmentTest, ChecksumConsistentOutOfRangeFactIdIsDataLoss) {
-  // A per-label fact id far past the fact table, with every checksum
+  // A fact endpoint far past the node table, with every checksum
   // re-sealed around it: only id validation can refuse this file.
   const std::string path = TempPath("seg_bad_id");
   GraphDb db;
@@ -277,14 +286,14 @@ TEST(SegmentTest, ChecksumConsistentOutOfRangeFactIdIsDataLoss) {
   ASSERT_TRUE(WriteSegment(path, db, SegmentMeta{}).ok());
   std::string file = ReadFile(path);
   for (const SectionBytes& section : Sections(file)) {
-    if (section.kind == kLabelFactsSection) {
-      Store<int32_t>(&file, section.offset, 1000000);
+    if (section.kind == kFactsSection) {
+      Store<int32_t>(&file, section.offset + offsetof(Fact, target), 1000000);
     }
   }
   Reseal(&file);
   WriteFile(path, file);
   Result<LoadedSegment> loaded = ReadSegment(path);
-  ASSERT_FALSE(loaded.ok()) << "fact id 1000000 of a 3-fact table loaded";
+  ASSERT_FALSE(loaded.ok()) << "node id 1000000 of a 3-node table loaded";
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   std::filesystem::remove(path);
 }
@@ -317,9 +326,9 @@ TEST(SegmentTest, ChecksumConsistentMultiplicityAboveTheBoundIsDataLoss) {
 TEST(SegmentTest, ResealedWordCorruptionIsRefusedOrStaysInRange) {
   // Seeded: overwrite one 4-byte word of an array section, re-seal every
   // checksum, read. The reader must refuse the file with kDataLoss, or
-  // hand out a database and index whose every id and span is in range —
-  // and a local solve over them must complete. The sanitize job runs
-  // this under ASan/UBSan.
+  // hand out a database whose every id is in range and whose keys are
+  // unique, so that its index is too — and a local solve over them must
+  // complete. The sanitize job runs this under ASan/UBSan.
   const std::string path = TempPath("seg_word_fuzz");
   Rng db_rng(5);
   GraphDb db = RandomGraphDb(&db_rng, 12, 40, {'a', 'x', 'b'}, 5);
@@ -370,32 +379,34 @@ TEST(SegmentTest, ResealedWordCorruptionIsRefusedOrStaysInRange) {
       continue;
     }
     ++accepted;
-    const GraphDb& mapped = loaded->db;
-    const LabelIndex& index = loaded->label_index;
-    const int n = mapped.num_nodes();
-    const int m = mapped.num_facts();
+    const GraphDb& restored = loaded->db;
+    const LabelIndex index(restored);
+    const int n = restored.num_nodes();
+    const int m = restored.num_facts();
     for (FactId f = 0; f < m; ++f) {
-      ASSERT_GE(mapped.fact(f).source, 0);
-      ASSERT_LT(mapped.fact(f).source, n);
-      ASSERT_GE(mapped.fact(f).target, 0);
-      ASSERT_LT(mapped.fact(f).target, n);
+      const Fact& fact = restored.fact(f);
+      ASSERT_GE(fact.source, 0);
+      ASSERT_LT(fact.source, n);
+      ASSERT_GE(fact.target, 0);
+      ASSERT_LT(fact.target, n);
+      ASSERT_EQ(restored.FindFact(fact.source, fact.label, fact.target), f);
     }
     for (char label : index.labels()) {
       for (FactId f : index.Facts(label)) {
         ASSERT_GE(f, 0);
         ASSERT_LT(f, m);
-        ASSERT_EQ(mapped.fact(f).label, label);
+        ASSERT_EQ(restored.fact(f).label, label);
       }
       for (NodeId v = 0; v < n; ++v) {
         for (FactId f : index.FactsFrom(label, v)) {
           ASSERT_GE(f, 0);
           ASSERT_LT(f, m);
-          ASSERT_EQ(mapped.fact(f).source, v);
+          ASSERT_EQ(restored.fact(f).source, v);
         }
         for (FactId f : index.FactsInto(label, v)) {
           ASSERT_GE(f, 0);
           ASSERT_LT(f, m);
-          ASSERT_EQ(mapped.fact(f).target, v);
+          ASSERT_EQ(restored.fact(f).target, v);
         }
       }
     }
@@ -403,12 +414,94 @@ TEST(SegmentTest, ResealedWordCorruptionIsRefusedOrStaysInRange) {
     // multiplicity above kMaxMultiplicity, so no accepted file can push
     // the flow core past its capacity limit.
     ResilienceResult result = SolveLocalResilienceWithTables(
-        tables, mapped, Semantics::kBag, &index);
+        tables, restored, Semantics::kBag, &index);
     EXPECT_TRUE(result.infinite || result.value >= 0);
   }
   // Both outcomes occur, so neither leg is vacuous.
   EXPECT_GT(refused, 0);
   EXPECT_GT(accepted, 0);
+  std::filesystem::remove(path);
+}
+
+TEST(SegmentTest, ChecksumConsistentRepeatedKeyIsDataLoss) {
+  // Fact 1 rewritten to repeat fact 0's (source, label, target), with
+  // every checksum re-sealed around it. Facts are a set, so this file is
+  // not a database: loading it would leave two live copies of one key,
+  // of which FindFact sees one.
+  const std::string path = TempPath("seg_repeated_key");
+  GraphDb db;
+  NodeId u = db.AddNode("u"), v = db.AddNode("v"), w = db.AddNode("w");
+  db.AddFact(u, 'a', v, 2);
+  db.AddFact(u, 'a', w, 3);
+  db.AddFact(w, 'b', u);
+  ASSERT_TRUE(WriteSegment(path, db, SegmentMeta{}).ok());
+  std::string file = ReadFile(path);
+  for (const SectionBytes& section : Sections(file)) {
+    if (section.kind == kFactsSection) {
+      Store<int32_t>(&file, section.offset + sizeof(Fact) +
+                                offsetof(Fact, target), v);
+    }
+  }
+  Reseal(&file);
+  WriteFile(path, file);
+  Result<LoadedSegment> loaded = ReadSegment(path);
+  ASSERT_FALSE(loaded.ok()) << "a repeated (u, a, v) key loaded";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("fact 1 repeats the key of fact 0"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::filesystem::remove(path);
+}
+
+// A chain of `num_facts` facts over num_facts + 1 nodes whose names and
+// labels vary, so that the sizes sweep the section paddings.
+GraphDb ChainDb(int num_facts) {
+  GraphDb db;
+  db.AddNode("v0");
+  for (int i = 0; i < num_facts; ++i) {
+    NodeId next = db.AddNode("v" + std::to_string(i + 1));
+    db.AddFact(next - 1, static_cast<char>('a' + i % 3), next, i + 1);
+  }
+  return db;
+}
+
+TEST(SegmentTest, EveryTailCutIsDataLoss) {
+  // The file must end exactly where its writer ended it: a cut of 1-63
+  // bytes removes at most padding from some segments, which the
+  // checksums alone do not notice.
+  const std::string path = TempPath("seg_tail_cut");
+  for (int num_facts = 1; num_facts <= 40; ++num_facts) {
+    ASSERT_TRUE(WriteSegment(path, ChainDb(num_facts), SegmentMeta{}).ok());
+    const std::string file = ReadFile(path);
+    for (size_t cut = 1; cut <= 63; ++cut) {
+      WriteFile(path, file.substr(0, file.size() - cut));
+      Result<LoadedSegment> loaded = ReadSegment(path);
+      ASSERT_FALSE(loaded.ok())
+          << num_facts << " facts, " << cut << " tail bytes cut";
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+          << loaded.status().ToString();
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(SegmentTest, EveryByteFlipIsDataLoss) {
+  // Header, table, sections and padding: every byte of the file is
+  // covered by a checksum, the padding check or the length check.
+  const std::string path = TempPath("seg_byte_flip");
+  GraphDb db = ChainDb(40);
+  db.SetExogenous(7);
+  ASSERT_TRUE(WriteSegment(path, db, SegmentMeta{9, 2, 11, "chain"}).ok());
+  const std::string original = ReadFile(path);
+  for (size_t at = 0; at < original.size(); ++at) {
+    std::string file = original;
+    file[at] = static_cast<char>(file[at] ^ 0xff);
+    WriteFile(path, file);
+    Result<LoadedSegment> loaded = ReadSegment(path);
+    ASSERT_FALSE(loaded.ok()) << "byte " << at << " flip went unnoticed";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << loaded.status().ToString();
+  }
   std::filesystem::remove(path);
 }
 
@@ -584,6 +677,95 @@ TEST(JournalTest, ResetTruncatesToHeader) {
   Result<JournalContents> contents = ReadJournal(path, 4);
   ASSERT_TRUE(contents.ok());
   EXPECT_TRUE(contents->groups.empty());
+  std::filesystem::remove(path);
+}
+
+bool SameOps(const std::vector<JournalOp>& a,
+             const std::vector<JournalOp>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].type != b[i].type || a[i].version != b[i].version ||
+        a[i].snapshot_id != b[i].snapshot_id || a[i].source != b[i].source ||
+        a[i].target != b[i].target || a[i].label != b[i].label ||
+        a[i].multiplicity != b[i].multiplicity || a[i].name != b[i].name) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SameGroup(const JournalGroup& a, const JournalGroup& b) {
+  return a.is_drop == b.is_drop && a.drop_version == b.drop_version &&
+         a.parent_version == b.parent_version &&
+         a.commit_version == b.commit_version &&
+         a.snapshot_id == b.snapshot_id && SameOps(a.ops, b.ops);
+}
+
+TEST(JournalTest, EveryByteFlipIsDataLossOrAPrefix) {
+  // A flipped header byte is kDataLoss; a flipped record byte cuts the
+  // journal at that record's group. Either way no group that survives
+  // differs from the one written.
+  const std::string path = TempPath("journal_byte_flip");
+  std::filesystem::remove(path);
+  Result<JournalWriter> writer = JournalWriter::Open(path, 12);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  auto op = [](JournalOp::Type type) {
+    JournalOp out;
+    out.type = type;
+    return out;
+  };
+  JournalOp begin = op(JournalOp::Type::kBegin);
+  begin.version = 1;
+  JournalOp add_node = op(JournalOp::Type::kAddNode);
+  add_node.name = "fresh";
+  JournalOp add_fact = op(JournalOp::Type::kAddFact);
+  add_fact.source = 0;
+  add_fact.target = 1;
+  add_fact.label = 'q';
+  add_fact.multiplicity = 4;
+  JournalOp commit = op(JournalOp::Type::kCommit);
+  commit.version = 2;
+  commit.snapshot_id = 17;
+  ASSERT_TRUE(writer->Append({begin, add_node, add_fact, commit}).ok());
+  JournalOp drop = op(JournalOp::Type::kDropVersion);
+  drop.version = 1;
+  ASSERT_TRUE(writer->Append({drop}).ok());
+  JournalOp remove_fact = op(JournalOp::Type::kRemoveFact);
+  remove_fact.source = 0;
+  remove_fact.target = 1;
+  remove_fact.label = 'q';
+  begin.version = 2;
+  commit.version = 3;
+  commit.snapshot_id = 18;
+  ASSERT_TRUE(writer->Append({begin, remove_fact, commit}).ok());
+
+  Result<JournalContents> written = ReadJournal(path, 12);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  ASSERT_EQ(written->groups.size(), 3u);
+  const std::string original = ReadFile(path);
+  int refused = 0, cut = 0;
+  for (size_t at = 0; at < original.size(); ++at) {
+    SCOPED_TRACE("byte " + std::to_string(at));
+    std::string file = original;
+    file[at] = static_cast<char>(file[at] ^ 0xff);
+    WriteFile(path, file);
+    Result<JournalContents> contents = ReadJournal(path, 12);
+    if (!contents.ok()) {
+      EXPECT_EQ(contents.status().code(), StatusCode::kDataLoss)
+          << contents.status().ToString();
+      ++refused;
+      continue;
+    }
+    ++cut;
+    ASSERT_LT(contents->groups.size(), written->groups.size());
+    for (size_t g = 0; g < contents->groups.size(); ++g) {
+      EXPECT_TRUE(SameGroup(contents->groups[g], written->groups[g]))
+          << "group " << g;
+    }
+  }
+  // Both outcomes occur, so neither leg is vacuous.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(cut, 0);
   std::filesystem::remove(path);
 }
 
