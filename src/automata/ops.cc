@@ -61,19 +61,6 @@ Enfa EnfaSigmaStar(const std::vector<char>& alphabet) {
   return a;
 }
 
-Enfa EnfaSigmaPlus(const std::vector<char>& alphabet) {
-  Enfa a;
-  int s0 = a.AddState();
-  int s1 = a.AddState();
-  a.AddInitial(s0);
-  a.AddFinal(s1);
-  for (char c : alphabet) {
-    a.AddTransition(s0, c, s1);
-    a.AddTransition(s1, c, s1);
-  }
-  return a;
-}
-
 namespace {
 
 // Copies `src` into `dst` with all state ids shifted by `offset`; does not
@@ -85,18 +72,6 @@ void AppendStatesAndTransitions(const Enfa& src, Enfa* dst, int offset) {
 }
 
 }  // namespace
-
-Enfa EnfaUnion(const Enfa& a, const Enfa& b) {
-  Enfa out;
-  out.AddStates(a.num_states() + b.num_states());
-  AppendStatesAndTransitions(a, &out, 0);
-  AppendStatesAndTransitions(b, &out, a.num_states());
-  for (int s : a.initial_states()) out.AddInitial(s);
-  for (int s : a.final_states()) out.AddFinal(s);
-  for (int s : b.initial_states()) out.AddInitial(s + a.num_states());
-  for (int s : b.final_states()) out.AddFinal(s + a.num_states());
-  return out;
-}
 
 Enfa EnfaConcat(const Enfa& a, const Enfa& b) {
   Enfa out;
@@ -508,10 +483,6 @@ bool AreEquivalent(const Dfa& a, const Dfa& b) {
   return IsSubsetOf(a, b) && IsSubsetOf(b, a);
 }
 
-namespace {
-
-// States of `a` that are both reachable from the initial state and
-// co-reachable to some final state.
 std::vector<bool> UsefulStates(const Dfa& a) {
   int n = a.num_states();
   std::vector<bool> reach(n, false), coreach(n, false);
@@ -557,8 +528,6 @@ std::vector<bool> UsefulStates(const Dfa& a) {
   for (int s = 0; s < n; ++s) useful[s] = reach[s] && coreach[s];
   return useful;
 }
-
-}  // namespace
 
 bool DfaIsFinite(const Dfa& a) {
   // Finite iff the useful part is acyclic.

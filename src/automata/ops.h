@@ -34,10 +34,6 @@ Enfa EnfaFromWord(const std::string& word);
 Enfa EnfaFromWords(const std::vector<std::string>& words);
 /// εNFA for Σ* over the given alphabet.
 Enfa EnfaSigmaStar(const std::vector<char>& alphabet);
-/// εNFA for Σ+ over the given alphabet.
-Enfa EnfaSigmaPlus(const std::vector<char>& alphabet);
-/// Union of two εNFAs (disjoint juxtaposition).
-Enfa EnfaUnion(const Enfa& a, const Enfa& b);
 /// Concatenation L(a)·L(b).
 Enfa EnfaConcat(const Enfa& a, const Enfa& b);
 /// Kleene star L(a)*.
@@ -94,6 +90,10 @@ bool IsSubsetOf(const Dfa& a, const Dfa& b);
 bool AreEquivalent(const Dfa& a, const Dfa& b);
 /// True iff L(a) is finite.
 bool DfaIsFinite(const Dfa& a);
+
+/// useful[q]: state q of `a` is reachable from the initial state and some
+/// final state is reachable from q.
+std::vector<bool> UsefulStates(const Dfa& a);
 
 /// Shortest accepted word (by length, ties broken lexicographically), or
 /// nullopt if the language is empty.

@@ -4,14 +4,12 @@
 #include <map>
 
 #include "gadgets/chain_cycle.h"
-#include "lang/chain.h"
 #include "lang/four_legged.h"
 #include "lang/infix_free.h"
-#include "lang/local.h"
 #include "lang/neutral_letter.h"
-#include "lang/one_dangling.h"
 #include "lang/repeated_letter.h"
 #include "lang/star_free.h"
+#include "resilience/resilience.h"
 #include "util/strings.h"
 
 namespace rpqres {
@@ -31,6 +29,10 @@ const char* ComplexityClassName(ComplexityClass c) {
 }
 
 namespace {
+
+// Classification::if_language spells out at most this many words of a
+// finite IF(L), then its word count: every cached plan keeps the string.
+constexpr size_t kShownWords = 32;
 
 // The finite languages proven NP-hard by dedicated gadgets (Prp 7.4,
 // Prp 7.11), to be matched up to letter renaming.
@@ -111,56 +113,71 @@ Result<Classification> ClassifyResilience(const Language& lang,
 Result<Classification> ClassifyResilienceWithIF(const Language& lang,
                                                 const Language& ifl,
                                                 int max_word_length) {
+  RPQRES_ASSIGN_OR_RETURN(ResiliencePlan plan, PlanResilienceWithIF(ifl));
+  return ClassifyResilienceWithPlan(lang, plan, max_word_length);
+}
+
+Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
+                                                  const ResiliencePlan& plan,
+                                                  int max_word_length) {
+  const Language& ifl = plan.if_language;
   Classification out;
   out.finite = ifl.IsFinite();
+  std::vector<std::string> words;
   if (out.finite) {
-    RPQRES_ASSIGN_OR_RETURN(std::vector<std::string> words, ifl.Words());
+    RPQRES_ASSIGN_OR_RETURN(words, ifl.Words());
     std::vector<std::string> shown;
-    for (const std::string& w : words) shown.push_back(DisplayWord(w));
+    for (size_t i = 0; i < words.size() && i < kShownWords; ++i) {
+      shown.push_back(DisplayWord(words[i]));
+    }
     out.if_language = shown.empty() ? "∅" : Join(shown, "|");
+    if (words.size() > kShownWords) {
+      out.if_language += " … (" + std::to_string(words.size()) + " words)";
+    }
   } else {
     out.if_language = "IF(" + lang.description() + ") [infinite]";
   }
 
   // Trivial cases.
-  if (ifl.ContainsEpsilon()) {
+  if (plan.trivial_infinite) {
     out.complexity = ComplexityClass::kTrivial;
     out.rule = "ε ∈ L";
     out.detail = "Q_L holds on every database; resilience is +∞";
     return out;
   }
-  if (ifl.IsEmpty()) {
+  if (plan.trivial_empty) {
     out.complexity = ComplexityClass::kTrivial;
     out.rule = "L = ∅";
     out.detail = "Q_L never holds; resilience is 0";
     return out;
   }
 
-  // --- PTIME side -----------------------------------------------------------
-  if (IsLocal(ifl)) {
-    out.complexity = ComplexityClass::kPtime;
-    out.rule = "local language (Thm 3.13)";
-    out.detail = "RO-εNFA product with D, then MinCut";
-    return out;
-  }
-  if (IsBipartiteChainLanguage(ifl)) {
-    out.complexity = ComplexityClass::kPtime;
-    out.rule = "bipartite chain language (Prp 7.6)";
-    out.detail = "per-fact flow network with forward/reversed word wiring";
-    return out;
-  }
-  if (IsOneDanglingOrMirror(ifl)) {
-    std::optional<OneDanglingDecomposition> decomposition =
-        FindOneDanglingDecomposition(ifl);
-    bool mirrored = !decomposition.has_value();
-    if (mirrored) decomposition = FindOneDanglingDecomposition(ifl.Mirror());
-    out.complexity = ComplexityClass::kPtime;
-    out.rule = "one-dangling language (Prp 7.9)";
-    out.detail = std::string(mirrored ? "mirror of L = " : "L = ") +
-                 decomposition->base.description() + " ∪ {" +
-                 std::string(1, decomposition->x) +
-                 std::string(1, decomposition->y) + "}";
-    return out;
+  // --- PTIME side: the solver the plan picked is the witness ---------------
+  switch (plan.method) {
+    case ResilienceMethod::kLocalFlow:
+      out.complexity = ComplexityClass::kPtime;
+      out.rule = "local language (Thm 3.13)";
+      out.detail = "RO-εNFA product with D, then MinCut";
+      return out;
+    case ResilienceMethod::kBclFlow:
+      out.complexity = ComplexityClass::kPtime;
+      out.rule = "bipartite chain language (Prp 7.6)";
+      out.detail = "per-fact flow network with forward/reversed word wiring";
+      return out;
+    case ResilienceMethod::kOneDanglingFlow:
+      out.complexity = ComplexityClass::kPtime;
+      out.rule = "one-dangling language (Prp 7.9)";
+      if (plan.one_dangling_tables.has_value()) {
+        out.detail = plan.one_dangling_tables->decomposition;
+      }
+      return out;
+    case ResilienceMethod::kExact:
+      break;
+    case ResilienceMethod::kAuto:
+    case ResilienceMethod::kBruteForce:
+      return Status::InvalidArgument(
+          "ClassifyResilienceWithPlan: not a plan PlanResilienceWithIF "
+          "builds");
   }
 
   // --- NP-hard side ---------------------------------------------------------
@@ -201,17 +218,14 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
     }
   }
   if (out.finite) {
-    Result<std::vector<std::string>> words = ifl.Words();
-    if (words.ok()) {
-      for (const std::vector<std::string>& pattern : KnownHardWordSets()) {
-        if (MatchesUpToRenaming(*words, pattern)) {
-          out.complexity = ComplexityClass::kNpHard;
-          out.rule = pattern.size() == 3 && pattern[0] == "ab"
-                         ? "non-bipartite chain ab|bc|ca (Prp 7.4)"
-                         : "explicit gadget (Prp 7.11)";
-          out.detail = "matches " + Join(pattern, "|") + " up to renaming";
-          return out;
-        }
+    for (const std::vector<std::string>& pattern : KnownHardWordSets()) {
+      if (MatchesUpToRenaming(words, pattern)) {
+        out.complexity = ComplexityClass::kNpHard;
+        out.rule = pattern.size() == 3 && pattern[0] == "ab"
+                       ? "non-bipartite chain ab|bc|ca (Prp 7.4)"
+                       : "explicit gadget (Prp 7.11)";
+        out.detail = "matches " + Join(pattern, "|") + " up to renaming";
+        return out;
       }
     }
     // Non-bipartite chain languages beyond ab|bc|ca: the paper conjectures

@@ -9,6 +9,11 @@
 //            specific proven-hard languages up to letter renaming
 //            (Prp 7.4: ab|bc|ca; Prp 7.11: abcd|be|ef, abcd|bef)
 //   UNCLASSIFIED otherwise (the open middle column of Fig 1).
+//
+// The PTIME verdicts are read off the kAuto plan (resilience/resilience.h):
+// the planner already ran each PTIME test to pick its solver, and the
+// tables it built are the witnesses. The NP-hard rules run only when the
+// plan fell back to the exact solver.
 
 #ifndef RPQRES_CLASSIFY_CLASSIFIER_H_
 #define RPQRES_CLASSIFY_CLASSIFIER_H_
@@ -19,6 +24,8 @@
 #include "util/status.h"
 
 namespace rpqres {
+
+struct ResiliencePlan;  // resilience/resilience.h
 
 /// The three columns of Figure 1.
 enum class ComplexityClass {
@@ -35,7 +42,9 @@ struct Classification {
   ComplexityClass complexity = ComplexityClass::kUnclassified;
   std::string rule;         ///< e.g. "local (Thm 3.13)"
   std::string detail;       ///< witness words, legs, decomposition, ...
-  std::string if_language;  ///< display form of IF(L) when finite
+  /// Display form of IF(L): its words when finite (the first 32, then
+  /// "… (N words)"), "IF(<L>) [infinite]" otherwise.
+  std::string if_language;
   bool finite = false;      ///< IF(L) finite?
 };
 
@@ -46,12 +55,26 @@ Result<Classification> ClassifyResilience(const Language& lang,
                                           int max_word_length = 12);
 
 /// Like ClassifyResilience, but takes the precomputed infix-free
-/// sublanguage IF(L) instead of rederiving it — the reusable entry point
-/// for compiled query plans (src/engine/). `lang` is still needed: the
+/// sublanguage IF(L) instead of rederiving it: PlanResilienceWithIF(ifl)
+/// followed by ClassifyResilienceWithPlan. `lang` is still needed: the
 /// neutral-letter test (Prp 5.7) is a property of L itself.
 Result<Classification> ClassifyResilienceWithIF(const Language& lang,
                                                 const Language& ifl,
                                                 int max_word_length = 12);
+
+/// The verdict for the kAuto plan of IF(L) — the compiled query's entry
+/// point (src/engine/), which plans first. The trivial verdicts come from
+/// `plan.trivial_infinite` / `plan.trivial_empty`, and the PTIME verdict
+/// from `plan.method`: kLocalFlow gives Thm 3.13, kBclFlow Prp 7.6 and
+/// kOneDanglingFlow Prp 7.9 (its detail is the decomposition the tables
+/// hold). Only a kExact plan runs the NP-hard rules: repeated letter,
+/// four-legged (bounded by `max_word_length` on infinite languages),
+/// star-free, neutral letter, the known gadgets and the chain gadget.
+/// `plan` must come from PlanResilienceWithIF (InvalidArgument for a
+/// kAuto or kBruteForce method).
+Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
+                                                  const ResiliencePlan& plan,
+                                                  int max_word_length = 12);
 
 /// One-line report: "<regex>: <class> — <rule> (<detail>)".
 std::string ClassificationReport(const Language& lang,

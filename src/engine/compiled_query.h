@@ -3,9 +3,10 @@
 // Real RPQ resilience workloads are few-queries-many-databases: the same
 // regex is asked against many graphs (or many versions of one graph).
 // CompileQuery front-loads every per-query cost — parse, ε-NFA,
-// determinization + minimization, IF(L), the Figure 1 classification, the
-// solver choice, and (for local languages) the RO-εNFA — into an immutable
-// CompiledQuery that ComputeResilienceWithPlan executes per database.
+// determinization + minimization, IF(L), the solver choice with its
+// tables, and the Figure 1 classification read off that plan — into an
+// immutable CompiledQuery that ComputeResilienceWithPlan executes per
+// database.
 
 #ifndef RPQRES_ENGINE_COMPILED_QUERY_H_
 #define RPQRES_ENGINE_COMPILED_QUERY_H_

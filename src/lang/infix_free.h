@@ -10,9 +10,18 @@
 
 namespace rpqres {
 
-/// Computes IF(L) via the identity IF(L) = L \ (Σ⁺LΣ* ∪ Σ*LΣ⁺)
-/// (Appendix B of the paper). May incur the exponential blowup of
-/// [Barceló et al., Prp 6]; fine at query scale.
+/// Computes IF(L) by one subset walk over L's minimal DFA A = (Q, δ, q0, F).
+/// The walk visits pairs (p, R), starting from (q0, ∅): p is A's state
+/// after the word read so far, R the states from which F is reachable
+/// among the runs started after its first letter (q0 joins R at every
+/// step). A letter leads to one dead state when p ∈ F (the word would
+/// become a strict prefix), when δ(p, a) cannot reach F, or when
+/// δ(r, a) ∈ F for some r ∈ R (a strict infix ends there); a pair accepts
+/// iff p ∈ F. So ε ∈ L gives IF(L) = {ε}: ε is a strict infix of every
+/// other word. The result is minimized over A's alphabet. The worst case
+/// is still exponential in |Q|, as for any subset construction ([Barceló
+/// et al., Prp 6]); the early stop only drops subsets that can never
+/// accept.
 Language InfixFreeSublanguage(const Language& lang);
 
 /// True iff L = IF(L) (L is an infix code, Section 2).

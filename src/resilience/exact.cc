@@ -1,6 +1,7 @@
 #include "resilience/exact.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "gadgets/condensation.h"
 #include "gadgets/hypergraph.h"
@@ -141,16 +142,26 @@ Result<ResilienceResult> SolveExactResilience(const Language& lang,
                                               const GraphDb& db,
                                               Semantics semantics,
                                               const ExactOptions& options) {
+  // Work on IF(L): same query, shorter witness matches.
+  return SolveExactInfixFree(InfixFreeSublanguage(lang), db, semantics,
+                             options, /*label_index=*/nullptr);
+}
+
+Result<ResilienceResult> SolveExactInfixFree(const Language& ifl,
+                                             const GraphDb& db,
+                                             Semantics semantics,
+                                             const ExactOptions& options,
+                                             const LabelIndex* label_index) {
   ResilienceResult result;
   result.algorithm = "exact branch & bound";
-  // Work on IF(L): same query, shorter witness matches.
-  Language ifl = InfixFreeSublanguage(lang);
   if (ifl.ContainsEpsilon()) {
     result.infinite = true;
     return result;
   }
   // One index serves every evaluation of the search below.
-  const LabelIndex index(db);
+  std::optional<LabelIndex> built;
+  const LabelIndex& index =
+      label_index != nullptr ? *label_index : built.emplace(db);
   if (!EvaluatesToTrue(db, index, ifl.enfa())) {
     return result;  // already false: resilience 0
   }

@@ -14,6 +14,7 @@
 #define RPQRES_RESILIENCE_EXACT_H_
 
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
 #include "lang/language.h"
 #include "resilience/result.h"
 #include "util/cancel.h"
@@ -35,10 +36,22 @@ struct ExactOptions {
 };
 
 /// Exact resilience for an arbitrary regular language (exponential time).
+/// Derives IF(L), then runs SolveExactInfixFree.
 Result<ResilienceResult> SolveExactResilience(const Language& lang,
                                               const GraphDb& db,
                                               Semantics semantics,
                                               const ExactOptions& options = {});
+
+/// The branch & bound itself, on an infix-free language `ifl` (IF(L) of
+/// the query, as a ResiliencePlan holds it) over `db`. `label_index` is
+/// an index of `db`; nullptr means build one here. The plan path passes
+/// the plan's language and the snapshot's index, so a request does no
+/// language work.
+Result<ResilienceResult> SolveExactInfixFree(const Language& ifl,
+                                             const GraphDb& db,
+                                             Semantics semantics,
+                                             const ExactOptions& options,
+                                             const LabelIndex* label_index);
 
 /// All-subsets brute force; requires db.num_facts() <= max_facts (<= 24).
 Result<ResilienceResult> SolveBruteForceResilience(const Language& lang,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "flow/solver_scratch.h"
@@ -30,6 +31,10 @@ Result<OneDanglingTables> BuildOneDanglingTables(const Language& ifl) {
     return Status::FailedPrecondition(
         "is not one-dangling (nor is its mirror)");
   }
+  OneDanglingTables tables;
+  tables.decomposition = std::string(mirrored ? "mirror of L = " : "L = ") +
+                         decomposition->base.description() + " ∪ {" +
+                         decomposition->x + decomposition->y + "}";
   char p = decomposition->x;
   char q = decomposition->y;
   bool q_fresh = !decomposition->y_in_base;
@@ -40,7 +45,6 @@ Result<OneDanglingTables> BuildOneDanglingTables(const Language& ifl) {
   const Language base =
       mirrored ? decomposition->base.Mirror() : std::move(decomposition->base);
   RPQRES_ASSIGN_OR_RETURN(Enfa ro, BuildRoEnfa(base));
-  OneDanglingTables tables;
   RPQRES_ASSIGN_OR_RETURN(tables.base, BuildRoProductTables(ro));
   tables.split_at_target = q_fresh;
   tables.split = q_fresh ? p : q;

@@ -29,6 +29,8 @@
 #ifndef RPQRES_RESILIENCE_ONE_DANGLING_RESILIENCE_H_
 #define RPQRES_RESILIENCE_ONE_DANGLING_RESILIENCE_H_
 
+#include <string>
+
 #include "graphdb/graph_db.h"
 #include "graphdb/label_index.h"
 #include "lang/language.h"
@@ -52,6 +54,10 @@ struct OneDanglingTables {
   /// True when split facts are split at their target (p, q fresh); false
   /// when split at their source (q, p fresh).
   bool split_at_target = true;
+  /// The decomposition found, as the Figure 1 verdict reports it:
+  /// "L = B ∪ {pq}", or "mirror of L = B′ ∪ {qp}" when only the mirror
+  /// of IF(L) decomposes.
+  std::string decomposition;
 };
 
 /// Derives the tables from an infix-free language without ε (IF(L) of the

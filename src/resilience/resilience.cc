@@ -103,8 +103,8 @@ Result<ResilienceResult> ComputeResilienceWithPlan(
       // the trace still attributes the (potentially exponential) time.
       obs::ScopedSpan span(scratch != nullptr ? scratch->trace : nullptr,
                            obs::SpanKind::kExactSearch);
-      return SolveExactResilience(plan.if_language, db, semantics,
-                                  exact_options);
+      return SolveExactInfixFree(plan.if_language, db, semantics,
+                                 exact_options, label_index);
     }
     case ResilienceMethod::kBruteForce:
       return SolveBruteForceResilience(plan.if_language, db, semantics);
@@ -129,7 +129,8 @@ Result<ResilienceResult> ComputeResilience(const Language& lang,
       return SolveOneDanglingResilience(lang, db, semantics, label_index,
                                         scratch);
     case ResilienceMethod::kExact:
-      return SolveExactResilience(lang, db, semantics, options.exact);
+      return SolveExactInfixFree(InfixFreeSublanguage(lang), db, semantics,
+                                 options.exact, label_index);
     case ResilienceMethod::kBruteForce:
       return SolveBruteForceResilience(lang, db, semantics);
     case ResilienceMethod::kAuto:

@@ -47,7 +47,7 @@ struct ResilienceOptions {
 
 /// Computes RES(Q_L, D) under the given semantics. See ResilienceResult for
 /// the contract on the returned witness contingency set. `label_index`
-/// and `scratch` are forwarded to the flow solvers as in
+/// and `scratch` are forwarded to the solvers as in
 /// ComputeResilienceWithPlan.
 Result<ResilienceResult> ComputeResilience(
     const Language& lang, const GraphDb& db, Semantics semantics,
@@ -93,8 +93,9 @@ struct ResiliencePlan {
 Result<ResiliencePlan> PlanResilience(const Language& lang,
                                       const ResilienceOptions& options = {});
 
-/// Like PlanResilience but takes the precomputed IF(L) — the engine's
-/// entry point, which already derived IF(L) for classification.
+/// Like PlanResilience but takes the precomputed IF(L) — the entry point
+/// of CompileQuery and ClassifyResilienceWithIF, whose Figure 1 verdict
+/// is read off the plan (classify/classifier.h).
 Result<ResiliencePlan> PlanResilienceWithIF(
     Language ifl, const ResilienceOptions& options = {});
 
@@ -106,10 +107,11 @@ Result<ResiliencePlan> PlanResilienceWithIF(
 /// (adversarial instances can make the branch & bound explode; callers
 /// like the differential oracle bound it and treat OutOfRange as an
 /// inconclusive budget exhaustion, not an answer). `label_index` must be
-/// built from `db`; the flow solvers read every fact through it, and when
-/// it is null the solver builds LabelIndex(db) once for the call (the
-/// DbRegistry snapshot hot path passes the snapshot's index, built at
-/// Register time). `scratch`, when given, supplies the reusable flow
+/// built from `db`; the flow solvers and the exact branch & bound read
+/// every fact through it, and when it is null the solver builds
+/// LabelIndex(db) once for the call (the DbRegistry snapshot hot path
+/// passes the snapshot's index, built at Register time). `scratch`, when
+/// given, supplies the reusable flow
 /// solver arena (flow/solver_scratch.h); the flow solvers otherwise fall
 /// back to the calling thread's shared scratch, so repeated calls are
 /// allocation-free in steady state either way.

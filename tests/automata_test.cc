@@ -61,23 +61,14 @@ TEST(EnfaTest, WordConstructions) {
   EXPECT_FALSE(words.Accepts("ad"));
 }
 
-TEST(EnfaTest, SigmaStarAndPlus) {
+TEST(EnfaTest, SigmaStar) {
   std::vector<char> sigma = {'a', 'b'};
   Enfa star = EnfaSigmaStar(sigma);
-  Enfa plus = EnfaSigmaPlus(sigma);
   EXPECT_TRUE(star.Accepts(""));
   EXPECT_TRUE(star.Accepts("abba"));
-  EXPECT_FALSE(plus.Accepts(""));
-  EXPECT_TRUE(plus.Accepts("a"));
-  EXPECT_TRUE(plus.Accepts("abab"));
 }
 
 TEST(EnfaTest, RationalOps) {
-  Enfa ab_or_c = EnfaUnion(EnfaFromWord("ab"), EnfaFromWord("c"));
-  EXPECT_TRUE(ab_or_c.Accepts("ab"));
-  EXPECT_TRUE(ab_or_c.Accepts("c"));
-  EXPECT_FALSE(ab_or_c.Accepts("abc"));
-
   Enfa abc = EnfaConcat(EnfaFromWord("ab"), EnfaFromWord("c"));
   EXPECT_TRUE(abc.Accepts("abc"));
   EXPECT_FALSE(abc.Accepts("ab"));

@@ -5,6 +5,7 @@
 
 #include "classify/classifier.h"
 #include "lang/language.h"
+#include "resilience/resilience.h"
 
 namespace rpqres {
 namespace {
@@ -75,6 +76,42 @@ TEST(ClassifierTest, ClassifiesOnInfixFreeSublanguage) {
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->complexity, ComplexityClass::kPtime);
   EXPECT_EQ(c->if_language, "a");
+}
+
+TEST(ClassifierTest, FiniteIfLanguageDisplayIsBounded) {
+  // (a|b) sixteen times: IF(L) = L has 2^16 words, of which if_language
+  // spells out the first 32 and then states the count.
+  std::string regex;
+  for (int i = 0; i < 16; ++i) regex += "(a|b)";
+  Result<Classification> c =
+      ClassifyResilience(Language::MustFromRegexString(regex));
+  ASSERT_TRUE(c.ok()) << c.status();
+  EXPECT_TRUE(c->finite);
+  EXPECT_LT(c->if_language.size(), 1024u);
+  EXPECT_EQ(c->if_language.rfind(
+                "aaaaaaaaaaaaaaaa|aaaaaaaaaaaaaaab|", 0),
+            0u)
+      << c->if_language;
+  EXPECT_NE(c->if_language.find("… (65536 words)"), std::string::npos)
+      << c->if_language;
+}
+
+TEST(ClassifierTest, VerdictIsReadOffThePlan) {
+  // The PTIME verdict is the solver the plan picked, and the one-dangling
+  // detail is the decomposition its tables hold.
+  Language lang = Language::MustFromRegexString("abc|be");
+  Result<ResiliencePlan> plan = PlanResilience(lang);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->method, ResilienceMethod::kOneDanglingFlow);
+  Result<Classification> c = ClassifyResilienceWithPlan(lang, *plan);
+  ASSERT_TRUE(c.ok()) << c.status();
+  EXPECT_EQ(c->complexity, ComplexityClass::kPtime);
+  EXPECT_EQ(c->rule, "one-dangling language (Prp 7.9)");
+  EXPECT_EQ(c->detail, "L = IF(abc|be) \\ {be} ∪ {be}");
+  // A method the kAuto dispatch never picks is not a plan to classify.
+  plan->method = ResilienceMethod::kBruteForce;
+  EXPECT_EQ(ClassifyResilienceWithPlan(lang, *plan).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ClassifierTest, RenamedHardLanguagesDetected) {

@@ -1,8 +1,13 @@
 // Tests for IF(L): definition, idempotence, preservation properties
-// (Lem 3.14 locality, App B star-freeness, Lem 7.5 BCL-ness), and the
-// Q_L = Q_IF(L) identity at the automaton level.
+// (Lem 3.14 locality, App B star-freeness, Lem 7.5 BCL-ness), the
+// Q_L = Q_IF(L) identity at the automaton level, and a seeded sweep of
+// the subset walk against the word-level definition.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "automata/ops.h"
 #include "lang/chain.h"
@@ -10,6 +15,8 @@
 #include "lang/language.h"
 #include "lang/local.h"
 #include "lang/star_free.h"
+#include "util/rng.h"
+#include "workload/query_generator.h"
 
 namespace rpqres {
 namespace {
@@ -69,6 +76,75 @@ TEST(InfixFreeTest, WordListAgreesWithAutomaton) {
     std::vector<std::string> actual = *ifl.Words();
     std::sort(actual.begin(), actual.end());
     EXPECT_EQ(actual, expected) << regex;
+  }
+}
+
+// IF(L) against the word-level definition, on all words up to the largest
+// length k at which L has at most kSweepWords words: a strict infix of a
+// word of length <= k is shorter, so InfixFreeWords over L's words up to
+// k yields exactly IF(L)'s words up to k.
+constexpr size_t kSweepWords = 2000;
+constexpr int kSweepMaxLength = 16;
+
+void ExpectMatchesWordLevelDefinition(const Language& lang,
+                                      const std::string& name) {
+  int k = 0;
+  Result<std::vector<std::string>> words = lang.WordsUpTo(k, kSweepWords);
+  ASSERT_TRUE(words.ok()) << name;
+  while (k < kSweepMaxLength) {
+    Result<std::vector<std::string>> longer =
+        lang.WordsUpTo(k + 1, kSweepWords);
+    if (!longer.ok()) break;
+    words = std::move(longer);
+    ++k;
+  }
+  Result<std::vector<std::string>> actual =
+      InfixFreeSublanguage(lang).WordsUpTo(k, kSweepWords);
+  ASSERT_TRUE(actual.ok()) << name << ": " << actual.status();
+  EXPECT_EQ(*actual, InfixFreeWords(*words))
+      << name << " up to length " << k;
+}
+
+TEST(InfixFreeSweepTest, GeneratedQueriesMatchWordLevelDefinition) {
+  // The regex distribution the cold_regex benchmark compiles: every
+  // query class, from fixed seeds.
+  int checked = 0;
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    Rng rng(seed);
+    for (int i = 0; i < 100; ++i) {
+      const workload::QueryClass target =
+          workload::kAllQueryClasses[i % workload::kAllQueryClasses.size()];
+      Result<workload::GeneratedQuery> query =
+          workload::GenerateQuery(&rng, target, /*max_attempts=*/64,
+                                  /*max_word_length=*/8);
+      if (!query.ok()) continue;
+      ExpectMatchesWordLevelDefinition(
+          Language::MustFromRegexString(query->regex), query->regex);
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 250);
+}
+
+TEST(InfixFreeSweepTest, NamedLanguagesMatchWordLevelDefinition) {
+  ExpectMatchesWordLevelDefinition(Language::FromWords({}), "∅");
+  ExpectMatchesWordLevelDefinition(Language::FromWords({""}), "{ε}");
+  for (const char* regex : {"a*", "(aa)*", "b(aa)*d", "abbc|bb"}) {
+    ExpectMatchesWordLevelDefinition(Language::MustFromRegexString(regex),
+                                     regex);
+  }
+}
+
+TEST(InfixFreeSweepTest, LastLetterFamily) {
+  // L = (a|b)*a(a|b){n}: 2^(n+1) DFA states, but IF(L) = a(a|b){n}, whose
+  // minimal DFA has n + 3 states (n + 2 on the word, plus the sink).
+  for (int n = 2; n <= 10; ++n) {
+    std::string regex = "(a|b)*a";
+    for (int i = 0; i < n; ++i) regex += "(a|b)";
+    Language lang = Language::MustFromRegexString(regex);
+    ExpectMatchesWordLevelDefinition(lang, regex);
+    EXPECT_EQ(InfixFreeSublanguage(lang).min_dfa().num_states(), n + 3)
+        << regex;
   }
 }
 
