@@ -14,8 +14,8 @@
 // nodes per solve); pairs exceeding it count inconclusive, which is how
 // the nightly size_class 1/2 large-instance sweep stays bounded.
 //
-// The JSON report follows the BENCH_engine.json conventions (flat schema,
-// no external dependencies).
+// The JSON report is a flat schema written without external
+// dependencies.
 
 #include <cstdint>
 #include <cstdio>
@@ -25,8 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/harness.h"
 #include "fault/failpoints.h"
+#include "obs/export.h"
 #include "workload/chaos.h"
 #include "workload/churn.h"
 #include "workload/differential_oracle.h"
@@ -48,7 +48,7 @@ std::string SemanticsName(Semantics semantics) {
 
 std::string ReportToJson(const DifferentialOracle& oracle,
                          const OracleReport& report) {
-  using bench::JsonEscape;
+  using obs::JsonEscape;
   std::string json = "{\n";
   json += "  \"schema\": \"rpqres_workload_fuzz_v1\",\n";
   json += "  \"base_seed\": " + std::to_string(oracle.options().base_seed) +

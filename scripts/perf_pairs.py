@@ -7,9 +7,11 @@
 
 DIR is a checkout of the repository. Each run is `python3 perfbench/run.py
 --workload W --seed N --seconds S --trace 0` inside that checkout, which
-builds and keeps its own benchmark binary; S is the run_seconds of the
-change's BENCHMARK.json, the same on both sides. Pair i runs the parent
-first when i is even and the change first when i is odd.
+builds and keeps its own benchmark binary in the checkout's .bench_build:
+the runs do not inherit CARGO_TARGET_DIR, which when absolute would put
+both sides into one build tree. S is the run_seconds of the change's
+BENCHMARK.json, the same on both sides. Pair i runs the parent first when
+i is even and the change first when i is odd.
 
 The script stops with exit status 1 as soon as a run is not `correct`,
 fails an operation or mismatches its pinned checksum. Otherwise it prints,
@@ -97,6 +99,13 @@ def load_spec(checkout):
         return json.load(f)
 
 
+def child_env(environ):
+    """The environment of a perfbench run: `environ` without
+    CARGO_TARGET_DIR, so that each checkout builds in its own tree."""
+    return {key: value for key, value in environ.items()
+            if key != "CARGO_TARGET_DIR"}
+
+
 def run_once(checkout, workload, seed, seconds):
     """One perfbench run in `checkout`; returns its metric values by name."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
@@ -105,7 +114,8 @@ def run_once(checkout, workload, seed, seconds):
     try:
         done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True,
-                              timeout=RUN_TIMEOUT_S)
+                              timeout=RUN_TIMEOUT_S,
+                              env=child_env(os.environ))
     except subprocess.TimeoutExpired:
         raise PairError("%s: perfbench timed out" % checkout)
     lines = done.stdout.strip().splitlines()
@@ -197,11 +207,17 @@ def self_test():
     # 99 beats seven of tight's runs, ties 99 twice and loses to 98.
     expect("win count", judge(tight, [99] * 10, "lower", 0.25)["wins"], 7)
 
+    # Each side builds in its own checkout: an absolute CARGO_TARGET_DIR
+    # would name one build tree for both, and every pair would time one
+    # binary twice.
+    inherited = {"CARGO_TARGET_DIR": "/shared/target", "PATH": "/bin"}
+    expect("child env", child_env(inherited), {"PATH": "/bin"})
+
     for failure in failures:
         print("self-test FAILED: " + failure)
     if failures:
         return 2
-    print("self-test: ok (%d verdict cases)" % len(cases))
+    print("self-test: ok (%d verdict cases, child env)" % len(cases))
     return 0
 
 

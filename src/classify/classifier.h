@@ -52,7 +52,7 @@ struct Classification {
 /// `max_word_length` bounds the four-legged witness search for infinite
 /// languages (the search is exact for finite ones).
 Result<Classification> ClassifyResilience(const Language& lang,
-                                          int max_word_length = 12);
+                                          int max_word_length = 8);
 
 /// Like ClassifyResilience, but takes the precomputed infix-free
 /// sublanguage IF(L) instead of rederiving it: PlanResilienceWithIF(ifl)
@@ -60,7 +60,7 @@ Result<Classification> ClassifyResilience(const Language& lang,
 /// neutral-letter test (Prp 5.7) is a property of L itself.
 Result<Classification> ClassifyResilienceWithIF(const Language& lang,
                                                 const Language& ifl,
-                                                int max_word_length = 12);
+                                                int max_word_length = 8);
 
 /// The verdict for the kAuto plan of IF(L) — the compiled query's entry
 /// point (src/engine/), which plans first. The trivial verdicts come from
@@ -74,7 +74,7 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
 /// kAuto or kBruteForce method).
 Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
                                                   const ResiliencePlan& plan,
-                                                  int max_word_length = 12);
+                                                  int max_word_length = 8);
 
 /// One-line report: "<regex>: <class> — <rule> (<detail>)".
 std::string ClassificationReport(const Language& lang,

@@ -31,7 +31,7 @@ struct CompileOptions {
   bool allow_exponential = true;
   /// Bound on the four-legged witness search during classification
   /// (ClassifyResilience's max_word_length).
-  int max_word_length = 12;
+  int max_word_length = 8;
 };
 
 /// The immutable compilation artifact. Shared (via shared_ptr-to-const)

@@ -72,7 +72,7 @@ struct EngineOptions {
   int num_threads = 0;
   /// Forwarded to CompileQuery / plan selection.
   bool allow_exponential = true;
-  int max_word_length = 12;
+  int max_word_length = 8;
   /// Branch-and-bound node budget when an instance routes to the exact
   /// solver (both the plan side and the differential reference side).
   /// Exceeding it yields OutOfRange — differential runs report such pairs

@@ -4,8 +4,8 @@
 // Every storage syscall in segment.cc / journal.cc goes through a named
 // failpoint *site* (fault::Write, fault::Fsync, ...). When no site is armed
 // the wrappers cost one relaxed atomic load before the real syscall —
-// failpoints stay compiled into production builds (the `bench_engine
-// --faults` gate pins the disabled overhead at <= 1%).
+// failpoints stay compiled into production builds (storage_timing_test
+// pins the disabled overhead at <= 1% of a commit).
 //
 // A site is armed with a FaultSpec: a *kind* (what goes wrong) plus a
 // *trigger* (when it goes wrong). Triggers are fully deterministic: a seeded

@@ -39,7 +39,7 @@ struct FourLeggedWitness {
 /// the search scans words up to `max_word_length` (sound but incomplete —
 /// a nullopt answer is then only "not found").
 std::optional<FourLeggedWitness> FindFourLeggedWitness(
-    const Language& lang, int max_word_length = 12);
+    const Language& lang, int max_word_length = 8);
 
 /// Upgrades any witness to one with stable legs (Lemma 5.5). The input
 /// language must be infix-free.

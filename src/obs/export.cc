@@ -14,6 +14,8 @@ std::string FormatDouble(double value) {
   return buffer;
 }
 
+}  // namespace
+
 std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
@@ -43,6 +45,8 @@ std::string JsonEscape(std::string_view text) {
   }
   return out;
 }
+
+namespace {
 
 // Prometheus label values escape backslash, double quote and newline.
 std::string PromEscape(std::string_view text) {

@@ -5,14 +5,14 @@
 //    cumulative `le` histogram buckets ending in +Inf, _sum and _count
 //    series. Consumable by any Prometheus-compatible scraper.
 //  * JSON: one object mirroring the snapshot structure, with derived
-//    p50/p95/p99 per histogram series so downstream tooling (the bench
-//    harness, scripts/check_metrics_export.py) needn't re-implement
-//    quantile math.
+//    p50/p95/p99 per histogram series so downstream tooling needn't
+//    re-implement quantile math.
 
 #ifndef RPQRES_OBS_EXPORT_H_
 #define RPQRES_OBS_EXPORT_H_
 
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 
@@ -20,6 +20,10 @@ namespace rpqres::obs {
 
 std::string ToPrometheusText(const MetricsSnapshot& snapshot);
 std::string ToJson(const MetricsSnapshot& snapshot);
+
+/// `text` as the body of a JSON string: quotes, backslashes and control
+/// characters escaped.
+std::string JsonEscape(std::string_view text);
 
 }  // namespace rpqres::obs
 

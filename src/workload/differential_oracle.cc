@@ -66,11 +66,6 @@ std::string JudgeOnce(const Language& lang, const ResiliencePlan& plan,
 DifferentialOracle::DifferentialOracle(OracleOptions options)
     : options_([&options] {
         options.engine.max_exact_search_nodes = options.max_exact_search_nodes;
-        // Compile-side classification must match generation-side cost
-        // control (adversarial star languages make the length-12 witness
-        // search explode).
-        options.engine.max_word_length =
-            options.workload.classify_max_word_length;
         return std::move(options);
       }()),
       engine_(options_.engine) {}

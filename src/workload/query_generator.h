@@ -55,11 +55,10 @@ struct GeneratedQuery {
 /// `max_attempts` candidates until the classifier confirms the cell
 /// (ResourceExhausted-style Internal error if none passes — with the
 /// shipped templates this is not expected for any seed).
-/// `max_word_length` bounds the classifier's four-legged witness search;
-/// the workload default of 8 (vs the library's 12) keeps adversarial
-/// UNCLASSIFIED star languages from costing tens of seconds each — it
-/// can only flip NP-hard labels to UNCLASSIFIED, both of which route to
-/// the exact solver anyway.
+/// `max_word_length` bounds the classifier's four-legged witness search,
+/// whose cost grows steeply with it (`e(d|f)*b|bf`: 30 ms at 8, 29 s at
+/// 12); a lower bound can only flip NP-hard labels to UNCLASSIFIED, both
+/// of which route to the exact solver anyway.
 Result<GeneratedQuery> GenerateQuery(Rng* rng, QueryClass target,
                                      int max_attempts = 64,
                                      int max_word_length = 8);

@@ -6,7 +6,7 @@
 // their databases, and an endless stream of tenant-attributed read and
 // commit operations — all as a pure function of one uint64 seed. One
 // number replays an entire stress run: the same trace drives the
-// router tests, the serve stress test, and `bench_engine --serve`
+// router tests, the serve stress test, and the scale-out timing gate
 // identically at any shard count.
 //
 // Answer stability across versions is designed in: commit operations
@@ -14,9 +14,8 @@
 // the read pool mentions. RES(Q) over the query alphabet is therefore
 // identical at every version of every lineage, so a run's resilience
 // checksum is invariant under shard count, commit interleaving, and
-// cache hits — that invariance is what lets the bench compare 1/4/16
-// shard configurations and the tests compare router answers against a
-// single-engine replay.
+// cache hits — that invariance is what lets the tests compare shard
+// counts, and router answers against a single-engine replay.
 
 #ifndef RPQRES_WORKLOAD_TRAFFIC_H_
 #define RPQRES_WORKLOAD_TRAFFIC_H_

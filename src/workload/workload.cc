@@ -36,8 +36,7 @@ Result<WorkloadInstance> MakeWorkloadInstance(uint64_t seed,
   Rng rng(seed);
   RPQRES_ASSIGN_OR_RETURN(
       instance.query,
-      GenerateQuery(&rng, instance.query_class, options.max_query_attempts,
-                    options.classify_max_word_length));
+      GenerateQuery(&rng, instance.query_class, options.max_query_attempts));
 
   Language lang = Language::MustFromRegexString(instance.query.regex);
 

@@ -339,6 +339,19 @@ TEST(EngineCompiledQueryTest, ExposesClassificationAndPlan) {
   EXPECT_TRUE(response.stats.cache_hit);
 }
 
+// A boundary mutant with an infinite IF(L) that reaches the bounded
+// four-legged witness search. At the default word bound its compile
+// takes milliseconds; at a bound of 12 it took about 29 s.
+TEST(EngineCompiledQueryTest, DefaultWordBoundKeepsCompileFast) {
+  const auto start = std::chrono::steady_clock::now();
+  auto compiled = CompileQuery("e(d|f)*b|bf", Semantics::kBag);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EXPECT_LT(seconds, 5.0);
+}
+
 // ---------------------------------------------------------------------------
 // Invalid requests
 // ---------------------------------------------------------------------------

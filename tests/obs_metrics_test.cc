@@ -1,18 +1,25 @@
 // LatencyHistogram bucket math against an exact reference quantile,
 // ShardedCounter aggregation under threads, family label semantics, and
-// the JSON / Prometheus exporters' structural invariants.
+// the JSON / Prometheus exporters' structural invariants — including a
+// live engine's exposition held to the text format's structure.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "engine/db_registry.h"
+#include "engine/engine.h"
+#include "graphdb/generators.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "prometheus_text.h"
+#include "util/rng.h"
 
 namespace rpqres::obs {
 namespace {
@@ -91,6 +98,73 @@ TEST(LatencyHistogramTest, HandlesEdgeValues) {
   // Empty histogram quantile is 0.
   LatencyHistogram empty;
   EXPECT_EQ(empty.TakeSnapshot().Quantile(0.5), 0.0);
+}
+
+// Bucket counts add up to the series count and the quantiles are
+// ordered, for a synthetic distribution and for every series a live
+// engine records.
+void ExpectConsistent(const LatencyHistogram::Snapshot& snapshot,
+                      const std::string& where) {
+  uint64_t bucket_total = 0;
+  for (uint64_t count : snapshot.counts) bucket_total += count;
+  EXPECT_EQ(bucket_total, snapshot.total_count) << where;
+  EXPECT_LE(snapshot.Quantile(0.50), snapshot.Quantile(0.95)) << where;
+  EXPECT_LE(snapshot.Quantile(0.95), snapshot.Quantile(0.99)) << where;
+}
+
+// A small engine that has answered requests on all four solvers, plus one
+// deadline shed, with its registry's gauges.
+struct ServedEngine {
+  DbRegistry registry;
+  ResilienceEngine engine;
+
+  ServedEngine() {
+    Rng rng(2024);
+    DbHandle db = registry.Register(
+        RandomGraphDb(&rng, /*num_nodes=*/12, /*num_facts=*/40,
+                      {'a', 'b', 'c', 'e', 'x'}, /*max_multiplicity=*/3),
+        "served");
+    for (const char* regex : {"ax*b", "ab|bc", "abc|be", "ab|bc|ca"}) {
+      for (Semantics semantics : {Semantics::kBag, Semantics::kSet}) {
+        ResilienceRequest request;
+        request.regex = regex;
+        request.db = db;
+        request.semantics = semantics;
+        EXPECT_TRUE(engine.Evaluate(request).status.ok()) << regex;
+      }
+    }
+    ResilienceRequest late;
+    late.regex = "ax*b";
+    late.db = db;
+    late.options.deadline =
+        std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+    EXPECT_EQ(engine.Evaluate(late).status.code(),
+              StatusCode::kDeadlineExceeded);
+  }
+};
+
+TEST(LatencyHistogramTest, BucketsSumToCountAndQuantilesAreOrdered) {
+  std::mt19937 rng(7);
+  std::lognormal_distribution<double> dist(3.0, 2.0);
+  LatencyHistogram histogram;
+  for (int i = 0; i < 5'000; ++i) histogram.Record(dist(rng));
+  ExpectConsistent(histogram.TakeSnapshot(), "lognormal");
+
+  ServedEngine served;
+  const MetricsSnapshot snapshot =
+      served.engine.TakeMetricsSnapshot(&served.registry);
+  ASSERT_FALSE(snapshot.histograms.empty());
+  for (const HistogramFamily::Snapshot& family : snapshot.histograms) {
+    for (const HistogramFamily::Series& series : family.series) {
+      ExpectConsistent(series.histogram, family.name + "{" + series.label +
+                                             "}");
+    }
+  }
+  for (const CounterFamily::Snapshot& family : snapshot.counters) {
+    for (const CounterFamily::Sample& sample : family.samples) {
+      EXPECT_GE(sample.value, 0) << family.name << "{" << sample.label << "}";
+    }
+  }
 }
 
 TEST(FamilyTest, LabelsCreateStableCells) {
@@ -181,6 +255,24 @@ TEST(ExportTest, JsonCarriesQuantiles) {
   EXPECT_NE(json.find("\"p99_micros\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"rpqres_cache_entries\""), std::string::npos);
+}
+
+TEST(ExportTest, EngineExpositionIsWellFormed) {
+  ServedEngine served;
+  const std::string text =
+      served.engine.ExportMetrics(MetricsFormat::kPrometheus,
+                                  &served.registry);
+  std::vector<std::string> failures;
+  const std::vector<prom_text::Sample> samples =
+      prom_text::Parse(text, &failures);
+  EXPECT_TRUE(failures.empty()) << ::testing::PrintToString(failures);
+  EXPECT_TRUE(prom_text::RepeatedFamilyHeaders(text).empty())
+      << ::testing::PrintToString(prom_text::RepeatedFamilyHeaders(text));
+  int buckets = 0;
+  for (const prom_text::Sample& sample : samples) {
+    if (sample.labels.count("le") != 0) ++buckets;
+  }
+  EXPECT_GT(buckets, 0);
 }
 
 TEST(ExportTest, PrometheusEscapesLabelValues) {

@@ -38,7 +38,6 @@ using serve::ShardedRegistry;
 EngineOptions OneThreadEngines() {
   EngineOptions options;
   options.num_threads = 1;
-  options.max_word_length = 8;
   return options;
 }
 
@@ -190,6 +189,14 @@ TEST(ServeAdmissionTest, TenantCapIsolatesQuietTenantLatency) {
     }
   });
 
+  // Contend only once the cap has engaged: a flooder thread that starts
+  // late would otherwise submit nothing during the quiet pass.
+  const auto engaged_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (flood_sheds.load() == 0 &&
+         std::chrono::steady_clock::now() < engaged_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const double contended_p99 = quiet_pass();
   stop.store(true);
   flooder.join();

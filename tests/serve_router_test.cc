@@ -9,15 +9,20 @@
 // per-shard series, with disjoint statuses summing to instances_run.
 // The stats structs are views of that export: every field of
 // router.stats(), router.engine_stats() and engine.stats() equals its
-// exported sample.
+// exported sample. A seeded fleet (serve_fleet.h) answers alike at 1 and
+// 4 shards, sheds a deadline storm, and exports well-formed Prometheus
+// text whose shard="all" roll-ups equal the per-shard sums.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -26,8 +31,10 @@
 #include "engine/db_registry.h"
 #include "engine/engine.h"
 #include "engine/request.h"
+#include "prometheus_text.h"
 #include "serve/router.h"
 #include "serve/sharded_registry.h"
+#include "serve_fleet.h"
 #include "workload/traffic.h"
 #include "workload/workload.h"
 
@@ -47,7 +54,6 @@ using workload::WorkloadInstance;
 EngineOptions ServeEngineOptions() {
   EngineOptions options;
   options.num_threads = 2;
-  options.max_word_length = 8;  // match the workload generation bound
   return options;
 }
 
@@ -239,6 +245,67 @@ TEST(ServeRouterTest, MergedStatsAndMetricsAreExactSums) {
     }
     if (has_shards) EXPECT_EQ(shard_sum, rollup) << family.name;
   }
+}
+
+TEST(ServeRouterTest, FleetAnswersAndExpositionAgreeAcrossShardCounts) {
+  const serve_fleet::FleetRun single = serve_fleet::RunFleet(1);
+  const serve_fleet::FleetRun sharded = serve_fleet::RunFleet(4);
+  for (const serve_fleet::FleetRun* run : {&single, &sharded}) {
+    EXPECT_GT(run->reads, 0);
+    EXPECT_EQ(run->errors, 0);
+    EXPECT_GT(run->storm_deadline_sheds, 0);
+    for (const obs::LatencyHistogram::Snapshot& latency :
+         run->shard_latency) {
+      EXPECT_GT(latency.total_count, 0u);
+      EXPECT_LE(latency.Quantile(0.5), latency.Quantile(0.99));
+    }
+  }
+  EXPECT_EQ(single.checksum, sharded.checksum);
+
+  // The merged exposition. Its per-shard router gauges repeat their
+  // HELP/TYPE lines once per shard, so one header per family is asserted
+  // on the engine export only (obs_metrics_test).
+  std::vector<std::string> failures;
+  const std::vector<prom_text::Sample> samples =
+      prom_text::Parse(sharded.prometheus, &failures);
+  EXPECT_TRUE(failures.empty()) << ::testing::PrintToString(failures);
+  // Sample values by series (labels other than shard), then by shard.
+  std::map<std::string, std::map<std::string, double>> series_by_shard;
+  for (const prom_text::Sample& sample : samples) {
+    std::map<std::string, std::string> labels = sample.labels;
+    auto shard = labels.find("shard");
+    if (shard == labels.end()) continue;
+    const std::string shard_name = shard->second;
+    labels.erase(shard);
+    series_by_shard[prom_text::SeriesKey(sample.name, labels)][shard_name] =
+        sample.value;
+  }
+  std::set<std::string> shards_seen;
+  std::set<std::string> request_shards;
+  int rollups = 0;
+  for (const auto& [series, by_shard] : series_by_shard) {
+    double total = 0;
+    for (const auto& [shard, value] : by_shard) {
+      if (shard == "all") continue;
+      shards_seen.insert(shard);
+      if (series.rfind("rpqres_requests_total{", 0) == 0) {
+        request_shards.insert(shard);
+      }
+      total += value;
+    }
+    auto rollup = by_shard.find("all");
+    if (rollup == by_shard.end()) continue;  // gauges have no roll-up
+    ++rollups;
+    // _sum samples are printed to 10 significant digits.
+    const bool rounded = series.find("_sum{") != std::string::npos;
+    EXPECT_NEAR(rollup->second, total,
+                rounded ? 1e-6 * std::max(1.0, std::abs(total)) : 0.0)
+        << series;
+  }
+  const std::set<std::string> all_shards = {"0", "1", "2", "3"};
+  EXPECT_EQ(shards_seen, all_shards);
+  EXPECT_EQ(request_shards, all_shards);
+  EXPECT_GT(rollups, 0);
 }
 
 // The stats structs are views of the export: each field equals one

@@ -3,7 +3,9 @@
 // read-only (later commits shed kUnavailable instead of silently losing
 // durability), ENOSPC inside the compaction crash window recovers through
 // the journal skip rule, torn journal appends repair before retry, and
-// Restore reports — not hides — the temp files it sweeps.
+// Restore reports — not hides — the temp files it sweeps. A commit storm
+// with every site armed at probability 0 answers exactly like one with
+// failpoints disabled, live and after reopening, and never fires.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -17,8 +19,10 @@
 #include <vector>
 
 #include "engine/db_registry.h"
+#include "engine/engine.h"
 #include "fault/failpoints.h"
 #include "graphdb/serialization.h"
+#include "storage_workloads.h"
 #include "util/status.h"
 
 namespace rpqres {
@@ -299,6 +303,32 @@ TEST_F(StorageFaultInjectionTest, RestoreReportsSweptTmpFiles) {
   EXPECT_FALSE(fs::exists(dir_ + "/lineage_9.seg.tmp"));
   // Sweeping is hygiene, not damage: the registry stays healthy.
   EXPECT_EQ((*reopened)->health(), HealthState::kHealthy);
+}
+
+TEST_F(StorageFaultInjectionTest, ArmedAtZeroStormMatchesDisabledStorm) {
+  using storage_workloads::StormSide;
+  StormSide disabled(dir_ + "/disabled");
+  StormSide armed(dir_ + "/armed");
+  for (int round = 0; round < 8; ++round) {
+    fault::FailpointRegistry::Instance().ResetAll();
+    ASSERT_TRUE(disabled.CommitBatch(16).ok());
+    storage_workloads::ArmAllSitesAtZero();
+    ASSERT_TRUE(armed.CommitBatch(16).ok());
+    EXPECT_EQ(fault::FailpointRegistry::Instance().TotalFires(), 0);
+  }
+  fault::FailpointRegistry::Instance().ResetAll();
+
+  ResilienceEngine engine;
+  const int64_t answer =
+      storage_workloads::AxbResilience(engine, disabled.latest);
+  EXPECT_GE(answer, 0);
+  EXPECT_EQ(storage_workloads::AxbResilience(engine, armed.latest), answer);
+  for (StormSide* side : {&disabled, &armed}) {
+    side->registry.reset();
+    EXPECT_EQ(storage_workloads::RestoredAxbResilience(engine, side->dir),
+              answer)
+        << side->dir;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // committed version — never a torn one, never an error. Also covers
 // segment corruption (kDataLoss), drop-record replay, leftover temp
 // files, storage gauges, and the ShardedRegistry persistence plumbing.
+// A segment cold load, a text reparse and a 100-commit journal replay
+// answer a query exactly like the database they restore.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -12,11 +14,15 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/db_registry.h"
+#include "engine/engine.h"
 #include "graphdb/serialization.h"
 #include "serve/sharded_registry.h"
+#include "storage_workloads.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace rpqres {
@@ -281,6 +287,62 @@ TEST(StorageRecoveryTest, ShardedRegistryRoundTrips) {
     EXPECT_EQ(handle->version(), 2u) << name;
     EXPECT_EQ(SerializeGraphDb(handle->db()), text) << name;
   }
+  fs::remove_all(dir);
+}
+
+TEST(StorageRecoveryTest, ColdLoadReparseAndReplayAnswerAlike) {
+  using storage_workloads::AxbResilience;
+  using storage_workloads::PersistDb;
+  ResilienceEngine engine;
+  for (auto [num_facts, answer] : {std::pair{4000, 774}, {64000, 11865}}) {
+    const std::string dir = storage_workloads::TempDir("rpqres_persist");
+    ASSERT_TRUE(storage_workloads::WriteBenchSegment(dir, num_facts).ok());
+    EXPECT_EQ(storage_workloads::RestoredAxbResilience(engine, dir), answer)
+        << num_facts;
+    DbRegistry reparsed;
+    Result<GraphDb> parsed =
+        ParseGraphDb(SerializeGraphDb(PersistDb(num_facts)));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(AxbResilience(engine, reparsed.Register(*std::move(parsed))),
+              answer)
+        << num_facts;
+    fs::remove_all(dir);
+  }
+
+  // Restore = segment load + 100 journaled delta groups (compaction off,
+  // so every group survives).
+  const std::string dir = storage_workloads::TempDir("rpqres_replay");
+  int64_t live = 0;
+  {
+    DbRegistry::Options options;
+    options.storage_dir = dir;
+    options.compaction_min_overlay = 1 << 30;
+    DbRegistry registry(options);
+    Rng rng(271828);
+    DbHandle latest = registry.Register(PersistDb(2000), "bench");
+    for (int commit = 0; commit < 100; ++commit) {
+      DeltaBatch batch = registry.BeginDelta(latest);
+      const int nodes = latest.db().num_nodes();
+      const NodeId u = static_cast<NodeId>(rng.NextBelow(nodes));
+      const NodeId v = static_cast<NodeId>(rng.NextBelow(nodes));
+      ASSERT_TRUE(batch.AddFact(u, 'x', v).ok());
+      const NodeId n = batch.AddNode();
+      ASSERT_TRUE(batch.AddFact(n, 'a', u).ok());
+      Result<DbHandle> committed = batch.Commit();
+      ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+      latest = *std::move(committed);
+    }
+    ASSERT_TRUE(registry.storage_status().ok());
+    live = AxbResilience(engine, latest);
+  }
+  Result<std::unique_ptr<DbRegistry>> reopened = DbRegistry::OpenStorage(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_GE((*reopened)->gauges().storage_journal_records, 100);
+  Result<DbHandle> restored = (*reopened)->Resolve("bench@latest");
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored->version(), 101u);
+  EXPECT_GE(live, 0);
+  EXPECT_EQ(AxbResilience(engine, *restored), live);
   fs::remove_all(dir);
 }
 
