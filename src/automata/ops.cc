@@ -52,15 +52,6 @@ Enfa EnfaFromWords(const std::vector<std::string>& words) {
   return a;
 }
 
-Enfa EnfaSigmaStar(const std::vector<char>& alphabet) {
-  Enfa a;
-  int s = a.AddState();
-  a.AddInitial(s);
-  a.AddFinal(s);
-  for (char c : alphabet) a.AddTransition(s, c, s);
-  return a;
-}
-
 namespace {
 
 // Copies `src` into `dst` with all state ids shifted by `offset`; does not
@@ -72,21 +63,6 @@ void AppendStatesAndTransitions(const Enfa& src, Enfa* dst, int offset) {
 }
 
 }  // namespace
-
-Enfa EnfaConcat(const Enfa& a, const Enfa& b) {
-  Enfa out;
-  out.AddStates(a.num_states() + b.num_states());
-  AppendStatesAndTransitions(a, &out, 0);
-  AppendStatesAndTransitions(b, &out, a.num_states());
-  for (int s : a.initial_states()) out.AddInitial(s);
-  for (int s : b.final_states()) out.AddFinal(s + a.num_states());
-  for (int f : a.final_states()) {
-    for (int i : b.initial_states()) {
-      out.AddTransition(f, kEpsilonSymbol, i + a.num_states());
-    }
-  }
-  return out;
-}
 
 Enfa EnfaStar(const Enfa& a) {
   Enfa out;

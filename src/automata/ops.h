@@ -32,10 +32,6 @@ std::vector<char> MergeAlphabets(const std::vector<char>& a,
 Enfa EnfaFromWord(const std::string& word);
 /// εNFA accepting exactly the given set of words.
 Enfa EnfaFromWords(const std::vector<std::string>& words);
-/// εNFA for Σ* over the given alphabet.
-Enfa EnfaSigmaStar(const std::vector<char>& alphabet);
-/// Concatenation L(a)·L(b).
-Enfa EnfaConcat(const Enfa& a, const Enfa& b);
 /// Kleene star L(a)*.
 Enfa EnfaStar(const Enfa& a);
 /// Mirror language L(a)^R (reverse all transitions, swap initial/final) —

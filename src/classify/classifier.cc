@@ -181,11 +181,11 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
   }
 
   // --- NP-hard side ---------------------------------------------------------
-  if (out.finite && HasRepeatedLetterWord(ifl)) {
-    std::optional<RepeatedLetterWord> word = FindMaximalGapWord(ifl);
+  // A finite IF(L) is already spelled out: scan its words for a repeat.
+  if (std::optional<RepeatedLetterWord> word = FindMaximalGapWord(words)) {
     out.complexity = ComplexityClass::kNpHard;
     out.rule = "finite with repeated-letter word (Thm 6.1)";
-    out.detail = "maximal-gap word " + (word ? word->word : "?");
+    out.detail = "maximal-gap word " + word->word;
     return out;
   }
   std::optional<FourLeggedWitness> witness =

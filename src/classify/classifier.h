@@ -3,7 +3,8 @@
 // Given a regular language, classifies the complexity of its resilience
 // problem using the paper's results, always on the infix-free sublanguage:
 //   PTIME:   local (Thm 3.13), bipartite chain (Prp 7.6),
-//            one-dangling / mirrored one-dangling (Prp 7.9 + Prp 6.3)
+//            one-dangling (Prp 7.9; mirror-symmetric, so Prp 6.3 adds
+//            nothing here)
 //   NP-hard: four-legged (Thm 5.3), non-star-free (Lem 5.6),
 //            finite with a repeated-letter word (Thm 6.1),
 //            specific proven-hard languages up to letter renaming
@@ -49,8 +50,9 @@ struct Classification {
 };
 
 /// Classifies the resilience complexity of Q_L per the paper's results.
-/// `max_word_length` bounds the four-legged witness search for infinite
-/// languages (the search is exact for finite ones).
+/// `max_word_length` bounds the words of a four-legged witness of an
+/// infinite IF(L) (finite ones are searched without a bound); the search
+/// costs O(|Σ|·|Q|²) on IF(L)'s minimal DFA whatever the bound.
 Result<Classification> ClassifyResilience(const Language& lang,
                                           int max_word_length = 8);
 
@@ -67,9 +69,12 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
 /// `plan.trivial_infinite` / `plan.trivial_empty`, and the PTIME verdict
 /// from `plan.method`: kLocalFlow gives Thm 3.13, kBclFlow Prp 7.6 and
 /// kOneDanglingFlow Prp 7.9 (its detail is the decomposition the tables
-/// hold). Only a kExact plan runs the NP-hard rules: repeated letter,
-/// four-legged (bounded by `max_word_length` on infinite languages),
-/// star-free, neutral letter, the known gadgets and the chain gadget.
+/// hold). Only a kExact plan runs the NP-hard rules: repeated letter (a
+/// scan of the finite IF(L)'s words), four-legged (a walk over IF(L)'s
+/// minimal DFA that decides witnesses with both words of at most
+/// `max_word_length` letters exactly, and is unbounded on finite
+/// languages), star-free, neutral letter, the known gadgets and the chain
+/// gadget.
 /// `plan` must come from PlanResilienceWithIF (InvalidArgument for a
 /// kAuto or kBruteForce method).
 Result<Classification> ClassifyResilienceWithPlan(const Language& lang,

@@ -29,8 +29,9 @@ struct CompileOptions {
   /// Whether the plan may fall back to the exponential exact solver when
   /// no polynomial algorithm applies (Unimplemented otherwise).
   bool allow_exponential = true;
-  /// Bound on the four-legged witness search during classification
-  /// (ClassifyResilience's max_word_length).
+  /// Bound on the words of a four-legged witness during classification
+  /// (ClassifyResilience's max_word_length). The search walks IF(L)'s
+  /// minimal DFA, so its cost does not grow with the bound.
   int max_word_length = 8;
 };
 
@@ -51,7 +52,9 @@ struct CompiledQuery {
   /// Solver tables for the RO-εNFA of the *original* language L (not
   /// IF(L) — the IF rewrite is unsound with fixed endpoints), present iff
   /// L itself is local. Powers fixed-endpoint requests
-  /// (ResilienceRequest::source/target).
+  /// (ResilienceRequest::source/target). L local implies IF(L) local, so
+  /// only a kLocalFlow or trivial plan tries to build them, and when
+  /// L ≡ IF(L) they are a copy of `plan.ro_tables`.
   std::optional<RoProductTables> ro_tables_exact;
   /// Wall time CompileQuery spent producing this artifact, microseconds.
   double compile_micros = 0;

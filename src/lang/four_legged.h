@@ -34,10 +34,16 @@ struct FourLeggedWitness {
   std::string CrossWord() const { return alpha + body + delta; }
 };
 
-/// Searches for a four-legged witness of the *infix-free* language `lang`.
-/// Exhaustive (hence exact) for finite languages; for infinite languages
-/// the search scans words up to `max_word_length` (sound but incomplete —
-/// a nullopt answer is then only "not found").
+/// Searches for a four-legged witness of the *infix-free* language `lang`
+/// on its minimal DFA, in O(|Σ|·|Q|²) time and O(|Q|²) memory at most,
+/// whatever the bound: a search over pairs of states, one of them on an
+/// accepted word within the bound. For an infinite language only
+/// witnesses with |αxβ| and |γxδ| at most `max_word_length` count, and
+/// whether one exists is decided exactly; a finite language is searched
+/// without the bound.
+/// The witness found is the one with the least |αxβ| + |γxδ|, upgraded to
+/// stable legs by MakeStableLegs (which may lengthen its words past the
+/// bound).
 std::optional<FourLeggedWitness> FindFourLeggedWitness(
     const Language& lang, int max_word_length = 8);
 

@@ -1,11 +1,28 @@
 #include "lang/one_dangling.h"
 
-#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "automata/ops.h"
 #include "lang/local.h"
 
 namespace rpqres {
+namespace {
+
+// Whether some word of L(dfa) uses `letter`: a transition on it between
+// useful states.
+bool UsesLetter(const Dfa& dfa, const std::vector<bool>& useful,
+                char letter) {
+  const int a = dfa.SymbolIndex(letter);
+  if (a < 0) return false;
+  for (int s = 0; s < dfa.num_states(); ++s) {
+    const int t = dfa.NextByIndex(s, a);
+    if (useful[s] && t != kNoState && useful[t]) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 std::optional<OneDanglingDecomposition> FindOneDanglingDecomposition(
     const Language& lang) {
@@ -15,28 +32,21 @@ std::optional<OneDanglingDecomposition> FindOneDanglingDecomposition(
   for (const std::string& w : *short_words) {
     if (w.size() != 2 || w[0] == w[1]) continue;
     char x = w[0], y = w[1];
-    // base = L \ {xy}.
-    Dfa base_dfa = Minimize(
-        DifferenceDfa(lang.min_dfa(), MinimalDfa(EnfaFromWord(w))));
+    // base = L \ {xy}. Freshness is read off the product, before the base
+    // is minimized into a Language.
+    Dfa base_dfa = DifferenceDfa(lang.min_dfa(), MinimalDfa(EnfaFromWord(w)));
+    const std::vector<bool> useful = UsefulStates(base_dfa);
+    bool x_in_base = UsesLetter(base_dfa, useful, x);
+    bool y_in_base = UsesLetter(base_dfa, useful, y);
+    if (x_in_base && y_in_base) continue;  // neither endpoint is fresh
     Language base = Language::FromDfa(base_dfa);
     base.set_description(lang.description() + " \\ {" + w + "}");
-    const std::vector<char>& sigma = base.used_letters();
-    bool x_in_base =
-        std::binary_search(sigma.begin(), sigma.end(), x);
-    bool y_in_base =
-        std::binary_search(sigma.begin(), sigma.end(), y);
-    if (x_in_base && y_in_base) continue;  // neither endpoint is fresh
     if (!IsLocal(base)) continue;
     OneDanglingDecomposition decomposition{x, y, std::move(base), x_in_base,
                                            y_in_base};
     return decomposition;
   }
   return std::nullopt;
-}
-
-bool IsOneDanglingOrMirror(const Language& lang) {
-  if (FindOneDanglingDecomposition(lang)) return true;
-  return FindOneDanglingDecomposition(lang.Mirror()).has_value();
 }
 
 }  // namespace rpqres

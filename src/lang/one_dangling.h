@@ -27,16 +27,14 @@ struct OneDanglingDecomposition {
 /// word xy ∈ L, x ≠ y, such that L \ {xy} is local and x or y does not
 /// occur in L \ {xy}. Returns nullopt if none exists.
 ///
-/// Note this analyzes L as given; Prp 6.3 lets callers also try Mirror(L).
-/// BuildOneDanglingTables (resilience/one_dangling_resilience.h) does so
-/// at plan time and maps either orientation, and the y ∈ Σ case, back
-/// onto D, so no solve mirrors a database.
+/// Def 7.8 is symmetric in x and y, and local languages are closed under
+/// reversal, so Mirror(L) decomposes exactly when L does: no caller
+/// retries on the mirror. When only x is fresh, BuildOneDanglingTables
+/// (resilience/one_dangling_resilience.h) splits y-facts at their source,
+/// the mirror image of the paper's construction mapped back onto D, so no
+/// solve mirrors a database either.
 std::optional<OneDanglingDecomposition> FindOneDanglingDecomposition(
     const Language& lang);
-
-/// True iff L or its mirror admits a one-dangling decomposition; both
-/// directions are PTIME for resilience via Prp 7.9 + Prp 6.3.
-bool IsOneDanglingOrMirror(const Language& lang);
 
 }  // namespace rpqres
 

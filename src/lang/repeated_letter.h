@@ -32,7 +32,8 @@ struct RepeatedLetterWord {
 };
 
 /// True iff some word of L (finite or infinite) repeats some letter,
-/// decided via the automaton: L ∩ Σ*aΣ*aΣ* ≠ ∅ for some letter a.
+/// decided on the minimal DFA: one breadth-first walk per letter a over
+/// pairs (state, occurrences of a read so far: 0, 1 or 2+).
 bool HasRepeatedLetterWord(const Language& lang);
 
 /// Shortest word of L with a repeated letter, or nullopt.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "flow/solver_scratch.h"
 #include "lang/infix_free.h"
@@ -21,34 +20,22 @@ constexpr const char* kAlgorithm = "one-dangling flow (Prp 7.9)";
 }  // namespace
 
 Result<OneDanglingTables> BuildOneDanglingTables(const Language& ifl) {
-  // L = B ∪ {pq}; a decomposition of Mirror(L) = B′ ∪ {xy} gives
-  // L = Mirror(B′) ∪ {yx} (Prp 6.3).
   std::optional<OneDanglingDecomposition> decomposition =
       FindOneDanglingDecomposition(ifl);
-  const bool mirrored = !decomposition.has_value();
-  if (mirrored) decomposition = FindOneDanglingDecomposition(ifl.Mirror());
   if (!decomposition) {
-    return Status::FailedPrecondition(
-        "is not one-dangling (nor is its mirror)");
+    return Status::FailedPrecondition("is not one-dangling");
   }
   OneDanglingTables tables;
-  tables.decomposition = std::string(mirrored ? "mirror of L = " : "L = ") +
-                         decomposition->base.description() + " ∪ {" +
+  tables.decomposition = "L = " + decomposition->base.description() + " ∪ {" +
                          decomposition->x + decomposition->y + "}";
-  char p = decomposition->x;
-  char q = decomposition->y;
-  bool q_fresh = !decomposition->y_in_base;
-  if (mirrored) {
-    std::swap(p, q);
-    q_fresh = !decomposition->x_in_base;
-  }
-  const Language base =
-      mirrored ? decomposition->base.Mirror() : std::move(decomposition->base);
-  RPQRES_ASSIGN_OR_RETURN(Enfa ro, BuildRoEnfa(base));
+  RPQRES_ASSIGN_OR_RETURN(Enfa ro, BuildRoEnfa(decomposition->base));
   RPQRES_ASSIGN_OR_RETURN(tables.base, BuildRoProductTables(ro));
+  // L = B ∪ {pq}: split p at its target when q is fresh, else q at its
+  // source.
+  const bool q_fresh = !decomposition->y_in_base;
   tables.split_at_target = q_fresh;
-  tables.split = q_fresh ? p : q;
-  tables.fresh = q_fresh ? q : p;
+  tables.split = q_fresh ? decomposition->x : decomposition->y;
+  tables.fresh = q_fresh ? decomposition->y : decomposition->x;
   return tables;
 }
 

@@ -18,9 +18,9 @@
 // p-facts are left out, as D′ drops its non-positive z-facts. The value is
 // cut + Σ_v min(0, z(v)) + κ.
 //
-// When only p is fresh (the mirror case of Prp 6.3), the tables split q
-// instead, at each q-fact's source: the mirror of the construction above,
-// mapped back onto D, so nothing is mirrored at solve time either.
+// When only p is fresh, the tables split q instead, at each q-fact's
+// source: the mirror of the construction above (Prp 6.3), mapped back onto
+// D, so nothing is mirrored at solve time either.
 //
 // The witness follows Claim 7.10: at a node v whose z-edge is cut or
 // absent, every split-letter fact at v; otherwise every fresh-letter fact
@@ -55,14 +55,12 @@ struct OneDanglingTables {
   /// when split at their source (q, p fresh).
   bool split_at_target = true;
   /// The decomposition found, as the Figure 1 verdict reports it:
-  /// "L = B ∪ {pq}", or "mirror of L = B′ ∪ {qp}" when only the mirror
-  /// of IF(L) decomposes.
+  /// "L = B ∪ {pq}".
   std::string decomposition;
 };
 
 /// Derives the tables from an infix-free language without ε (IF(L) of the
-/// query), trying L and then its mirror as IsOneDanglingOrMirror does;
-/// FailedPrecondition when neither is one-dangling.
+/// query); FailedPrecondition when it is not one-dangling.
 Result<OneDanglingTables> BuildOneDanglingTables(const Language& ifl);
 
 /// Solves RES(Q_L, D) from tables built for IF(L). `label_index` (built
@@ -77,7 +75,7 @@ Result<ResilienceResult> SolveOneDanglingWithTables(
 
 /// One-shot form: computes IF(L), builds its tables and calls
 /// SolveOneDanglingWithTables. FailedPrecondition when IF(L) is not
-/// one-dangling, directly or after mirroring.
+/// one-dangling.
 Result<ResilienceResult> SolveOneDanglingResilience(
     const Language& lang, const GraphDb& db, Semantics semantics,
     const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);

@@ -274,12 +274,16 @@ obs::MetricsSnapshot Router::TakeMetricsSnapshot() const {
   for (auto& family : own.histograms) {
     merged.histograms.push_back(std::move(family));
   }
+  // Each family's shard gauges stay adjacent: the exporter writes one
+  // HELP/TYPE header per run of equal names.
   for (int i = 0; i < shards_->num_shards(); ++i) {
     merged.gauges.push_back(
         {"rpqres_router_shard_inflight",
          "Admitted requests currently in flight on the shard",
          static_cast<double>(admission_.shard_inflight(i)),
          std::to_string(i)});
+  }
+  for (int i = 0; i < shards_->num_shards(); ++i) {
     merged.gauges.push_back(
         {"rpqres_shard_health",
          "Shard storage health (0 healthy, 1 degraded read-only, 2 failed)",

@@ -28,7 +28,7 @@ namespace workload {
 enum class QueryClass {
   kLocal,        ///< IF(L) local (Thm 3.13 applies)
   kBcl,          ///< IF(L) a bipartite chain language (Prp 7.6)
-  kOneDangling,  ///< IF(L) one-dangling or mirrored (Prp 7.9)
+  kOneDangling,  ///< IF(L) one-dangling (Prp 7.9)
   kHard,         ///< classified NP-hard (exact solver territory)
   kBoundary,     ///< one-edit mutant of another class; any cell accepted
 };
@@ -55,10 +55,11 @@ struct GeneratedQuery {
 /// `max_attempts` candidates until the classifier confirms the cell
 /// (ResourceExhausted-style Internal error if none passes — with the
 /// shipped templates this is not expected for any seed).
-/// `max_word_length` bounds the classifier's four-legged witness search,
-/// whose cost grows steeply with it (`e(d|f)*b|bf`: 30 ms at 8, 29 s at
-/// 12); a lower bound can only flip NP-hard labels to UNCLASSIFIED, both
-/// of which route to the exact solver anyway.
+/// `max_word_length` bounds the words of the classifier's four-legged
+/// witnesses on infinite languages. The test walks IF(L)'s minimal DFA,
+/// so its cost does not depend on the bound, but the accepted stream does:
+/// a lower bound can only flip NP-hard labels to UNCLASSIFIED (both route
+/// to the exact solver), and with them the kHard draws.
 Result<GeneratedQuery> GenerateQuery(Rng* rng, QueryClass target,
                                      int max_attempts = 64,
                                      int max_word_length = 8);

@@ -106,14 +106,9 @@ TEST(MirrorPropertyTest, MirrorOfMirrorAndLengthPreservation) {
   }
 }
 
-TEST(ConcatStarPropertyTest, MatchesWordSemantics) {
-  Enfa ab = EnfaFromWord("ab");
-  Enfa c = EnfaFromWord("c");
-  Dfa concat = MinimalDfa(EnfaConcat(ab, c));
-  Dfa star = MinimalDfa(EnfaStar(ab));
+TEST(StarPropertyTest, MatchesWordSemantics) {
+  Dfa star = MinimalDfa(EnfaStar(EnfaFromWord("ab")));
   for (const std::string& w : Words({'a', 'b', 'c'}, 5)) {
-    bool in_concat = (w == "abc");
-    EXPECT_EQ(concat.Accepts(w), in_concat) << w;
     bool in_star = w.size() % 2 == 0;
     for (size_t i = 0; in_star && i < w.size(); i += 2) {
       in_star = w[i] == 'a' && w[i + 1] == 'b';

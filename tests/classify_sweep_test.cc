@@ -1,6 +1,7 @@
 // Exhaustive robustness sweep: classify *every* language with at most two
 // words of length <= 3 over {a, b, c} (780 languages) and check that the
-// verdicts are internally consistent:
+// verdicts are internally consistent (then pin, over those languages and
+// generated ones, the facts the compile-time tests rest on):
 //   * classification never errors;
 //   * PTIME verdicts are backed by an applicable flow solver whose answer
 //     matches brute force on a random instance;
@@ -9,6 +10,10 @@
 //   * UNCLASSIFIED verdicts are genuinely outside every implemented class.
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <vector>
 
 #include "classify/classifier.h"
 #include "graphdb/generators.h"
@@ -19,6 +24,8 @@
 #include "lang/local.h"
 #include "lang/one_dangling.h"
 #include "lang/repeated_letter.h"
+#include "lang/ro_enfa.h"
+#include "language_sweep.h"
 #include "resilience/exact.h"
 #include "resilience/resilience.h"
 #include "util/rng.h"
@@ -27,23 +34,7 @@
 namespace rpqres {
 namespace {
 
-std::vector<std::string> AllWords() {
-  const std::vector<char> sigma = {'a', 'b', 'c'};
-  std::vector<std::string> words;
-  for (char x : sigma) words.push_back(std::string(1, x));
-  size_t one = words.size();
-  for (size_t i = 0; i < one; ++i) {
-    for (char x : sigma) words.push_back(words[i] + x);
-  }
-  size_t two = words.size();
-  for (size_t i = one; i < two; ++i) {
-    for (char x : sigma) words.push_back(words[i] + x);
-  }
-  return words;  // 3 + 9 + 27 = 39
-}
-
 TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
-  std::vector<std::string> words = AllWords();
   Rng rng(20260610);
   int counts[3] = {0, 0, 0};  // PTIME, NP-hard, unclassified
   int solver_checks = 0;
@@ -62,7 +53,7 @@ TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
       case ComplexityClass::kPtime: {
         ++counts[0];
         bool backed = IsLocal(ifl) || IsBipartiteChainLanguage(ifl) ||
-                      IsOneDanglingOrMirror(ifl);
+                      FindOneDanglingDecomposition(ifl).has_value();
         EXPECT_TRUE(backed) << lang.description() << " via " << c->rule;
         // Spot-check the routed solver against brute force (sampled to
         // keep the sweep fast).
@@ -96,14 +87,16 @@ TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
         // And never overlap a tractable class.
         EXPECT_FALSE(IsLocal(ifl)) << lang.description();
         EXPECT_FALSE(IsBipartiteChainLanguage(ifl)) << lang.description();
-        EXPECT_FALSE(IsOneDanglingOrMirror(ifl)) << lang.description();
+        EXPECT_FALSE(FindOneDanglingDecomposition(ifl).has_value())
+            << lang.description();
         break;
       }
       case ComplexityClass::kUnclassified: {
         ++counts[2];
         EXPECT_FALSE(IsLocal(ifl)) << lang.description();
         EXPECT_FALSE(IsBipartiteChainLanguage(ifl)) << lang.description();
-        EXPECT_FALSE(IsOneDanglingOrMirror(ifl)) << lang.description();
+        EXPECT_FALSE(FindOneDanglingDecomposition(ifl).has_value())
+            << lang.description();
         EXPECT_FALSE(HasRepeatedLetterWord(ifl)) << lang.description();
         EXPECT_FALSE(FindFourLeggedWitness(ifl).has_value())
             << lang.description();
@@ -112,11 +105,8 @@ TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
     }
   };
 
-  for (size_t i = 0; i < words.size(); ++i) {
-    handle({words[i]});
-    for (size_t j = i + 1; j < words.size(); ++j) {
-      handle({words[i], words[j]});
-    }
+  for (const std::vector<std::string>& word_set : SmallWordSets()) {
+    handle(word_set);
   }
 
   // The sweep covers all three columns of Figure 1 and actually ran the
@@ -128,6 +118,75 @@ TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
   RecordProperty("ptime", counts[0]);
   RecordProperty("nphard", counts[1]);
   RecordProperty("unclassified", counts[2]);
+}
+
+// The sweep languages and 1,000 generated regexes, with IF(L) of each:
+// the inputs of the facts below.
+std::vector<Language> FactLanguages() {
+  std::vector<Language> languages;
+  for (const std::vector<std::string>& words : SmallWordSets()) {
+    languages.push_back(Language::FromWords(words));
+  }
+  for (const std::string& regex : GeneratedRegexes(25, 1000)) {
+    languages.push_back(Language::MustFromRegexString(regex));
+  }
+  const size_t given = languages.size();
+  for (size_t i = 0; i < given; ++i) {
+    languages.push_back(InfixFreeSublanguage(languages[i]));
+  }
+  return languages;
+}
+
+// Def 7.8 is symmetric in x and y and local languages are closed under
+// reversal, so the plan never retries the search on Mirror(L).
+TEST(CompileFactsTest, OneDanglingIsMirrorSymmetric) {
+  int decomposed = 0;
+  for (const Language& lang : FactLanguages()) {
+    const bool direct = FindOneDanglingDecomposition(lang).has_value();
+    EXPECT_EQ(direct,
+              FindOneDanglingDecomposition(lang.Mirror()).has_value())
+        << lang.description();
+    decomposed += direct ? 1 : 0;
+  }
+  EXPECT_GT(decomposed, 100);
+}
+
+// L local implies IF(L) local, so CompileQuery tries the fixed-endpoint
+// tables of L only for a local or trivial plan.
+TEST(CompileFactsTest, LocalLanguagesPlanLocalOrTrivial) {
+  int local = 0;
+  for (const Language& lang : FactLanguages()) {
+    if (!BuildRoEnfa(lang).ok()) continue;
+    ++local;
+    Result<ResiliencePlan> plan = PlanResilience(lang);
+    ASSERT_TRUE(plan.ok()) << lang.description() << ": " << plan.status();
+    EXPECT_TRUE(plan->method == ResilienceMethod::kLocalFlow ||
+                plan->trivial_infinite || plan->trivial_empty)
+        << lang.description();
+  }
+  EXPECT_GT(local, 100);
+}
+
+// The repeated-letter walk agrees with a scan of the words of a finite
+// language, and holds on every infinite one: a word longer than the
+// alphabet repeats a letter.
+TEST(CompileFactsTest, RepeatedLetterMatchesWordScan) {
+  int infinite = 0;
+  for (const Language& lang : FactLanguages()) {
+    if (!lang.IsFinite()) {
+      ++infinite;
+      EXPECT_TRUE(HasRepeatedLetterWord(lang)) << lang.description();
+      continue;
+    }
+    Result<std::vector<std::string>> words = lang.Words();
+    ASSERT_TRUE(words.ok()) << lang.description();
+    bool repeats = false;
+    for (const std::string& word : *words) {
+      repeats |= std::set<char>(word.begin(), word.end()).size() < word.size();
+    }
+    EXPECT_EQ(HasRepeatedLetterWord(lang), repeats) << lang.description();
+  }
+  EXPECT_GT(infinite, 100);
 }
 
 }  // namespace

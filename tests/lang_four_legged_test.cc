@@ -1,11 +1,17 @@
 // Tests for four-legged languages (Section 5.1): witness search, the
-// stable-legs upgrade of Lemma 5.5, and the paper's Example 5.2.
+// stable-legs upgrade of Lemma 5.5, the paper's Example 5.2, and the DFA
+// walk against a word-by-word check of Def 5.1.
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "lang/four_legged.h"
 #include "lang/infix_free.h"
 #include "lang/language.h"
+#include "language_sweep.h"
 
 namespace rpqres {
 namespace {
@@ -126,6 +132,89 @@ INSTANTIATE_TEST_SUITE_P(Sweep, FourLeggedConsistencyTest,
                                            "abxcd|efxgh", "be*c|de*f",
                                            "axxb|cxxd", "abc|bcd",
                                            "abcd|be|ef"));
+
+// The reference for the DFA walk: Def 5.1 checked word by word. Every
+// word of a finite L, or every word of at most `max_word_length` letters,
+// is tried pairwise at each interior position. Returns whether some pair
+// is a witness.
+bool EnumeratedFourLegged(const Language& lang, int max_word_length) {
+  Result<std::vector<std::string>> words =
+      lang.IsFinite() ? lang.Words() : lang.WordsUpTo(max_word_length);
+  EXPECT_TRUE(words.ok()) << lang.description() << ": " << words.status();
+  if (!words.ok()) return false;
+  const Dfa& dfa = lang.min_dfa();
+  for (const std::string& w1 : *words) {
+    for (size_t i = 1; i + 1 < w1.size(); ++i) {
+      // αxδ ∈ L iff δ leads from the state after αx = w1[0..i] into F.
+      const int after_x = dfa.Run(w1.substr(0, i + 1));
+      for (const std::string& w2 : *words) {
+        for (size_t j = 1; j + 1 < w2.size(); ++j) {
+          if (w2[j] != w1[i]) continue;
+          const int end = dfa.RunFrom(after_x, w2.substr(j + 1));
+          if (end == kNoState || !dfa.IsFinal(end)) return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+// The walk agrees with the enumeration on the infix-free `ifl` at bounds
+// 8 down to 3, and every witness it returns is valid, stable and left
+// stable by MakeStableLegs.
+void ExpectWalkMatchesEnumeration(const Language& ifl,
+                                  const std::string& name) {
+  bool enumerated = true;
+  for (int bound = 8; bound >= 3; --bound) {
+    // The words the enumeration tries at `bound` are among those it tried
+    // at `bound + 1`: once it finds no witness, it finds none below.
+    if (enumerated) enumerated = EnumeratedFourLegged(ifl, bound);
+    std::optional<FourLeggedWitness> walked =
+        FindFourLeggedWitness(ifl, bound);
+    EXPECT_EQ(walked.has_value(), enumerated)
+        << name << " at bound " << bound;
+    if (!walked) continue;
+    ExpectValidWitness(ifl, *walked);
+    EXPECT_TRUE(walked->stable) << name;
+    EXPECT_FALSE(SomeInfixInLanguage(ifl, walked->CrossWord())) << name;
+    EXPECT_TRUE(MakeStableLegs(ifl, *walked).stable) << name;
+  }
+}
+
+TEST(FourLeggedDifferentialTest, SmallLanguages) {
+  int found = 0;
+  for (const std::vector<std::string>& words : SmallWordSets()) {
+    const Language ifl = InfixFreeSublanguage(Language::FromWords(words));
+    ExpectWalkMatchesEnumeration(ifl, ifl.description());
+    found += FindFourLeggedWitness(ifl).has_value() ? 1 : 0;
+  }
+  EXPECT_GT(found, 0);
+}
+
+TEST(FourLeggedDifferentialTest, GeneratedQueries) {
+  // The regex stream the engine and the benchmark compile, every class.
+  const std::vector<std::string> regexes = GeneratedRegexes(24, 2000);
+  ASSERT_GE(regexes.size(), 2000u);
+  int found = 0;
+  for (const std::string& regex : regexes) {
+    const Language ifl =
+        InfixFreeSublanguage(Language::MustFromRegexString(regex));
+    ExpectWalkMatchesEnumeration(ifl, regex);
+    found += FindFourLeggedWitness(ifl).has_value() ? 1 : 0;
+  }
+  EXPECT_GT(found, 0);
+}
+
+TEST(FourLeggedDifferentialTest, BoundIsDecidedExactly) {
+  // The shortest witnesses: a·x·b / c·x·d for ax*b|cxd (3 letters each),
+  // and b·a·ad / ba·a·d for b(aa)*d (4 letters each; bad ∉ L).
+  Language axb = Language::MustFromRegexString("ax*b|cxd");
+  EXPECT_FALSE(FindFourLeggedWitness(axb, 2).has_value());
+  EXPECT_TRUE(FindFourLeggedWitness(axb, 3).has_value());
+  Language even = Language::MustFromRegexString("b(aa)*d");
+  EXPECT_FALSE(FindFourLeggedWitness(even, 3).has_value());
+  EXPECT_TRUE(FindFourLeggedWitness(even, 4).has_value());
+}
 
 }  // namespace
 }  // namespace rpqres

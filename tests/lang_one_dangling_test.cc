@@ -63,9 +63,9 @@ TEST(OneDanglingTest, RejectsEqualLetters) {
 }
 
 TEST(OneDanglingTest, MirrorCase) {
-  // abc|ea: mirror is cba|ae = cba ∪ {ae} with e fresh — one-dangling
-  // only after mirroring (direct: ea has fresh letter e as FIRST letter,
-  // x = e ∉ base, so it is directly one-dangling too with x fresh).
+  // abc|ea: its mirror cba|ae = cba ∪ {ae} has e fresh as the LAST
+  // letter; abc|ea itself decomposes directly with the fresh letter first
+  // (x = e ∉ base), as Def 7.8's symmetry in x and y says it must.
   Language lang = Language::MustFromRegexString("abc|ea");
   std::optional<OneDanglingDecomposition> direct =
       FindOneDanglingDecomposition(lang);
@@ -73,7 +73,13 @@ TEST(OneDanglingTest, MirrorCase) {
   EXPECT_EQ(direct->x, 'e');
   EXPECT_FALSE(direct->x_in_base);
   EXPECT_TRUE(direct->y_in_base);  // a occurs in abc
-  EXPECT_TRUE(IsOneDanglingOrMirror(lang));
+  std::optional<OneDanglingDecomposition> mirrored =
+      FindOneDanglingDecomposition(lang.Mirror());
+  ASSERT_TRUE(mirrored.has_value());
+  EXPECT_EQ(mirrored->x, 'a');
+  EXPECT_EQ(mirrored->y, 'e');
+  EXPECT_TRUE(mirrored->x_in_base);
+  EXPECT_FALSE(mirrored->y_in_base);
 }
 
 TEST(OneDanglingTest, XInBaseCase) {
@@ -91,7 +97,9 @@ TEST(OneDanglingTest, XInBaseCase) {
 TEST(OneDanglingTest, NotOneDangling) {
   for (const char* regex :
        {"aa", "axb|cxd", "abc|bcd", "abcd|be|ef", "abcd|bef"}) {
-    EXPECT_FALSE(IsOneDanglingOrMirror(Language::MustFromRegexString(regex)))
+    Language lang = Language::MustFromRegexString(regex);
+    EXPECT_FALSE(FindOneDanglingDecomposition(lang).has_value()) << regex;
+    EXPECT_FALSE(FindOneDanglingDecomposition(lang.Mirror()).has_value())
         << regex;
   }
 }
@@ -112,8 +120,9 @@ TEST(OneDanglingTest, BclCanAlsoBeOneDangling) {
 TEST(OneDanglingTest, LongDanglingWordDoesNotQualify) {
   // The dangling word must have length exactly 2: abc|bef is not
   // one-dangling (and is in fact NP-hard, Prp 7.11).
-  EXPECT_FALSE(IsOneDanglingOrMirror(
-      Language::MustFromRegexString("abcd|bef")));
+  EXPECT_FALSE(FindOneDanglingDecomposition(
+                   Language::MustFromRegexString("abcd|bef"))
+                   .has_value());
 }
 
 }  // namespace

@@ -262,13 +262,14 @@ TEST(ServeRouterTest, FleetAnswersAndExpositionAgreeAcrossShardCounts) {
   }
   EXPECT_EQ(single.checksum, sharded.checksum);
 
-  // The merged exposition. Its per-shard router gauges repeat their
-  // HELP/TYPE lines once per shard, so one header per family is asserted
-  // on the engine export only (obs_metrics_test).
+  // The merged exposition, with one HELP/TYPE header per family.
   std::vector<std::string> failures;
   const std::vector<prom_text::Sample> samples =
       prom_text::Parse(sharded.prometheus, &failures);
   EXPECT_TRUE(failures.empty()) << ::testing::PrintToString(failures);
+  EXPECT_TRUE(prom_text::RepeatedFamilyHeaders(sharded.prometheus).empty())
+      << ::testing::PrintToString(
+             prom_text::RepeatedFamilyHeaders(sharded.prometheus));
   // Sample values by series (labels other than shard), then by shard.
   std::map<std::string, std::map<std::string, double>> series_by_shard;
   for (const prom_text::Sample& sample : samples) {

@@ -1,9 +1,11 @@
 // Tests for the class-stratified query generator: every draw lands in its
 // target Figure 1 cell (classifier-confirmed), generation is seed-
-// deterministic, and the boundary mutator produces parseable regexes.
+// deterministic, the boundary mutator produces parseable regexes, and the
+// stream itself is pinned.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -92,6 +94,51 @@ TEST(QueryGeneratorTest, BoundaryAcceptsAnyCell) {
   }
   // Mutation pressure should reach at least two different columns.
   EXPECT_GE(seen.size(), 2u);
+}
+
+// FNV-1a over the first 200 regexes GenerateQuery draws for `target`
+// from Rng(seed) at word bound 8, one per line.
+uint64_t StreamDigest(uint64_t seed, QueryClass target) {
+  Rng rng(seed);
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < 200; ++i) {
+    Result<GeneratedQuery> query = GenerateQuery(
+        &rng, target, /*max_attempts=*/64, /*max_word_length=*/8);
+    const std::string line = (query.ok() ? query->regex : "!error") + "\n";
+    for (unsigned char c : line) {
+      digest ^= c;
+      digest *= 0x100000001b3ULL;
+    }
+  }
+  return digest;
+}
+
+TEST(QueryGeneratorTest, StreamIsPinned) {
+  // The classifier decides which candidates the generator accepts, and
+  // the benchmark's cold_regex pools, with their pinned checksums, are
+  // drawn from this stream: a verdict change that reshuffles it fails
+  // here first.
+  struct Pin {
+    uint64_t seed;
+    QueryClass target;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {7, QueryClass::kLocal, 0x7f6d804beaf31044ULL},
+      {7, QueryClass::kBcl, 0x8aaec67d4ba5ffd3ULL},
+      {7, QueryClass::kOneDangling, 0x8938c17f29a197e0ULL},
+      {7, QueryClass::kHard, 0xe35d4b8756872f7bULL},
+      {7, QueryClass::kBoundary, 0x0e3a1f04f7222bdaULL},
+      {20260610, QueryClass::kLocal, 0x484c52ef3daa554eULL},
+      {20260610, QueryClass::kBcl, 0x93a6c946572bc4ddULL},
+      {20260610, QueryClass::kOneDangling, 0x34de08cd7ca282d9ULL},
+      {20260610, QueryClass::kHard, 0x3184da9476ab4291ULL},
+      {20260610, QueryClass::kBoundary, 0x61b1f21a8beb70edULL},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(StreamDigest(pin.seed, pin.target), pin.digest)
+        << QueryClassName(pin.target) << " at seed " << pin.seed;
+  }
 }
 
 }  // namespace
