@@ -123,16 +123,28 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
   const Language& ifl = plan.if_language;
   Classification out;
   out.finite = ifl.IsFinite();
+  // A bounded step that runs out (OutOfRange) skips only the rules that
+  // need its result; the verdict names the exhausted bound.
   std::vector<std::string> words;
+  std::string words_exhausted;
   if (out.finite) {
-    RPQRES_ASSIGN_OR_RETURN(words, ifl.Words());
-    std::vector<std::string> shown;
-    for (size_t i = 0; i < words.size() && i < kShownWords; ++i) {
-      shown.push_back(DisplayWord(words[i]));
-    }
-    out.if_language = shown.empty() ? "∅" : Join(shown, "|");
-    if (words.size() > kShownWords) {
-      out.if_language += " … (" + std::to_string(words.size()) + " words)";
+    Result<std::vector<std::string>> listed = ifl.Words();
+    if (listed.ok()) {
+      words = *std::move(listed);
+      std::vector<std::string> shown;
+      for (size_t i = 0; i < words.size() && i < kShownWords; ++i) {
+        shown.push_back(DisplayWord(words[i]));
+      }
+      out.if_language = shown.empty() ? "∅" : Join(shown, "|");
+      if (words.size() > kShownWords) {
+        out.if_language += " … (" + std::to_string(words.size()) + " words)";
+      }
+    } else if (listed.status().code() == StatusCode::kOutOfRange) {
+      words_exhausted = listed.status().message();
+      out.if_language = "IF(" + lang.description() + ") [finite; " +
+                        words_exhausted + "]";
+    } else {
+      return listed.status();
     }
   } else {
     out.if_language = "IF(" + lang.description() + ") [infinite]";
@@ -181,7 +193,8 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
   }
 
   // --- NP-hard side ---------------------------------------------------------
-  // A finite IF(L) is already spelled out: scan its words for a repeat.
+  // A finite IF(L) is already spelled out: scan its words for a repeat
+  // (none to scan when the list ran out).
   if (std::optional<RepeatedLetterWord> word = FindMaximalGapWord(words)) {
     out.complexity = ComplexityClass::kNpHard;
     out.rule = "finite with repeated-letter word (Thm 6.1)";
@@ -198,9 +211,15 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
                  " ∈ L, " + witness->CrossWord() + " ∉ L";
     return out;
   }
+  std::string star_free_exhausted;
   if (!out.finite) {
-    RPQRES_ASSIGN_OR_RETURN(bool star_free, IsStarFree(ifl));
-    if (!star_free) {
+    Result<bool> star_free = IsStarFree(ifl);
+    if (!star_free.ok()) {
+      if (star_free.status().code() != StatusCode::kOutOfRange) {
+        return star_free.status();
+      }
+      star_free_exhausted = star_free.status().message();
+    } else if (!*star_free) {
       out.complexity = ComplexityClass::kNpHard;
       out.rule = "non-star-free (Lem 5.6 + Thm 5.3)";
       out.detail = "not counter-free: syntactic monoid is not aperiodic";
@@ -218,6 +237,7 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
     }
   }
   if (out.finite) {
+    // An unlisted IF(L) has more words than any of these sets.
     for (const std::vector<std::string>& pattern : KnownHardWordSets()) {
       if (MatchesUpToRenaming(words, pattern)) {
         out.complexity = ComplexityClass::kNpHard;
@@ -244,9 +264,16 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
 
   out.complexity = ComplexityClass::kUnclassified;
   out.rule = "no paper result applies";
-  out.detail =
-      "not local/BCL/one-dangling; no repeated letter, not four-legged, "
-      "star-free, no neutral letter";
+  const std::string repeats =
+      words_exhausted.empty()
+          ? "no repeated letter"
+          : "repeated letter unchecked (" + words_exhausted + ")";
+  const std::string star_free =
+      star_free_exhausted.empty()
+          ? "star-free"
+          : "star-freeness undecided (" + star_free_exhausted + ")";
+  out.detail = "not local/BCL/one-dangling; " + repeats +
+               ", not four-legged, " + star_free + ", no neutral letter";
   return out;
 }
 

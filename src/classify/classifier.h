@@ -75,6 +75,11 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
 /// `max_word_length` letters exactly, and is unbounded on finite
 /// languages), star-free, neutral letter, the known gadgets and the chain
 /// gadget.
+/// A bounded step that runs out does not fail the call: when the word list
+/// of a finite IF(L) (2^20 words) or the star-free monoid walk
+/// (lang/star_free.h) returns OutOfRange, only the rules that need its
+/// result are skipped, the rest still run, and the exhausted bound is
+/// named in `if_language` (the word list) or in an UNCLASSIFIED `detail`.
 /// `plan` must come from PlanResilienceWithIF (InvalidArgument for a
 /// kAuto or kBruteForce method).
 Result<Classification> ClassifyResilienceWithPlan(const Language& lang,

@@ -40,15 +40,20 @@ ChainAnalysis AnalyzeChainWords(const std::vector<std::string>& words) {
 }
 
 ChainAnalysis AnalyzeChain(const Language& lang) {
+  ChainAnalysis out;
   if (!lang.IsFinite()) {
-    ChainAnalysis out;
     out.violation = "language is infinite (chain languages are finite)";
     return out;
   }
-  Result<std::vector<std::string>> words = lang.Words();
+  // Def 7.1 admits at most |Σ| one-letter words, |Σ|(|Σ|−1) two-letter
+  // words and one longer word per private middle letter.
+  const size_t sigma = lang.used_letters().size();
+  const size_t max_words = sigma * sigma + sigma;
+  Result<std::vector<std::string>> words = lang.Words(max_words);
   if (!words.ok()) {
-    ChainAnalysis out;
-    out.violation = words.status().ToString();
+    out.violation = "more than " + std::to_string(max_words) +
+                    " words (a chain language over " + std::to_string(sigma) +
+                    " letters has at most |Σ|² + |Σ|)";
     return out;
   }
   return AnalyzeChainWords(*words);

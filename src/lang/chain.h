@@ -29,7 +29,10 @@ struct ChainAnalysis {
 };
 
 /// Checks Definition 7.1 on a language (extracting the explicit word list à
-/// la Lemma 7.7; infinite languages are never chain languages).
+/// la Lemma 7.7; infinite languages are never chain languages). A chain
+/// language has at most |Σ|² + |Σ| words, so at most that many are listed:
+/// past the cap the language is not a chain language, and the violation
+/// names the cap.
 ChainAnalysis AnalyzeChain(const Language& lang);
 
 /// Word-list variant (used by tests and by the BCL solver front-end).

@@ -2,9 +2,11 @@
 //
 // A language is local iff it is recognized by a local DFA (all a-transitions
 // share their target, Def 3.1), iff it is letter-Cartesian (Def 3.3,
-// Prp 3.5). Locality of L(A) is tested by building the local
-// overapproximation (Def 3.8) and checking equivalence (Prp 3.12,
-// Claim 3.11).
+// Prp 3.5). Locality is read off the minimal DFA in one scan: the useful
+// part of the minimal DFA is a quotient of every trim DFA for L, and a
+// quotient of a local DFA is local, so L is local iff that part is a local
+// DFA. Prp 3.12's test (L is local iff its local overapproximation of
+// Def 3.8 recognizes exactly L) is the reference the tests hold it to.
 
 #ifndef RPQRES_LANG_LOCAL_H_
 #define RPQRES_LANG_LOCAL_H_
@@ -35,12 +37,12 @@ LocalProfile ComputeLocalProfile(const Language& lang);
 /// L(A) ⊇ L (Claim 3.9).
 Dfa LocalOverapproximationDfa(const LocalProfile& profile);
 
-/// Locality test (Prp 3.12 / Claim 3.11): L is local iff its local
-/// overapproximation recognizes exactly L.
+/// Locality test: IsLocalDfa(lang.min_dfa()), O(|Σ|·|Q|).
 bool IsLocal(const Language& lang);
 
-/// Checks whether a specific DFA is a *local DFA* (Def 3.1): for each
-/// letter, all transitions on that letter share the same target.
+/// Checks whether a specific DFA is a *local DFA* (Def 3.1) on its useful
+/// states: for each letter, all transitions on that letter between
+/// accessible and co-accessible states share the same target.
 bool IsLocalDfa(const Dfa& dfa);
 
 /// Direct letter-Cartesian check (Def 3.3) for an explicit finite language;

@@ -14,8 +14,11 @@
 namespace rpqres {
 
 /// True iff `e` is a neutral letter of L: L is closed under inserting `e`
-/// at any position and under deleting any occurrence of `e`. Decided with
-/// two automaton inclusion checks.
+/// at any position and under deleting any occurrence of `e`. Decided in
+/// one scan of the minimal DFA, O(|Q|): its distinct states have distinct
+/// residuals, so e is neutral iff δ(q, e) = q for every state q. A letter
+/// outside the DFA's alphabet is neutral iff L = ∅. The Ins_e(L) ⊆ L and
+/// Del_e(L) ⊆ L inclusions are the reference the tests hold it to.
 bool IsNeutralLetter(const Language& lang, char e);
 
 /// All neutral letters among the used letters of L.

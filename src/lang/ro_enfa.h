@@ -18,9 +18,12 @@ namespace rpqres {
 bool IsRoEnfa(const Enfa& a);
 
 /// Builds an RO-εNFA recognizing L (Lemma 3.17): ≤ 2|Σ|+1 states, built
-/// from the local profile of Definition 3.8. Fails with FailedPrecondition
-/// if L is not local (verified by an equivalence check, so this also serves
-/// as the "promise" check of Theorem 3.13's combined-complexity statement).
+/// from the local profile of Definition 3.8. Locality is checked up front
+/// (IsLocal, one scan of the minimal DFA), and the construction is not
+/// re-verified by an equivalence test: it recognizes L whenever L is local
+/// (Claim 3.10). Fails with FailedPrecondition if L is not local,
+/// so this also serves as the "promise" check of Theorem 3.13's
+/// combined-complexity statement.
 Result<Enfa> BuildRoEnfa(const Language& lang);
 
 }  // namespace rpqres

@@ -1,7 +1,6 @@
 #include "lang/star_free.h"
 
-#include <map>
-#include <queue>
+#include <set>
 #include <vector>
 
 #include "automata/ops.h"
@@ -11,6 +10,10 @@ namespace {
 
 using Element = std::vector<int>;  // total function states -> states
 
+// Every element is a |Q|-vector, so the walk keeps elements × |Q| state
+// ids (twice: the seen set and the list): 2^22 of them is 16 MiB each.
+constexpr size_t kMaxMonoidEntries = size_t{1} << 22;
+
 Element Compose(const Element& f, const Element& g) {
   // (f ∘ g)(q) = g(f(q)): first apply f, then g — matches reading a word
   // labeled f then a word labeled g.
@@ -19,62 +22,69 @@ Element Compose(const Element& f, const Element& g) {
   return out;
 }
 
-// Generates the transition monoid of a complete DFA; empty result (error)
-// if it exceeds the cap.
+// Generates the transition monoid of a complete DFA breadth-first; fails
+// once it exceeds max_monoid_size elements or kMaxMonoidEntries state ids.
 Result<std::vector<Element>> GenerateMonoid(const Dfa& dfa,
                                             size_t max_monoid_size) {
-  int n = dfa.num_states();
+  const size_t n = static_cast<size_t>(dfa.num_states());
   Element identity(n);
-  for (int q = 0; q < n; ++q) identity[q] = q;
+  for (size_t q = 0; q < n; ++q) identity[q] = static_cast<int>(q);
 
   std::vector<Element> generators;
   for (size_t i = 0; i < dfa.alphabet().size(); ++i) {
     Element gen(n);
-    for (int q = 0; q < n; ++q) gen[q] = dfa.NextByIndex(q, static_cast<int>(i));
+    for (size_t q = 0; q < n; ++q) {
+      gen[q] = dfa.NextByIndex(static_cast<int>(q), static_cast<int>(i));
+    }
     generators.push_back(std::move(gen));
   }
 
-  std::map<Element, int> seen;
-  std::vector<Element> elements;
-  std::queue<Element> queue;
+  std::set<Element> seen;
+  std::vector<Element> elements;  // in discovery order: the BFS queue
   auto add = [&](Element e) {
-    if (seen.insert({e, static_cast<int>(elements.size())}).second) {
-      elements.push_back(e);
-      queue.push(std::move(e));
-    }
+    if (seen.insert(e).second) elements.push_back(std::move(e));
   };
   add(identity);
-  while (!queue.empty()) {
-    Element e = queue.front();
-    queue.pop();
+  for (size_t next = 0; next < elements.size(); ++next) {
     for (const Element& gen : generators) {
       if (elements.size() > max_monoid_size) {
         return Status::OutOfRange(
             "transition monoid exceeds cap of " +
             std::to_string(max_monoid_size) + " elements");
       }
-      add(Compose(e, gen));
+      if (elements.size() * n > kMaxMonoidEntries) {
+        return Status::OutOfRange(
+            "transition monoid exceeds cap of " +
+            std::to_string(kMaxMonoidEntries) + " state ids: " +
+            std::to_string(elements.size()) + " elements of " +
+            std::to_string(n) + " states");
+      }
+      add(Compose(elements[next], gen));
     }
   }
   return elements;
 }
 
 // True iff f^k = f^{k+1} for some k (the aperiodicity condition per
-// element). The powers of f eventually cycle; aperiodic iff the cycle has
-// length 1.
+// element). For k ≥ |Q| every f^k(q) lies on a cycle of f's functional
+// graph, so that holds iff every cycle of f is a fixed point: one walk per
+// state, O(|Q|) in all.
 bool ElementIsAperiodic(const Element& f) {
-  std::map<Element, int> position;
-  Element current = f;
-  int step = 1;
-  for (;;) {
-    auto [it, inserted] = position.insert({current, step});
-    if (!inserted) {
-      int cycle_length = step - it->second;
-      return cycle_length == 1;
+  enum : char { kUnseen, kOnWalk, kDone };
+  std::vector<char> mark(f.size(), kUnseen);
+  for (size_t start = 0; start < f.size(); ++start) {
+    int q = static_cast<int>(start);
+    while (mark[q] == kUnseen) {
+      mark[q] = kOnWalk;
+      q = f[q];
     }
-    current = Compose(current, f);
-    ++step;
+    // The walk closed a new cycle through q: aperiodic only if q = f(q).
+    if (mark[q] == kOnWalk && f[q] != q) return false;
+    for (int p = static_cast<int>(start); mark[p] == kOnWalk; p = f[p]) {
+      mark[p] = kDone;
+    }
   }
+  return true;
 }
 
 }  // namespace

@@ -16,7 +16,11 @@
 namespace rpqres {
 
 /// Tests star-freeness by monoid aperiodicity. Fails with OutOfRange if the
-/// transition monoid exceeds `max_monoid_size` elements (worst case n^n).
+/// transition monoid exceeds `max_monoid_size` elements (worst case n^n),
+/// or 2^22 stored state ids (elements × |Q|, 16 MiB). Star-freeness of a
+/// DFA is PSPACE-complete, so the walk keeps an exponential worst case
+/// that only these constant caps bound. Each element's aperiodicity is
+/// then an O(|Q|) check.
 Result<bool> IsStarFree(const Language& lang,
                         size_t max_monoid_size = 1 << 18);
 

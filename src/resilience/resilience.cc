@@ -5,7 +5,6 @@
 #include "flow/solver_scratch.h"
 #include "graphdb/rpq_eval.h"
 #include "lang/infix_free.h"
-#include "lang/local.h"
 #include "lang/ro_enfa.h"
 #include "obs/trace.h"
 #include "resilience/bcl_resilience.h"
@@ -42,13 +41,13 @@ Result<ResiliencePlan> PlanResilienceWithIF(Language ifl,
     plan.trivial_empty = true;
     return plan;
   }
-  if (IsLocal(plan.if_language)) {
+  // Each builder runs its class's analysis once and keeps the result;
+  // BuildRoEnfa succeeds exactly on local languages.
+  if (Result<Enfa> ro = BuildRoEnfa(plan.if_language); ro.ok()) {
     plan.method = ResilienceMethod::kLocalFlow;
-    RPQRES_ASSIGN_OR_RETURN(Enfa ro, BuildRoEnfa(plan.if_language));
-    RPQRES_ASSIGN_OR_RETURN(plan.ro_tables, BuildRoProductTables(ro));
+    RPQRES_ASSIGN_OR_RETURN(plan.ro_tables, BuildRoProductTables(*ro));
     return plan;
   }
-  // Each builder runs its class's analysis once and keeps the result.
   if (Result<BclTables> bcl = BuildBclTables(plan.if_language); bcl.ok()) {
     plan.method = ResilienceMethod::kBclFlow;
     plan.bcl_tables = *std::move(bcl);

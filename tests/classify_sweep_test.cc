@@ -1,7 +1,8 @@
 // Exhaustive robustness sweep: classify *every* language with at most two
 // words of length <= 3 over {a, b, c} (780 languages) and check that the
 // verdicts are internally consistent (then pin, over those languages and
-// generated ones, the facts the compile-time tests rest on):
+// generated ones, the facts the compile-time tests rest on, each against
+// the slower reference it replaced):
 //   * classification never errors;
 //   * PTIME verdicts are backed by an applicable flow solver whose answer
 //     matches brute force on a random instance;
@@ -11,10 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "automata/ops.h"
 #include "classify/classifier.h"
 #include "graphdb/generators.h"
 #include "lang/chain.h"
@@ -22,6 +25,7 @@
 #include "lang/infix_free.h"
 #include "lang/language.h"
 #include "lang/local.h"
+#include "lang/neutral_letter.h"
 #include "lang/one_dangling.h"
 #include "lang/repeated_letter.h"
 #include "lang/ro_enfa.h"
@@ -120,21 +124,43 @@ TEST(ClassifierSweepTest, AllSmallLanguagesConsistent) {
   RecordProperty("unclassified", counts[2]);
 }
 
-// The sweep languages and 1,000 generated regexes, with IF(L) of each:
-// the inputs of the facts below.
-std::vector<Language> FactLanguages() {
-  std::vector<Language> languages;
-  for (const std::vector<std::string>& words : SmallWordSets()) {
-    languages.push_back(Language::FromWords(words));
+// `regex` with the letter `z`, which it must not use, made neutral: every
+// letter c becomes (z*c), and z* follows the whole.
+std::string WithNeutralLetter(const std::string& regex, char z) {
+  std::string out = "(";
+  for (char c : regex) {
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      out += std::string("(") + z + "*" + c + ")";
+    } else {
+      out += c;
+    }
   }
-  for (const std::string& regex : GeneratedRegexes(25, 1000)) {
-    languages.push_back(Language::MustFromRegexString(regex));
-  }
-  const size_t given = languages.size();
-  for (size_t i = 0; i < given; ++i) {
-    languages.push_back(InfixFreeSublanguage(languages[i]));
-  }
-  return languages;
+  return out + ")" + z + "*";
+}
+
+// The sweep languages and 1,000 generated regexes, each of those also with
+// a neutral letter z, and IF(L) of every one: the inputs of the facts
+// below, built once for all of them.
+const std::vector<Language>& FactLanguages() {
+  static const std::vector<Language> kLanguages = [] {
+    std::vector<Language> languages;
+    for (const std::vector<std::string>& words : SmallWordSets()) {
+      languages.push_back(Language::FromWords(words));
+    }
+    for (const std::string& regex : GeneratedRegexes(25, 1000)) {
+      languages.push_back(Language::MustFromRegexString(regex));
+      if (regex.find('z') == std::string::npos) {
+        languages.push_back(
+            Language::MustFromRegexString(WithNeutralLetter(regex, 'z')));
+      }
+    }
+    const size_t given = languages.size();
+    for (size_t i = 0; i < given; ++i) {
+      languages.push_back(InfixFreeSublanguage(languages[i]));
+    }
+    return languages;
+  }();
+  return kLanguages;
 }
 
 // Def 7.8 is symmetric in x and y and local languages are closed under
@@ -149,6 +175,109 @@ TEST(CompileFactsTest, OneDanglingIsMirrorSymmetric) {
     decomposed += direct ? 1 : 0;
   }
   EXPECT_GT(decomposed, 100);
+}
+
+// Prp 3.12, the reference for the scan IsLocal runs on the minimal DFA: L
+// is local iff its local overapproximation (Def 3.8) recognizes exactly L.
+TEST(CompileFactsTest, IsLocalMatchesOverapproximation) {
+  int local = 0;
+  for (const Language& lang : FactLanguages()) {
+    const bool reference = AreEquivalent(
+        Minimize(LocalOverapproximationDfa(ComputeLocalProfile(lang))),
+        lang.min_dfa());
+    EXPECT_EQ(IsLocal(lang), reference) << lang.description();
+    local += reference ? 1 : 0;
+  }
+  EXPECT_GT(local, 100);
+}
+
+// BuildRoEnfa checks locality up front and does not re-verify its output:
+// the construction recognizes L whenever L is local (Claim 3.10).
+TEST(CompileFactsTest, RoEnfaRecognizesEveryLocalLanguage) {
+  int built = 0;
+  for (const Language& lang : FactLanguages()) {
+    Result<Enfa> ro = BuildRoEnfa(lang);
+    ASSERT_EQ(ro.ok(), IsLocal(lang)) << lang.description();
+    if (!ro.ok()) {
+      EXPECT_EQ(ro.status().code(), StatusCode::kFailedPrecondition);
+      continue;
+    }
+    ++built;
+    EXPECT_TRUE(IsRoEnfa(*ro)) << lang.description();
+    EXPECT_TRUE(AreEquivalent(MinimalDfa(*ro), lang.min_dfa()))
+        << lang.description();
+  }
+  EXPECT_GT(built, 100);
+}
+
+// NFA for { αeβ : αβ ∈ L }: two copies of L's DFA bridged by
+// (q,0) -e-> (q,1).
+Enfa InsertOne(const Dfa& dfa, char e) {
+  Enfa out;
+  const int n = dfa.num_states();
+  out.AddStates(2 * n);
+  for (int s = 0; s < n; ++s) {
+    for (size_t i = 0; i < dfa.alphabet().size(); ++i) {
+      const int to = dfa.NextByIndex(s, static_cast<int>(i));
+      if (to == kNoState) continue;
+      out.AddTransition(s, dfa.alphabet()[i], to);
+      out.AddTransition(n + s, dfa.alphabet()[i], n + to);
+    }
+    out.AddTransition(s, e, n + s);
+    if (dfa.IsFinal(s)) out.AddFinal(n + s);
+  }
+  if (n > 0) out.AddInitial(dfa.initial());
+  return out;
+}
+
+// NFA for { αβ : αeβ ∈ L }: two copies bridged by (q,0) -ε-> (δ(q,e),1).
+Enfa DeleteOne(const Dfa& dfa, char e) {
+  Enfa out;
+  const int n = dfa.num_states();
+  out.AddStates(2 * n);
+  for (int s = 0; s < n; ++s) {
+    for (size_t i = 0; i < dfa.alphabet().size(); ++i) {
+      const int to = dfa.NextByIndex(s, static_cast<int>(i));
+      if (to == kNoState) continue;
+      out.AddTransition(s, dfa.alphabet()[i], to);
+      out.AddTransition(n + s, dfa.alphabet()[i], n + to);
+    }
+    const int via_e = dfa.Next(s, e);
+    if (via_e != kNoState) out.AddTransition(s, kEpsilonSymbol, n + via_e);
+    if (dfa.IsFinal(s)) out.AddFinal(n + s);
+  }
+  if (n > 0) out.AddInitial(dfa.initial());
+  return out;
+}
+
+// The definition, the reference for IsNeutralLetter's self-loop scan: e is
+// neutral iff Ins_e(L) ⊆ L and Del_e(L) ⊆ L. Checked on every letter of
+// the DFA's alphabet (the used ones and any unused one) and on one letter
+// outside it.
+TEST(CompileFactsTest, NeutralLetterMatchesInclusions) {
+  int neutral = 0;
+  int pairs = 0;
+  for (const Language& lang : FactLanguages()) {
+    const Dfa& dfa = lang.min_dfa();
+    std::vector<char> letters = dfa.alphabet();
+    for (char outside = 'a'; outside <= 'z'; ++outside) {
+      if (dfa.SymbolIndex(outside) < 0) {
+        letters.push_back(outside);
+        break;
+      }
+    }
+    for (char e : letters) {
+      const bool reference = IsSubsetOf(MinimalDfa(InsertOne(dfa, e)), dfa) &&
+                             IsSubsetOf(MinimalDfa(DeleteOne(dfa, e)), dfa);
+      EXPECT_EQ(IsNeutralLetter(lang, e), reference)
+          << lang.description() << ", letter " << e;
+      neutral += reference ? 1 : 0;
+      ++pairs;
+    }
+  }
+  EXPECT_GT(neutral, 100);
+  RecordProperty("neutral_pairs", neutral);
+  RecordProperty("pairs", pairs);
 }
 
 // L local implies IF(L) local, so CompileQuery tries the fixed-endpoint

@@ -143,13 +143,16 @@ TEST(ClassifierTest, NonBipartiteChainBeyondThePaper) {
 
 TEST(ClassifierTest, NeutralLetterDichotomy) {
   // Prp 5.7's hard side: L2 = e*(a|c)e*(a|d)e* has neutral e and
-  // non-local IF containing aa — classified NP-hard. (The repeated-letter
-  // rule does not fire because IF is infinite, so the classifier must use
-  // four-legged/neutral-letter reasoning.)
+  // non-local IF containing aa — classified NP-hard. The repeated-letter
+  // rule does not fire because IF is infinite, IF is not four-legged and
+  // star-free, so the neutral-letter rule decides; no Figure 1 row
+  // reaches it.
   Result<Classification> c = ClassifyResilience(
       Language::MustFromRegexString("e*(a|c)e*(a|d)e*"));
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->complexity, ComplexityClass::kNpHard) << c->rule;
+  EXPECT_EQ(c->rule, "neutral letter + non-local (Prp 5.7)");
+  EXPECT_EQ(c->detail, "neutral letter 'e'");
 }
 
 TEST(ClassifierTest, ReportRendering) {

@@ -20,6 +20,8 @@
 #include "graphdb/label_index.h"
 #include "graphdb/rpq_eval.h"
 #include "lang/language.h"
+#include "lang/local.h"
+#include "lang/neutral_letter.h"
 #include "resilience/local_resilience.h"
 #include "resilience/resilience.h"
 #include "util/rng.h"
@@ -367,6 +369,69 @@ TEST(EngineCompiledQueryTest, FourLeggedTestDoesNotEnumerateWords) {
   EXPECT_EQ((*compiled)->classification.complexity,
             ComplexityClass::kUnclassified);
   EXPECT_EQ((*compiled)->classification.rule, "no paper result applies");
+}
+
+// The (a|b)*a(a|b){n} family, delimited so that IF(L) = L: the minimal
+// DFA doubles with each n, so every compile-time test must stay near
+// linear in it.
+constexpr char kFamily10[] =
+    "c(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)d";
+constexpr char kFamily11[] =
+    "c(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)d";
+
+// Both tests are one scan of the 2,051-state minimal DFA. Deciding them
+// with automaton constructions (an overapproximation equivalence, and two
+// determinized 2|Q|-state NFAs per letter) took 4-6 s.
+TEST(EngineCompiledQueryTest, NeutralLetterAndLocalityAreDfaScans) {
+  const Language lang = Language::MustFromRegexString(kFamily10);
+  ASSERT_EQ(lang.min_dfa().num_states(), 2051);
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<char> neutral = NeutralLetters(lang);
+  const bool local = IsLocal(lang);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_TRUE(neutral.empty());
+  EXPECT_FALSE(local);
+  EXPECT_LT(seconds, 0.5);
+}
+
+// The 64-character member compiled in about 20 s, most of it in the
+// neutral-letter test and the star-free monoid walk (422 MiB). The walk
+// now stops at its state-id cap, and the classifier skips only the rule
+// that needs it.
+TEST(EngineCompiledQueryTest, LargeDfaFamilyCompilesWithinBudget) {
+  const auto start = std::chrono::steady_clock::now();
+  auto compiled = CompileQuery(kFamily11, Semantics::kBag);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EXPECT_LT(seconds, 5.0);
+  const Classification& verdict = (*compiled)->classification;
+  EXPECT_EQ(verdict.complexity, ComplexityClass::kUnclassified);
+  EXPECT_EQ(verdict.rule, "no paper result applies");
+  EXPECT_NE(verdict.detail.find("star-freeness undecided"), std::string::npos)
+      << verdict.detail;
+}
+
+// IF(L) = L has 5^9 words, past the classifier's 2^20-word list. Its plan
+// (exact) is valid, so the compile must not fail on the list: the
+// repeated-letter scan is skipped, and the four-legged walk, unbounded on
+// finite languages, still decides.
+TEST(EngineCompiledQueryTest, ExhaustedWordListDoesNotFailCompile) {
+  auto compiled = CompileQuery(
+      "(a|b|c|d|e)(a|b|c|d|e)(a|b|c|d|e)(a|b|c|d|e)(a|b|c|d|e)(a|b|c|d|e)"
+      "(a|b|c|d|e)(a|b|c|d|e)(a|b|c|d|e)",
+      Semantics::kBag);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EXPECT_EQ((*compiled)->plan.method, ResilienceMethod::kExact);
+  const Classification& verdict = (*compiled)->classification;
+  EXPECT_EQ(verdict.complexity, ComplexityClass::kNpHard);
+  EXPECT_EQ(verdict.rule, "four-legged language (Thm 5.3)");
+  EXPECT_NE(verdict.if_language.find("more than 1048576 words"),
+            std::string::npos)
+      << verdict.if_language;
 }
 
 // ---------------------------------------------------------------------------

@@ -40,6 +40,22 @@ TEST(ChainTest, InfiniteLanguagesAreNotChains) {
   EXPECT_NE(c.violation.find("infinite"), std::string::npos);
 }
 
+TEST(ChainTest, WordListStopsAtTheChainBound) {
+  // A chain language over |Σ| letters has at most |Σ|² + |Σ| words, so the
+  // analysis lists at most 20 of the 4^10 words here.
+  ChainAnalysis c = AnalyzeChain(Language::MustFromRegexString(
+      "(a|b|c|d)(a|b|c|d)(a|b|c|d)(a|b|c|d)(a|b|c|d)(a|b|c|d)(a|b|c|d)"
+      "(a|b|c|d)(a|b|c|d)(a|b|c|d)"));
+  EXPECT_FALSE(c.is_chain);
+  EXPECT_NE(c.violation.find("more than 20 words"), std::string::npos)
+      << c.violation;
+  // Every one- and two-letter word over {a, b, c} plus a word with a
+  // private middle letter: 10 words, within the bound of 20.
+  EXPECT_TRUE(AnalyzeChain(Language::MustFromRegexString(
+                               "a|b|c|ab|ac|ba|bc|ca|cb|axb"))
+                  .is_chain);
+}
+
 TEST(ChainTest, SingleLetterWordsAllowed) {
   EXPECT_TRUE(
       AnalyzeChain(Language::MustFromRegexString("a|bc")).is_chain);

@@ -31,6 +31,16 @@ TEST(NeutralLetterTest, BasicNegative) {
       IsNeutralLetter(Language::MustFromRegexString("e*ae"), 'e'));
   EXPECT_FALSE(
       IsNeutralLetter(Language::MustFromRegexString("ax*b"), 'x'));
+  // e loops at every state but the accepting one: ab ∈ L, abe ∉ L.
+  EXPECT_FALSE(
+      IsNeutralLetter(Language::MustFromRegexString("e*ae*b"), 'e'));
+}
+
+TEST(NeutralLetterTest, LetterOutsideTheAlphabet) {
+  // No word of L contains z, so z is neutral iff L = ∅.
+  EXPECT_FALSE(IsNeutralLetter(Language::MustFromRegexString("ab"), 'z'));
+  EXPECT_FALSE(IsNeutralLetter(Language::FromWords({""}), 'z'));
+  EXPECT_TRUE(IsNeutralLetter(Language::FromWords({}), 'z'));
 }
 
 TEST(NeutralLetterTest, NeutralLettersEnumeration) {

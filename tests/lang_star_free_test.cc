@@ -1,6 +1,6 @@
 // Tests for star-freeness via syntactic-monoid aperiodicity (Section 5.2):
-// classic positive/negative examples, the monoid size accessor, and the
-// Lem 5.6 connection (non-star-free infix-free languages are four-legged).
+// classic positive/negative examples, the monoid size accessor and its
+// caps, and the Lem 5.6 connection (non-star-free infix-free languages are four-legged).
 
 #include <gtest/gtest.h>
 
@@ -57,6 +57,18 @@ TEST(StarFreeTest, MonoidSize) {
       TransitionMonoidSize(Language::MustFromRegexString("(ab|ba)*"), 2);
   EXPECT_FALSE(capped.ok());
   EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(StarFreeTest, StoredStateIdsAreCapped) {
+  // The 2,051-state minimal DFA of c(a|b)*a(a|b){10}d has a monoid far
+  // below max_monoid_size elements but past 2^22 stored state ids.
+  Result<bool> star_free = IsStarFree(Language::MustFromRegexString(
+      "c(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)d"));
+  ASSERT_FALSE(star_free.ok());
+  EXPECT_EQ(star_free.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(star_free.status().message().find("4194304 state ids"),
+            std::string::npos)
+      << star_free.status();
 }
 
 TEST(StarFreeTest, Lemma56NonStarFreeImpliesFourLegged) {
