@@ -505,6 +505,21 @@ std::vector<bool> UsefulStates(const Dfa& a) {
   return useful;
 }
 
+std::vector<char> UsedLetters(const Dfa& a) {
+  const std::vector<bool> useful = UsefulStates(a);
+  std::vector<char> letters;
+  for (size_t i = 0; i < a.alphabet().size(); ++i) {
+    for (int s = 0; s < a.num_states(); ++s) {
+      const int to = a.NextByIndex(s, static_cast<int>(i));
+      if (useful[s] && to != kNoState && useful[to]) {
+        letters.push_back(a.alphabet()[i]);
+        break;
+      }
+    }
+  }
+  return letters;
+}
+
 bool DfaIsFinite(const Dfa& a) {
   // Finite iff the useful part is acyclic.
   std::vector<bool> useful = UsefulStates(a);
@@ -618,17 +633,68 @@ Result<std::vector<std::string>> WordsUpToLength(const Dfa& a, int max_length,
   return words;
 }
 
+std::vector<std::string> FirstWordsUpToLength(const Dfa& a, int max_length,
+                                              size_t max_words) {
+  std::vector<std::string> words;
+  const int n = a.num_states();
+  if (n == 0) return words;
+  // ends[k][q]: some word of exactly k letters leads from q to a final
+  // state. Rows are added as the lengths are reached.
+  std::vector<std::vector<bool>> ends(1, std::vector<bool>(n));
+  for (int s = 0; s < n; ++s) ends[0][s] = a.IsFinal(s);
+  for (int len = 0; len <= max_length && words.size() < max_words; ++len) {
+    if (len > 0) {
+      std::vector<bool> row(n, false);
+      for (int s = 0; s < n; ++s) {
+        for (size_t i = 0; i < a.alphabet().size() && !row[s]; ++i) {
+          const int to = a.NextByIndex(s, static_cast<int>(i));
+          row[s] = to != kNoState && ends[len - 1][to];
+        }
+      }
+      ends.push_back(std::move(row));
+    }
+    if (!ends[len][a.initial()]) continue;
+    if (len == 0) {
+      words.push_back("");
+      continue;
+    }
+    // The words of exactly `len` letters in lex order: a DFS in symbol
+    // order that enters a state only if it can still end in a final state
+    // after the remaining letters, so every branch yields a word.
+    std::string current;
+    std::vector<std::pair<int, size_t>> stack{{a.initial(), 0}};
+    while (!stack.empty() && words.size() < max_words) {
+      auto& [state, symbol] = stack.back();
+      if (symbol >= a.alphabet().size()) {
+        stack.pop_back();
+        if (!current.empty()) current.pop_back();
+        continue;
+      }
+      const size_t i = symbol++;
+      const int to = a.NextByIndex(state, static_cast<int>(i));
+      const int remaining = len - static_cast<int>(current.size()) - 1;
+      if (to == kNoState || !ends[remaining][to]) continue;
+      if (remaining == 0) {
+        words.push_back(current + a.alphabet()[i]);
+        continue;
+      }
+      current.push_back(a.alphabet()[i]);
+      stack.push_back({to, 0});
+    }
+  }
+  return words;
+}
+
 std::vector<uint64_t> CountWordsByLength(const Dfa& a, int max_length) {
   std::vector<uint64_t> counts(max_length + 1, 0);
   if (a.num_states() == 0) return counts;
   // Dynamic programming over path counts (capped to avoid overflow).
-  constexpr uint64_t kCap = ~0ULL / 2;
   std::vector<uint64_t> at(a.num_states(), 0);
   at[a.initial()] = 1;
   for (int len = 0; len <= max_length; ++len) {
     for (int s = 0; s < a.num_states(); ++s) {
       if (at[s] > 0 && a.IsFinal(s)) {
-        counts[len] = std::min(kCap, counts[len] + at[s]);
+        counts[len] = std::min(kWordCountCap, counts[len] + at[s]);
       }
     }
     if (len == max_length) break;
@@ -637,7 +703,9 @@ std::vector<uint64_t> CountWordsByLength(const Dfa& a, int max_length) {
       if (at[s] == 0) continue;
       for (size_t i = 0; i < a.alphabet().size(); ++i) {
         int to = a.NextByIndex(s, static_cast<int>(i));
-        if (to != kNoState) next[to] = std::min(kCap, next[to] + at[s]);
+        if (to != kNoState) {
+          next[to] = std::min(kWordCountCap, next[to] + at[s]);
+        }
       }
     }
     at = std::move(next);

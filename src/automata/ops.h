@@ -91,6 +91,10 @@ bool DfaIsFinite(const Dfa& a);
 /// final state is reachable from q.
 std::vector<bool> UsefulStates(const Dfa& a);
 
+/// The letters on transitions between useful states: those that occur in
+/// some word of L(a), sorted.
+std::vector<char> UsedLetters(const Dfa& a);
+
 /// Shortest accepted word (by length, ties broken lexicographically), or
 /// nullopt if the language is empty.
 std::optional<std::string> ShortestWord(const Dfa& a);
@@ -109,7 +113,17 @@ Result<std::vector<std::string>> EnumerateFiniteLanguage(
 Result<std::vector<std::string>> WordsUpToLength(const Dfa& a, int max_length,
                                                  size_t max_words = 1 << 20);
 
-/// Number of accepted words of each length 0..max_length (for tests).
+/// The first `max_words` words of WordsUpToLength's list, found without
+/// listing the rest.
+std::vector<std::string> FirstWordsUpToLength(const Dfa& a, int max_length,
+                                              size_t max_words);
+
+/// Word counts saturate here: a count of kWordCountCap means at least that
+/// many words.
+inline constexpr uint64_t kWordCountCap = ~0ULL / 2;
+
+/// Number of accepted words of each length 0..max_length, each at most
+/// kWordCountCap.
 std::vector<uint64_t> CountWordsByLength(const Dfa& a, int max_length);
 
 }  // namespace rpqres

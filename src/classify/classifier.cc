@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "automata/ops.h"
 #include "gadgets/chain_cycle.h"
 #include "lang/four_legged.h"
 #include "lang/infix_free.h"
@@ -33,6 +34,22 @@ namespace {
 // Classification::if_language spells out at most this many words of a
 // finite IF(L), then its word count: every cached plan keeps the string.
 constexpr size_t kShownWords = 32;
+
+// The display of a finite language: its first kShownWords words in
+// (length, lex) order, then its word count when there are more.
+std::string ShowFiniteLanguage(const std::vector<std::string>& first_words,
+                               uint64_t count) {
+  std::vector<std::string> shown;
+  for (size_t i = 0; i < first_words.size() && i < kShownWords; ++i) {
+    shown.push_back(DisplayWord(first_words[i]));
+  }
+  std::string out = shown.empty() ? "∅" : Join(shown, "|");
+  if (count > kShownWords) {
+    out += " … (" + std::string(count >= kWordCountCap ? "at least " : "") +
+           std::to_string(count) + " words)";
+  }
+  return out;
+}
 
 // The finite languages proven NP-hard by dedicated gadgets (Prp 7.4,
 // Prp 7.11), to be matched up to letter renaming.
@@ -127,27 +144,28 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
   // need its result; the verdict names the exhausted bound.
   std::vector<std::string> words;
   std::string words_exhausted;
-  if (out.finite) {
-    Result<std::vector<std::string>> listed = ifl.Words();
-    if (listed.ok()) {
-      words = *std::move(listed);
-      std::vector<std::string> shown;
-      for (size_t i = 0; i < words.size() && i < kShownWords; ++i) {
-        shown.push_back(DisplayWord(words[i]));
-      }
-      out.if_language = shown.empty() ? "∅" : Join(shown, "|");
-      if (words.size() > kShownWords) {
-        out.if_language += " … (" + std::to_string(words.size()) + " words)";
-      }
-    } else if (listed.status().code() == StatusCode::kOutOfRange) {
-      words_exhausted = listed.status().message();
-      out.if_language = "IF(" + lang.description() + ") [finite; " +
-                        words_exhausted + "]";
-    } else {
-      return listed.status();
-    }
-  } else {
+  if (!out.finite) {
     out.if_language = "IF(" + lang.description() + ") [infinite]";
+  } else if (plan.method != ResilienceMethod::kExact) {
+    // Only the NP-hard rules read the word list: show the first words and
+    // count the rest. A word of a finite language visits no state twice.
+    const Dfa& dfa = ifl.min_dfa();
+    uint64_t count = 0;
+    for (uint64_t n : CountWordsByLength(dfa, dfa.num_states())) {
+      count = std::min(kWordCountCap, count + n);
+    }
+    out.if_language = ShowFiniteLanguage(
+        FirstWordsUpToLength(dfa, dfa.num_states(), kShownWords), count);
+  } else if (Result<std::vector<std::string>> listed = ifl.Words();
+             listed.ok()) {
+    words = *std::move(listed);
+    out.if_language = ShowFiniteLanguage(words, words.size());
+  } else if (listed.status().code() == StatusCode::kOutOfRange) {
+    words_exhausted = listed.status().message();
+    out.if_language = "IF(" + lang.description() + ") [finite; " +
+                      words_exhausted + "]";
+  } else {
+    return listed.status();
   }
 
   // Trivial cases.

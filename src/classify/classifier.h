@@ -44,7 +44,8 @@ struct Classification {
   std::string rule;         ///< e.g. "local (Thm 3.13)"
   std::string detail;       ///< witness words, legs, decomposition, ...
   /// Display form of IF(L): its words when finite (the first 32, then
-  /// "… (N words)"), "IF(<L>) [infinite]" otherwise.
+  /// "… (N words)", or "… (at least N words)" once the count saturates),
+  /// "IF(<L>) [infinite]" otherwise.
   std::string if_language;
   bool finite = false;      ///< IF(L) finite?
 };
@@ -75,6 +76,8 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
 /// `max_word_length` letters exactly, and is unbounded on finite
 /// languages), star-free, neutral letter, the known gadgets and the chain
 /// gadget.
+/// Only a kExact plan lists the words of a finite IF(L); any other plan
+/// lists the 32 shown words and counts the rest.
 /// A bounded step that runs out does not fail the call: when the word list
 /// of a finite IF(L) (2^20 words) or the star-free monoid walk
 /// (lang/star_free.h) returns OutOfRange, only the rules that need its

@@ -15,9 +15,9 @@
 // (flow/solver_scratch.h).
 //
 // The paper relies on MinCut being in PTIME (max-flow min-cut / Menger)
-// and cites near-linear algorithms [21]; we use Dinic, whose O(V²E) worst
-// case is near-linear on the sparse product networks built by the
-// resilience reductions (documented substitution, DESIGN.md §4).
+// and cites near-linear algorithms [21]. This substitutes Dinic for them:
+// its O(V²E) worst case is near-linear on the sparse product networks
+// built by the resilience reductions.
 
 #ifndef RPQRES_FLOW_RESIDUAL_GRAPH_H_
 #define RPQRES_FLOW_RESIDUAL_GRAPH_H_

@@ -3,7 +3,7 @@
 //
 // Given a gadget with odd-path length ℓ, the encoding Ξ of G satisfies
 //   RES_set(Q_L, Ξ) = vc(G) + m(ℓ−1)/2            (Prp 4.2 + Claim 4.12)
-// which the tests and the prop42 bench validate with the exact solver.
+// which gadgets_paper_test's ReductionTest checks with the exact solver.
 
 #ifndef RPQRES_GADGETS_ENCODING_H_
 #define RPQRES_GADGETS_ENCODING_H_

@@ -176,8 +176,8 @@ Result<Thm61Gadget> BuildThm61Gadget(const Language& lang) {
 
   return Status::NotFound(
       "Thm 6.1 pipeline: no candidate gadget verified for IF(" +
-      lang.description() + ") (the Fig 12 reconstruction gap, see "
-      "EXPERIMENTS.md):" + log);
+      lang.description() + ") (the paper text does not fix the wiring of "
+      "Figs 6 and 12, and no reconstruction of them verified):" + log);
 }
 
 }  // namespace rpqres

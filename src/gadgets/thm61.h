@@ -9,8 +9,11 @@
 //     (Figs 7/8, or the generalized Fig 11 shape when γ = ε ≠ δ);
 //   * overlapping case → aaa (Claim 6.11) or aba/bab (Claim 6.10);
 //   * non-overlapping case → aab (Claim 6.14) or the Fig 12 construction
-//     (Claim 6.13) — the latter is a known reconstruction gap and returns
-//     NotFound (see EXPERIMENTS.md row 3b).
+//     (Claim 6.13).
+// Figs 6 and 12 are reconstructions: the paper text does not fix their
+// wiring. Where the proof needs one of them and no candidate verifies
+// (Claim 6.13 for axya|yax; Thm 5.3 Case 2 with unary legs, as in aaaa),
+// the pipeline returns NotFound.
 // The pipeline may switch to the mirror language (Prp 6.3); the result
 // records which. The returned gadget is verified by construction in the
 // tests via VerifyGadget.
@@ -39,7 +42,7 @@ struct Thm61Gadget {
 /// Builds a hardness gadget for `lang` following Theorem 6.1's proof.
 /// Requirements: IF(lang) finite, non-empty, ε-free, with a repeated
 /// letter word. Errors: FailedPrecondition if the requirements fail,
-/// NotFound for the Fig 12 reconstruction gap.
+/// NotFound when no candidate verifies (the Fig 6 and Fig 12 gaps).
 Result<Thm61Gadget> BuildThm61Gadget(const Language& lang);
 
 }  // namespace rpqres

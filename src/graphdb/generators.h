@@ -1,10 +1,10 @@
 // rpqres — graphdb/generators: synthetic workload generators.
 //
-// The paper has no datasets (it is a theory paper); these generators build
-// the database families its algorithms exercise: random labeled graphs,
-// layered source/sink networks for the ax*b ≡ MinCut connection, chain
-// instances for BCLs, and dangling-pair instances for Prp 7.9
-// (substitution documented in DESIGN.md §4).
+// The paper has no datasets (it is a theory paper), so these generators
+// stand in for them. They build the database families its algorithms
+// exercise: random labeled graphs, layered source/sink networks for the
+// ax*b ≡ MinCut connection, chain instances for BCLs, and dangling-pair
+// instances for Prp 7.9.
 
 #ifndef RPQRES_GRAPHDB_GENERATORS_H_
 #define RPQRES_GRAPHDB_GENERATORS_H_

@@ -13,11 +13,8 @@ namespace rpqres {
 Language::Language(Enfa enfa, Dfa min_dfa, std::string description)
     : enfa_(std::move(enfa)),
       min_dfa_(std::move(min_dfa)),
-      description_(std::move(description)) {
-  // Letters occurring in words of L = labels on useful transitions of the
-  // trimmed automaton.
-  used_letters_ = EnfaTrim(DfaToEnfa(min_dfa_)).Alphabet();
-}
+      used_letters_(UsedLetters(min_dfa_)),
+      description_(std::move(description)) {}
 
 Result<Language> Language::FromRegexString(const std::string& regex) {
   RPQRES_ASSIGN_OR_RETURN(Regex ast, ParseRegex(regex));

@@ -1,5 +1,6 @@
 #include "lang/one_dangling.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -7,22 +8,6 @@
 #include "lang/local.h"
 
 namespace rpqres {
-namespace {
-
-// Whether some word of L(dfa) uses `letter`: a transition on it between
-// useful states.
-bool UsesLetter(const Dfa& dfa, const std::vector<bool>& useful,
-                char letter) {
-  const int a = dfa.SymbolIndex(letter);
-  if (a < 0) return false;
-  for (int s = 0; s < dfa.num_states(); ++s) {
-    const int t = dfa.NextByIndex(s, a);
-    if (useful[s] && t != kNoState && useful[t]) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 std::optional<OneDanglingDecomposition> FindOneDanglingDecomposition(
     const Language& lang) {
@@ -35,9 +20,9 @@ std::optional<OneDanglingDecomposition> FindOneDanglingDecomposition(
     // base = L \ {xy}. Freshness is read off the product, before the base
     // is minimized into a Language.
     Dfa base_dfa = DifferenceDfa(lang.min_dfa(), MinimalDfa(EnfaFromWord(w)));
-    const std::vector<bool> useful = UsefulStates(base_dfa);
-    bool x_in_base = UsesLetter(base_dfa, useful, x);
-    bool y_in_base = UsesLetter(base_dfa, useful, y);
+    const std::vector<char> used = UsedLetters(base_dfa);
+    bool x_in_base = std::binary_search(used.begin(), used.end(), x);
+    bool y_in_base = std::binary_search(used.begin(), used.end(), y);
     if (x_in_base && y_in_base) continue;  // neither endpoint is fresh
     Language base = Language::FromDfa(base_dfa);
     base.set_description(lang.description() + " \\ {" + w + "}");

@@ -32,12 +32,10 @@ class BranchAndBound {
       if (db_.IsLive(f) && !db_.IsExogenous(f)) best_set_.push_back(f);
     }
 
-    if (options_.use_disjoint_match_bound) {
-      // Greedy fact-disjoint matches give a lower bound; when an incumbent
-      // reaches it, the search can stop with a proof of optimality.
-      root_lower_bound_ = DisjointMatchLowerBound();
-      if (best_value_ <= root_lower_bound_) return Status::OK();
-    }
+    // Greedy fact-disjoint matches give a lower bound; when an incumbent
+    // reaches it, the search can stop with a proof of optimality.
+    root_lower_bound_ = DisjointMatchLowerBound();
+    if (best_value_ <= root_lower_bound_) return Status::OK();
     return Recurse(0, root_lower_bound_);
   }
 
@@ -91,8 +89,7 @@ class BranchAndBound {
       for (FactId f = 0; f < db_.num_facts(); ++f) {
         if (removed_[f]) best_set_.push_back(f);
       }
-      if (options_.use_disjoint_match_bound &&
-          best_value_ <= root_lower_bound_) {
+      if (best_value_ <= root_lower_bound_) {
         proved_optimal_ = true;  // incumbent meets the lower bound
       }
       return Status::OK();

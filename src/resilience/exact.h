@@ -26,8 +26,6 @@ namespace rpqres {
 struct ExactOptions {
   /// Hard cap on branch-and-bound nodes; OutOfRange when exceeded.
   uint64_t max_search_nodes = 50'000'000;
-  /// Compute a root lower bound from greedy fact-disjoint matches.
-  bool use_disjoint_match_bound = true;
   /// Borrowed cooperative stop signal, polled every few hundred search
   /// nodes next to the node-budget check; the solver returns the token's
   /// status (DeadlineExceeded / Cancelled) when it fires. nullptr = never

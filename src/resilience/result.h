@@ -21,7 +21,7 @@ struct ResilienceResult {
   /// A witness minimum contingency set: fact ids, sorted, whose removal
   /// falsifies Q_L and whose total cost equals `value`. Empty if infinite.
   std::vector<FactId> contingency;
-  /// Which algorithm produced the answer (for reports and EXPERIMENTS.md).
+  /// Which algorithm produced the answer (for reports).
   std::string algorithm;
 
   // --- solver statistics (informational) -----------------------------------

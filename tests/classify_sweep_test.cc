@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <set>
 #include <string>
@@ -294,6 +295,40 @@ TEST(CompileFactsTest, LocalLanguagesPlanLocalOrTrivial) {
         << lang.description();
   }
   EXPECT_GT(local, 100);
+}
+
+// Language's used letters, one scan of the minimal DFA, are the alphabet
+// of the trimmed automaton they were once read from.
+TEST(CompileFactsTest, UsedLettersMatchTrimmedAutomaton) {
+  for (const Language& lang : FactLanguages()) {
+    EXPECT_EQ(lang.used_letters(),
+              EnfaTrim(DfaToEnfa(lang.min_dfa())).Alphabet())
+        << lang.description();
+  }
+}
+
+// The classifier shows a finite IF(L) of a plan other than kExact by its
+// first words and its word count, without listing it: both agree with the
+// full word list.
+TEST(CompileFactsTest, FirstWordsAndCountMatchTheWordList) {
+  int finite = 0;
+  for (const Language& lang : FactLanguages()) {
+    if (!lang.IsFinite()) continue;
+    ++finite;
+    const Dfa& dfa = lang.min_dfa();
+    Result<std::vector<std::string>> words = lang.Words();
+    ASSERT_TRUE(words.ok()) << lang.description();
+    for (size_t shown : {size_t{1}, size_t{3}, size_t{32}}) {
+      const size_t n = std::min(shown, words->size());
+      EXPECT_EQ(FirstWordsUpToLength(dfa, dfa.num_states(), shown),
+                std::vector<std::string>(words->begin(), words->begin() + n))
+          << lang.description();
+    }
+    uint64_t count = 0;
+    for (uint64_t n : CountWordsByLength(dfa, dfa.num_states())) count += n;
+    EXPECT_EQ(count, words->size()) << lang.description();
+  }
+  EXPECT_GT(finite, 100);
 }
 
 // The repeated-letter walk agrees with a scan of the words of a finite

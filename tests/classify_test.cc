@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "automata/dfa.h"
 #include "classify/classifier.h"
 #include "lang/language.h"
 #include "resilience/resilience.h"
@@ -79,21 +82,56 @@ TEST(ClassifierTest, ClassifiesOnInfixFreeSublanguage) {
 }
 
 TEST(ClassifierTest, FiniteIfLanguageDisplayIsBounded) {
-  // (a|b) sixteen times: IF(L) = L has 2^16 words, of which if_language
-  // spells out the first 32 and then states the count.
-  std::string regex;
-  for (int i = 0; i < 16; ++i) regex += "(a|b)";
-  Result<Classification> c =
-      ClassifyResilience(Language::MustFromRegexString(regex));
-  ASSERT_TRUE(c.ok()) << c.status();
-  EXPECT_TRUE(c->finite);
-  EXPECT_LT(c->if_language.size(), 1024u);
-  EXPECT_EQ(c->if_language.rfind(
-                "aaaaaaaaaaaaaaaa|aaaaaaaaaaaaaaab|", 0),
-            0u)
-      << c->if_language;
-  EXPECT_NE(c->if_language.find("… (65536 words)"), std::string::npos)
-      << c->if_language;
+  // IF(L) = L, of which if_language spells out the first 32 words and then
+  // states the count: (a|b) sixteen times (2^16 words, an exact plan, which
+  // lists them all), and eleven groups of four letters (4^11 words, a local
+  // plan, which lists only the shown ones).
+  struct Case {
+    std::string regex;
+    std::string first_words;
+    std::string count;
+  };
+  std::string binary;
+  for (int i = 0; i < 16; ++i) binary += "(a|b)";
+  const std::vector<Case> cases = {
+      {binary, "aaaaaaaaaaaaaaaa|aaaaaaaaaaaaaaab|", "… (65536 words)"},
+      {"(a|b|c|d)(e|f|g|h)(i|j|k|l)(m|n|o|p)(q|r|s|t)(u|v|w|x)(y|z|A|B)"
+       "(C|D|E|F)(G|H|I|J)(K|L|M|N)(O|P|Q|R)",
+       "aeimquACGKO|aeimquACGKP|", "… (4194304 words)"},
+  };
+  for (const Case& c : cases) {
+    Result<Classification> verdict =
+        ClassifyResilience(Language::MustFromRegexString(c.regex));
+    ASSERT_TRUE(verdict.ok()) << verdict.status();
+    EXPECT_TRUE(verdict->finite);
+    const std::string& shown = verdict->if_language;
+    EXPECT_LT(shown.size(), 1024u);
+    EXPECT_EQ(std::count(shown.begin(), shown.end(), '|'), 31) << shown;
+    EXPECT_EQ(shown.rfind(c.first_words, 0), 0u) << shown;
+    EXPECT_NE(shown.find(c.count), std::string::npos) << shown;
+  }
+}
+
+TEST(ClassifierTest, FiniteIfLanguageWordCountSaturates) {
+  // s·w·t, w any increasing sequence of 64 middle letters: a local,
+  // infix-free language of 2^64 words, past what a word count holds.
+  std::vector<char> letters;
+  for (char c = '0'; letters.size() < 66; ++c) letters.push_back(c);
+  Dfa dfa(letters, 67);  // state i + 1: letters[i] was read last
+  dfa.set_initial(0);
+  dfa.SetTransition(0, letters[0], 1);
+  for (int from = 1; from < 66; ++from) {
+    for (int i = from; i < 66; ++i) dfa.SetTransition(from, letters[i], i + 1);
+  }
+  dfa.SetFinal(66);
+  Result<Classification> verdict =
+      ClassifyResilience(Language::FromDfa(dfa));
+  ASSERT_TRUE(verdict.ok()) << verdict.status();
+  EXPECT_EQ(verdict->complexity, ComplexityClass::kPtime);
+  EXPECT_NE(verdict->if_language.find(
+                "… (at least 9223372036854775807 words)"),
+            std::string::npos)
+      << verdict->if_language;
 }
 
 TEST(ClassifierTest, VerdictIsReadOffThePlan) {

@@ -5,6 +5,10 @@
 
 #include "gadgets/condensation.h"
 #include "gadgets/hypergraph.h"
+#include "graphdb/generators.h"
+#include "lang/infix_free.h"
+#include "lang/language.h"
+#include "util/rng.h"
 
 namespace rpqres {
 namespace {
@@ -54,6 +58,18 @@ TEST(CondensationTest, PreservesMinimumHittingSet) {
       Make(6, {{0, 1}, {0, 1, 2}, {3, 4, 5}, {4}}),
       Make(3, {{0}, {0, 1}, {1, 2}}),
   };
+  // And the hypergraphs of matches of two finite languages on random
+  // databases of 14, 20 and 26 facts.
+  for (const char* regex : {"aa", "abc|bcd"}) {
+    Language ifl = InfixFreeSublanguage(Language::MustFromRegexString(regex));
+    for (int size : {14, 20, 26}) {
+      Rng rng(13 + size);
+      GraphDb db = RandomGraphDb(&rng, size / 2, size, ifl.used_letters());
+      Result<Hypergraph> matches = HypergraphOfMatches(ifl, db);
+      ASSERT_TRUE(matches.ok()) << regex << ": " << matches.status();
+      cases.push_back(*std::move(matches));
+    }
+  }
   for (const Hypergraph& h : cases) {
     CondensationResult r = Condense(h, {});
     EXPECT_EQ(MinimumHittingSetSize(h),

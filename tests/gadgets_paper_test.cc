@@ -188,6 +188,7 @@ TEST_P(ReductionTest, EncodingResilienceMatchesPrediction) {
     if (std::string(regex) == "aa") return AaGadget();
     if (std::string(regex) == "aaa") return AaaGadget();
     if (std::string(regex) == "aab") return AabGadget();
+    if (std::string(regex) == "abcd|bef") return AbcdGadget();
     return AbBcCaGadget();
   }();
   Result<GadgetVerification> v = VerifyGadget(lang, gadget);
@@ -206,7 +207,8 @@ TEST_P(ReductionTest, EncodingResilienceMatchesPrediction) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ReductionTest,
-    ::testing::Combine(::testing::Values("aa", "aaa", "aab", "ab|bc|ca"),
+    ::testing::Combine(::testing::Values("aa", "aaa", "aab", "ab|bc|ca",
+                                         "abcd|bef"),
                        ::testing::Range(1, 5)));
 
 }  // namespace

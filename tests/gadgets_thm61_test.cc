@@ -82,7 +82,8 @@ TEST(Thm61PipelineTest, RequirementsEnforced) {
 TEST(Thm61PipelineTest, ReconstructionGapsReportedAsNotFound) {
   // axya|yax and abca|cab reach Claim 6.13 with x, y ≠ a, which needs the
   // Fig 12 gadget; aaaa is four-legged with unary legs, which our Fig 6
-  // reconstruction cannot express. Known gaps (EXPERIMENTS.md row 3b).
+  // reconstruction cannot express. The paper text does not fix the wiring
+  // of either figure, and no candidate for them verifies here.
   for (const char* regex : {"axya|yax", "abca|cab", "aaaa"}) {
     Result<Thm61Gadget> built =
         BuildThm61Gadget(Language::MustFromRegexString(regex));

@@ -64,7 +64,7 @@ TEST(LocalTest, EmptyAndEpsilonLanguages) {
 TEST(LocalOverapproximationTest, IsAlwaysLocalAndSuperset) {
   // Claim 3.9: L(A) ⊇ L for the overapproximation A, local by
   // construction, even for non-local L.
-  for (const char* regex : {"aa", "axb|cxd", "ab|bc", "ax*b"}) {
+  for (const char* regex : {"aa", "axb|cxd", "ab|bc", "ax*b", "ab|ad|cd"}) {
     Language lang = Language::MustFromRegexString(regex);
     Dfa over = LocalOverapproximationDfa(ComputeLocalProfile(lang));
     EXPECT_TRUE(IsLocalDfa(over)) << regex;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "flow/residual_graph.h"
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
 #include "lang/language.h"
@@ -137,6 +138,40 @@ TEST(LocalResilienceTest, CombinedComplexityNetworkSize) {
             2 + db.num_nodes() * ro.num_states());
   EXPECT_GT(r.product_vertices_pruned, 0)
       << "a path database must have dead product vertices to prune";
+}
+
+// Section 1: multi-source, multi-sink MinCut is RES_bag(ax*b). The direct
+// encoding of a layered network cuts each fact at its multiplicity: an
+// a-fact is an edge from the super-source to its head, a b-fact an edge
+// from its tail to the super-target, an x-fact an edge between its ends.
+TEST(LocalResilienceTest, MinCutIsBagResilienceOfAxStarB) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 10; ++trial) {
+    GraphDb db = LayeredFlowDb(&rng, 2 + trial % 4, 2 + trial % 5,
+                               3 + trial % 3, 2 + trial % 3,
+                               0.3 + 0.05 * (trial % 5),
+                               /*max_multiplicity=*/12);
+    ResidualGraph network;
+    const int source = network.AddVertex();
+    const int target = network.AddVertex();
+    network.SetSource(source);
+    network.SetTarget(target);
+    std::vector<int> vertex_of(db.num_nodes());
+    for (NodeId v = 0; v < db.num_nodes(); ++v) {
+      vertex_of[v] = network.AddVertex();
+    }
+    for (FactId f = 0; f < db.num_facts(); ++f) {
+      const Fact& fact = db.fact(f);
+      const int from = fact.label == 'a' ? source : vertex_of[fact.source];
+      const int to = fact.label == 'b' ? target : vertex_of[fact.target];
+      network.AddEdge(from, to, db.multiplicity(f));
+    }
+    const MinCutView& cut = network.Solve();
+    ASSERT_FALSE(cut.infinite) << "trial " << trial;
+    ResilienceResult res = MustSolve("ax*b", db, Semantics::kBag);
+    EXPECT_FALSE(res.infinite) << "trial " << trial;
+    EXPECT_EQ(res.value, cut.value) << "trial " << trial;
+  }
 }
 
 // Randomized cross-check against brute force, set and bag semantics.

@@ -1,11 +1,10 @@
-// Tests for util: Status/Result, strings, rng, table.
+// Tests for util: Status/Result, strings, rng.
 
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
-#include "util/table.h"
 
 namespace rpqres {
 namespace {
@@ -120,29 +119,6 @@ TEST(RngTest, DoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-TEST(TableTest, AlignsColumns) {
-  TextTable t;
-  t.SetHeader({"name", "value"});
-  t.AddRow({"x", "1"});
-  t.AddRow({"longer", "22"});
-  std::string s = t.ToString();
-  EXPECT_NE(s.find("name"), std::string::npos);
-  EXPECT_NE(s.find("longer"), std::string::npos);
-  // Header separator present.
-  EXPECT_NE(s.find("-----"), std::string::npos);
-}
-
-TEST(TableTest, HandlesUtf8Width) {
-  TextTable t;
-  t.SetHeader({"word"});
-  t.AddRow({"ε"});
-  t.AddRow({"ab"});
-  // Must not crash and must contain both rows.
-  std::string s = t.ToString();
-  EXPECT_NE(s.find("ε"), std::string::npos);
-  EXPECT_NE(s.find("ab"), std::string::npos);
 }
 
 }  // namespace
