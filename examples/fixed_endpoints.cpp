@@ -77,7 +77,7 @@ int main() {
   std::vector<bool> removed(graph.num_facts(), false);
   for (FactId f : targeted.result.contingency) removed[f] = true;
   bool still_routed = EvaluatesToTrueBetween(graph, LabelIndex(graph),
-                                             query.enfa(), s, t, &removed);
+                                             query.min_dfa(), s, t, &removed);
   std::cout << "Route survives the targeted cut? "
             << (still_routed ? "YES (bug!)" : "no") << "\n";
   return still_routed ? 1 : 0;

@@ -52,30 +52,6 @@ Enfa EnfaFromWords(const std::vector<std::string>& words) {
   return a;
 }
 
-namespace {
-
-// Copies `src` into `dst` with all state ids shifted by `offset`; does not
-// copy initial/final markings.
-void AppendStatesAndTransitions(const Enfa& src, Enfa* dst, int offset) {
-  for (const EnfaTransition& t : src.transitions()) {
-    dst->AddTransition(t.from + offset, t.symbol, t.to + offset);
-  }
-}
-
-}  // namespace
-
-Enfa EnfaStar(const Enfa& a) {
-  Enfa out;
-  out.AddStates(a.num_states());
-  AppendStatesAndTransitions(a, &out, 0);
-  int hub = out.AddState();
-  out.AddInitial(hub);
-  out.AddFinal(hub);
-  for (int i : a.initial_states()) out.AddTransition(hub, kEpsilonSymbol, i);
-  for (int f : a.final_states()) out.AddTransition(f, kEpsilonSymbol, hub);
-  return out;
-}
-
 Enfa EnfaMirror(const Enfa& a) {
   Enfa out;
   out.AddStates(a.num_states());
@@ -351,25 +327,13 @@ Dfa MinimalDfa(const Enfa& a, const std::vector<char>& extra_alphabet) {
   return Minimize(Determinize(a, extra_alphabet));
 }
 
-// --- Boolean algebra --------------------------------------------------------
+// --- Difference ------------------------------------------------------------
 
-Dfa ProductDfa(const Dfa& a_in, const Dfa& b_in, BoolOp op) {
+Dfa DifferenceDfa(const Dfa& a_in, const Dfa& b_in) {
   std::vector<char> alphabet =
       MergeAlphabets(a_in.alphabet(), b_in.alphabet());
   Dfa a = CompleteDfa(a_in, alphabet);
   Dfa b = CompleteDfa(b_in, alphabet);
-
-  auto combine = [op](bool x, bool y) {
-    switch (op) {
-      case BoolOp::kAnd:
-        return x && y;
-      case BoolOp::kOr:
-        return x || y;
-      case BoolOp::kDiff:
-        return x && !y;
-    }
-    return false;
-  };
 
   std::map<std::pair<int, int>, int> ids;
   std::vector<std::pair<int, int>> pairs;
@@ -394,31 +358,10 @@ Dfa ProductDfa(const Dfa& a_in, const Dfa& b_in, BoolOp op) {
   out.set_initial(0);
   for (size_t id = 0; id < pairs.size(); ++id) {
     auto [sa, sb] = pairs[id];
-    if (combine(a.IsFinal(sa), b.IsFinal(sb))) {
-      out.SetFinal(static_cast<int>(id));
-    }
+    if (a.IsFinal(sa) && !b.IsFinal(sb)) out.SetFinal(static_cast<int>(id));
     for (size_t i = 0; i < alphabet.size(); ++i) {
       out.SetTransition(static_cast<int>(id), alphabet[i], table[id][i]);
     }
-  }
-  return out;
-}
-
-Dfa IntersectDfa(const Dfa& a, const Dfa& b) {
-  return ProductDfa(a, b, BoolOp::kAnd);
-}
-Dfa UnionDfa(const Dfa& a, const Dfa& b) {
-  return ProductDfa(a, b, BoolOp::kOr);
-}
-Dfa DifferenceDfa(const Dfa& a, const Dfa& b) {
-  return ProductDfa(a, b, BoolOp::kDiff);
-}
-
-Dfa ComplementDfa(const Dfa& a, const std::vector<char>& alphabet) {
-  Dfa complete = CompleteDfa(a, alphabet);
-  Dfa out = complete;
-  for (int s = 0; s < out.num_states(); ++s) {
-    out.SetFinal(s, !complete.IsFinal(s));
   }
   return out;
 }
@@ -444,11 +387,6 @@ bool DfaIsEmptyLanguage(const Dfa& a) {
     }
   }
   return true;
-}
-
-bool EnfaIsEmptyLanguage(const Enfa& a) {
-  Enfa trimmed = EnfaTrim(a);
-  return trimmed.final_states().empty();
 }
 
 bool IsSubsetOf(const Dfa& a, const Dfa& b) {
@@ -570,10 +508,6 @@ std::optional<std::string> ShortestWord(const Dfa& a) {
     }
   }
   return std::nullopt;
-}
-
-std::optional<std::string> ShortestWordEnfa(const Enfa& a) {
-  return ShortestWord(Determinize(a));
 }
 
 Result<std::vector<std::string>> EnumerateFiniteLanguage(const Dfa& a,

@@ -1,9 +1,9 @@
 // rpqres — automata/ops: the automata toolbox used by all language-level
-// analyses: determinization, minimization, boolean algebra, rational
-// operations, decision procedures, and word enumeration.
+// analyses: determinization, minimization, difference, decision
+// procedures, and word enumeration.
 //
 // Conventions:
-//  * Determinize/Minimize/boolean ops work with *complete* DFAs: every
+//  * Determinize/Minimize/DifferenceDfa work with *complete* DFAs: every
 //    state has a transition for every symbol of the DFA's alphabet (a sink
 //    state is materialized when needed).
 //  * Operations that combine two automata first extend both to the union of
@@ -32,8 +32,6 @@ std::vector<char> MergeAlphabets(const std::vector<char>& a,
 Enfa EnfaFromWord(const std::string& word);
 /// εNFA accepting exactly the given set of words.
 Enfa EnfaFromWords(const std::vector<std::string>& words);
-/// Kleene star L(a)*.
-Enfa EnfaStar(const Enfa& a);
 /// Mirror language L(a)^R (reverse all transitions, swap initial/final) —
 /// the reduction of Prp 6.3.
 Enfa EnfaMirror(const Enfa& a);
@@ -61,25 +59,16 @@ Dfa Minimize(const Dfa& a);
 /// Convenience: parse-free pipeline εNFA -> minimal complete DFA.
 Dfa MinimalDfa(const Enfa& a, const std::vector<char>& extra_alphabet = {});
 
-// --- Boolean algebra on complete DFAs --------------------------------------
+// --- Difference of complete DFAs -------------------------------------------
 
-enum class BoolOp { kAnd, kOr, kDiff };
-
-/// Product automaton computing L(a) op L(b); inputs are completed over the
-/// merged alphabet first.
-Dfa ProductDfa(const Dfa& a, const Dfa& b, BoolOp op);
-Dfa IntersectDfa(const Dfa& a, const Dfa& b);
-Dfa UnionDfa(const Dfa& a, const Dfa& b);
+/// Product automaton for L(a) \ L(b), over the states reachable from the
+/// initial pair; inputs are completed over the merged alphabet first.
 Dfa DifferenceDfa(const Dfa& a, const Dfa& b);
-/// Complement w.r.t. MergeAlphabets(a.alphabet(), alphabet)*.
-Dfa ComplementDfa(const Dfa& a, const std::vector<char>& alphabet = {});
 
 // --- Decision procedures ----------------------------------------------------
 
 /// True iff L(a) = ∅.
 bool DfaIsEmptyLanguage(const Dfa& a);
-/// True iff L(a) = ∅.
-bool EnfaIsEmptyLanguage(const Enfa& a);
 /// True iff L(a) ⊆ L(b).
 bool IsSubsetOf(const Dfa& a, const Dfa& b);
 /// True iff L(a) = L(b).
@@ -98,7 +87,6 @@ std::vector<char> UsedLetters(const Dfa& a);
 /// Shortest accepted word (by length, ties broken lexicographically), or
 /// nullopt if the language is empty.
 std::optional<std::string> ShortestWord(const Dfa& a);
-std::optional<std::string> ShortestWordEnfa(const Enfa& a);
 
 // --- Enumeration ------------------------------------------------------------
 

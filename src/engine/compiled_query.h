@@ -43,7 +43,7 @@ struct CompiledQuery {
   std::string regex;
   /// Semantics this plan was compiled under (plan-cache key component).
   Semantics semantics = Semantics::kSet;
-  /// Parsed language: ε-NFA plus minimal DFA.
+  /// Parsed language, held as its minimal DFA.
   Language language;
   /// The Figure 1 complexity verdict for IF(L), with its justifying rule.
   Classification classification;

@@ -2,11 +2,12 @@
 // extraction, via the standard product construction (database × automaton)
 // plus reachability (paper cites [Mendelzon & Wood, Lemma 3.1]).
 //
-// The search expands a (node, state) pair through the LabelIndex: for each
-// letter transition of the state, the facts with that letter at the node.
-// The automaton overloads take the index from the caller, so a search loop
-// (the exact branch & bound) builds it once; the Language overloads build
-// their own.
+// The automaton is L's minimal DFA. The search expands a (node, state) pair
+// through the LabelIndex: for each letter of the DFA's alphabet, in order,
+// the facts with that letter at the node. It never enters the DFA's sink,
+// the one state of a minimal DFA that reaches no final state. The DFA
+// overloads take the index from the caller, so a search loop (the exact
+// branch & bound) builds it once; the Language overloads build their own.
 
 #ifndef RPQRES_GRAPHDB_RPQ_EVAL_H_
 #define RPQRES_GRAPHDB_RPQ_EVAL_H_
@@ -14,7 +15,7 @@
 #include <optional>
 #include <vector>
 
-#include "automata/enfa.h"
+#include "automata/dfa.h"
 #include "graphdb/graph_db.h"
 #include "graphdb/label_index.h"
 #include "lang/language.h"
@@ -31,14 +32,14 @@ using WitnessWalk = std::vector<FactId>;
 /// exact branch-and-bound solver to avoid copying the database at every
 /// node).
 bool EvaluatesToTrue(const GraphDb& db, const LabelIndex& index,
-                     const Enfa& query,
+                     const Dfa& query,
                      const std::vector<bool>* removed_facts = nullptr);
 bool EvaluatesToTrue(const GraphDb& db, const Language& lang);
 
 /// A shortest witness walk (fewest facts, counting repetitions), or nullopt
 /// when Q does not hold. The empty walk is returned iff ε ∈ L.
 std::optional<WitnessWalk> ShortestWitnessWalk(
-    const GraphDb& db, const LabelIndex& index, const Enfa& query,
+    const GraphDb& db, const LabelIndex& index, const Dfa& query,
     const std::vector<bool>* removed_facts = nullptr);
 std::optional<WitnessWalk> ShortestWitnessWalk(const GraphDb& db,
                                                const Language& lang);
@@ -47,7 +48,7 @@ std::optional<WitnessWalk> ShortestWitnessWalk(const GraphDb& db,
 /// true iff D contains an L(A)-walk from `source` to `target`. The empty
 /// walk counts iff ε ∈ L and source == target.
 bool EvaluatesToTrueBetween(const GraphDb& db, const LabelIndex& index,
-                            const Enfa& query, NodeId source, NodeId target,
+                            const Dfa& query, NodeId source, NodeId target,
                             const std::vector<bool>* removed_facts = nullptr);
 
 /// The word labeling a witness walk.

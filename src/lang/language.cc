@@ -10,9 +10,8 @@
 
 namespace rpqres {
 
-Language::Language(Enfa enfa, Dfa min_dfa, std::string description)
-    : enfa_(std::move(enfa)),
-      min_dfa_(std::move(min_dfa)),
+Language::Language(Dfa min_dfa, std::string description)
+    : min_dfa_(std::move(min_dfa)),
       used_letters_(UsedLetters(min_dfa_)),
       description_(std::move(description)) {}
 
@@ -31,24 +30,17 @@ Language Language::MustFromRegexString(const std::string& regex) {
 }
 
 Language Language::FromRegex(const Regex& regex) {
-  Enfa enfa = ThompsonEnfa(regex);
-  Dfa min_dfa = MinimalDfa(enfa);
-  return Language(std::move(enfa), std::move(min_dfa), regex.ToString());
+  return Language(MinimalDfa(ThompsonEnfa(regex)), regex.ToString());
 }
 
 Language Language::FromEnfa(const Enfa& enfa) {
-  Dfa min_dfa = MinimalDfa(enfa);
-  return Language(enfa, std::move(min_dfa),
+  return Language(MinimalDfa(enfa),
                   "<εNFA with " + std::to_string(enfa.num_states()) +
                       " states>");
 }
 
 Language Language::FromDfa(const Dfa& dfa) {
-  Dfa min_dfa = Minimize(dfa);
-  // The trimmed εNFA keeps only useful states; when ε ∈ L the initial state
-  // is final, hence useful, so no accepting behaviour is lost.
-  Enfa enfa = EnfaTrim(DfaToEnfa(min_dfa));
-  return Language(std::move(enfa), std::move(min_dfa),
+  return Language(Minimize(dfa),
                   "<DFA with " + std::to_string(dfa.num_states()) +
                       " states>");
 }
@@ -81,7 +73,7 @@ std::optional<std::string> Language::ShortestWord() const {
 }
 
 Language Language::Mirror() const {
-  Language mirrored = FromEnfa(EnfaMirror(enfa_));
+  Language mirrored = FromEnfa(EnfaMirror(DfaToEnfa(min_dfa_)));
   mirrored.set_description("mirror(" + description_ + ")");
   return mirrored;
 }

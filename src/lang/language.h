@@ -1,6 +1,6 @@
-// rpqres — lang/language: a regular language bundled with its canonical
-// automata representations and cached basic facts. This is the main value
-// type passed to all analyses and resilience solvers.
+// rpqres — lang/language: a regular language held as its minimal complete
+// DFA, with cached basic facts. This is the main value type passed to all
+// analyses and resilience solvers.
 
 #ifndef RPQRES_LANG_LANGUAGE_H_
 #define RPQRES_LANG_LANGUAGE_H_
@@ -17,9 +17,9 @@ namespace rpqres {
 
 /// A regular language L over single-character letters.
 ///
-/// Holds the defining εNFA and the minimal complete DFA; both are computed
-/// eagerly at construction (languages in this problem domain are small —
-/// queries, not data).
+/// Holds one automaton, the minimal complete DFA, computed eagerly at
+/// construction (languages in this problem domain are small — queries, not
+/// data). Every analysis, and RPQ evaluation, reads it.
 class Language {
  public:
   /// Parses the paper's regex syntax, e.g. "ax*b|cxd".
@@ -32,8 +32,6 @@ class Language {
   /// Finite language given by an explicit word list.
   static Language FromWords(const std::vector<std::string>& words);
 
-  /// The defining εNFA (as supplied, or derived from the DFA).
-  const Enfa& enfa() const { return enfa_; }
   /// Minimal complete DFA for L.
   const Dfa& min_dfa() const { return min_dfa_; }
 
@@ -75,9 +73,8 @@ class Language {
   }
 
  private:
-  Language(Enfa enfa, Dfa min_dfa, std::string description);
+  Language(Dfa min_dfa, std::string description);
 
-  Enfa enfa_;
   Dfa min_dfa_;
   std::vector<char> used_letters_;
   std::string description_;

@@ -52,7 +52,7 @@ class BranchAndBound {
     Capacity bound = 0;
     for (;;) {
       std::optional<WitnessWalk> walk =
-          ShortestWitnessWalk(db_, index_, lang_.enfa(), &blocked);
+          ShortestWitnessWalk(db_, index_, lang_.min_dfa(), &blocked);
       if (!walk) break;
       RPQRES_CHECK(!walk->empty());  // ε ∉ L was checked by the caller
       Capacity cheapest = kInfiniteCapacity;
@@ -81,7 +81,7 @@ class BranchAndBound {
     }
     if (cost + lower_bound_hint >= best_value_) return Status::OK();
     std::optional<WitnessWalk> walk =
-        ShortestWitnessWalk(db_, index_, lang_.enfa(), &removed_);
+        ShortestWitnessWalk(db_, index_, lang_.min_dfa(), &removed_);
     if (!walk) {
       // Current removal set is a contingency set cheaper than the best.
       best_value_ = cost;
@@ -159,7 +159,7 @@ Result<ResilienceResult> SolveExactInfixFree(const Language& ifl,
   std::optional<LabelIndex> built;
   const LabelIndex& index =
       label_index != nullptr ? *label_index : built.emplace(db);
-  if (!EvaluatesToTrue(db, index, ifl.enfa())) {
+  if (!EvaluatesToTrue(db, index, ifl.min_dfa())) {
     return result;  // already false: resilience 0
   }
   // Infinite iff the query survives the deletion of every endogenous fact
@@ -168,7 +168,7 @@ Result<ResilienceResult> SolveExactInfixFree(const Language& ifl,
   for (FactId f = 0; f < db.num_facts(); ++f) {
     all_endogenous_removed[f] = !db.IsExogenous(f);
   }
-  if (EvaluatesToTrue(db, index, ifl.enfa(), &all_endogenous_removed)) {
+  if (EvaluatesToTrue(db, index, ifl.min_dfa(), &all_endogenous_removed)) {
     result.infinite = true;
     return result;
   }
@@ -228,7 +228,7 @@ Result<ResilienceResult> SolveBruteForceResilience(const Language& lang,
       }
     }
     if (touches_exogenous || cost >= best) continue;
-    if (!EvaluatesToTrue(db, index, lang.enfa(), &removed)) {
+    if (!EvaluatesToTrue(db, index, lang.min_dfa(), &removed)) {
       best = cost;
       best_mask = mask;
     }
@@ -290,7 +290,7 @@ Result<ResilienceResult> SolveBruteForceResilienceBetween(
       }
     }
     if (touches_exogenous || cost >= best) continue;
-    if (!EvaluatesToTrueBetween(db, index, lang.enfa(), source, target,
+    if (!EvaluatesToTrueBetween(db, index, lang.min_dfa(), source, target,
                                 &removed)) {
       best = cost;
       best_mask = mask;

@@ -163,8 +163,8 @@ Status VerifyResilienceImpl(const Language& lang, const GraphDb& db,
   const LabelIndex index(db);
   auto holds = [&](const std::vector<bool>* removed) {
     return source < 0
-               ? EvaluatesToTrue(db, index, lang.enfa(), removed)
-               : EvaluatesToTrueBetween(db, index, lang.enfa(), source,
+               ? EvaluatesToTrue(db, index, lang.min_dfa(), removed)
+               : EvaluatesToTrueBetween(db, index, lang.min_dfa(), source,
                                         target, removed);
   };
   // Resilience is +∞ iff ε ∈ L (for fixed endpoints: and they coincide),

@@ -1,6 +1,6 @@
-// Algebraic property tests over the automata toolbox: boolean-algebra
-// laws, minimization idempotence/canonicity, and agreement between
-// language-level operations and word-level semantics on bounded samples.
+// Algebraic property tests over the automata toolbox: the difference
+// product against word-level semantics on bounded samples, minimization
+// idempotence/canonicity, mirror, and Thompson against its derived DFAs.
 
 #include <gtest/gtest.h>
 
@@ -40,32 +40,11 @@ class BooleanAlgebraTest
 TEST_P(BooleanAlgebraTest, OperationsMatchWordSemantics) {
   const auto& [r1, r2] = GetParam();
   Dfa a = DfaOf(r1), b = DfaOf(r2);
-  Dfa a_and_b = IntersectDfa(a, b);
-  Dfa a_or_b = UnionDfa(a, b);
   Dfa a_minus_b = DifferenceDfa(a, b);
   std::vector<char> sigma = MergeAlphabets(a.alphabet(), b.alphabet());
   for (const std::string& w : Words(sigma, 4)) {
-    EXPECT_EQ(a_and_b.Accepts(w), a.Accepts(w) && b.Accepts(w)) << w;
-    EXPECT_EQ(a_or_b.Accepts(w), a.Accepts(w) || b.Accepts(w)) << w;
     EXPECT_EQ(a_minus_b.Accepts(w), a.Accepts(w) && !b.Accepts(w)) << w;
   }
-}
-
-TEST_P(BooleanAlgebraTest, DeMorgan) {
-  const auto& [r1, r2] = GetParam();
-  Dfa a = DfaOf(r1), b = DfaOf(r2);
-  std::vector<char> sigma = MergeAlphabets(a.alphabet(), b.alphabet());
-  // ¬(A ∪ B) = ¬A ∩ ¬B over the merged alphabet.
-  Dfa lhs = ComplementDfa(UnionDfa(a, b), sigma);
-  Dfa rhs = IntersectDfa(ComplementDfa(a, sigma), ComplementDfa(b, sigma));
-  EXPECT_TRUE(AreEquivalent(lhs, rhs));
-}
-
-TEST_P(BooleanAlgebraTest, DoubleComplementIsIdentity) {
-  const auto& [r1, r2] = GetParam();
-  (void)r2;
-  Dfa a = DfaOf(r1);
-  EXPECT_TRUE(AreEquivalent(ComplementDfa(ComplementDfa(a)), a));
 }
 
 TEST_P(BooleanAlgebraTest, MinimizeIsIdempotentAndCanonical) {
@@ -103,17 +82,6 @@ TEST(MirrorPropertyTest, MirrorOfMirrorAndLengthPreservation) {
       EXPECT_EQ(d.Accepts(w), md.Accepts(reversed)) << regex << " " << w;
     }
     EXPECT_TRUE(AreEquivalent(MinimalDfa(EnfaMirror(mirrored)), d));
-  }
-}
-
-TEST(StarPropertyTest, MatchesWordSemantics) {
-  Dfa star = MinimalDfa(EnfaStar(EnfaFromWord("ab")));
-  for (const std::string& w : Words({'a', 'b', 'c'}, 5)) {
-    bool in_star = w.size() % 2 == 0;
-    for (size_t i = 0; in_star && i < w.size(); i += 2) {
-      in_star = w[i] == 'a' && w[i + 1] == 'b';
-    }
-    EXPECT_EQ(star.Accepts(w), in_star) << w;
   }
 }
 

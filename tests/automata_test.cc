@@ -1,5 +1,5 @@
 // Tests for the automata toolbox: Thompson, determinization, minimization,
-// boolean ops, decision procedures, enumeration.
+// difference, decision procedures, enumeration.
 
 #include <gtest/gtest.h>
 
@@ -59,13 +59,6 @@ TEST(EnfaTest, WordConstructions) {
   EXPECT_TRUE(words.Accepts("cd"));
   EXPECT_TRUE(words.Accepts(""));
   EXPECT_FALSE(words.Accepts("ad"));
-}
-
-TEST(EnfaTest, Star) {
-  Enfa star = EnfaStar(EnfaFromWord("ab"));
-  EXPECT_TRUE(star.Accepts(""));
-  EXPECT_TRUE(star.Accepts("abab"));
-  EXPECT_FALSE(star.Accepts("aba"));
 }
 
 TEST(EnfaTest, MirrorReversesWords) {
@@ -132,28 +125,12 @@ TEST(CompleteDfaTest, AddsSinkAndAlphabet) {
   EXPECT_FALSE(complete.Accepts("a"));
 }
 
-TEST(BooleanOpsTest, IntersectUnionDifferenceComplement) {
-  Dfa ab_star = DfaOf("(a|b)*");
+TEST(BooleanOpsTest, Difference) {
   Dfa with_a = DfaOf("(a|b)*a(a|b)*");
   Dfa with_b = DfaOf("(a|b)*b(a|b)*");
-
-  Dfa both = IntersectDfa(with_a, with_b);
-  EXPECT_TRUE(both.Accepts("ab"));
-  EXPECT_FALSE(both.Accepts("aa"));
-
-  Dfa either = UnionDfa(with_a, with_b);
-  EXPECT_TRUE(either.Accepts("a"));
-  EXPECT_TRUE(either.Accepts("b"));
-  EXPECT_FALSE(either.Accepts(""));
-
   Dfa only_a = DifferenceDfa(with_a, with_b);
   EXPECT_TRUE(only_a.Accepts("aaa"));
   EXPECT_FALSE(only_a.Accepts("ab"));
-
-  Dfa none = ComplementDfa(either);
-  EXPECT_TRUE(none.Accepts(""));
-  EXPECT_FALSE(none.Accepts("ab"));
-  EXPECT_TRUE(AreEquivalent(UnionDfa(either, none), CompleteDfa(ab_star)));
 }
 
 TEST(DecisionTest, EmptinessAndInclusion) {
@@ -162,8 +139,6 @@ TEST(DecisionTest, EmptinessAndInclusion) {
       DfaIsEmptyLanguage(DifferenceDfa(DfaOf("ab|cd"), DfaOf("ab|cd|ef"))));
   EXPECT_TRUE(IsSubsetOf(DfaOf("ab"), DfaOf("ab|cd")));
   EXPECT_FALSE(IsSubsetOf(DfaOf("ab|cd"), DfaOf("ab")));
-  EXPECT_TRUE(EnfaIsEmptyLanguage(EnfaFromWords({})));
-  EXPECT_FALSE(EnfaIsEmptyLanguage(EnfaFromWord("")));
 }
 
 TEST(DecisionTest, Finiteness) {
@@ -182,7 +157,6 @@ TEST(ShortestWordTest, LengthThenLex) {
   EXPECT_EQ(ShortestWord(DfaOf("aaa|x")).value(), "x");
   EXPECT_EQ(ShortestWord(Minimize(DifferenceDfa(DfaOf("a"), DfaOf("a")))),
             std::nullopt);
-  EXPECT_EQ(ShortestWordEnfa(EnfaFromWord("")).value(), "");
 }
 
 TEST(EnumerationTest, FiniteLanguages) {

@@ -341,31 +341,24 @@ TEST(EngineCompiledQueryTest, ExposesClassificationAndPlan) {
   EXPECT_TRUE(response.stats.cache_hit);
 }
 
+// The wall-clock bounds of the next four tests' compiles and scans are in
+// engine_timing_test, which runs alone; these hold the verdicts.
+
 // A boundary mutant with an infinite IF(L) that reaches the bounded
 // four-legged witness search. At the default word bound its compile
 // takes milliseconds; at a bound of 12 the word enumeration the search
 // once was took about 29 s.
 TEST(EngineCompiledQueryTest, DefaultWordBoundKeepsCompileFast) {
-  const auto start = std::chrono::steady_clock::now();
   auto compiled = CompileQuery("e(d|f)*b|bf", Semantics::kBag);
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_LT(seconds, 5.0);
 }
 
 // Enumerating the words of e(a|b|c|d)*f|fe up to the default bound took
 // about 37 s. The four-legged test now walks IF(L)'s minimal DFA, so the
 // compile takes about a millisecond, with the same verdict.
 TEST(EngineCompiledQueryTest, FourLeggedTestDoesNotEnumerateWords) {
-  const auto start = std::chrono::steady_clock::now();
   auto compiled = CompileQuery("e(a|b|c|d)*f|fe", Semantics::kBag);
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_LT(seconds, 1.0);
   EXPECT_EQ((*compiled)->classification.complexity,
             ComplexityClass::kUnclassified);
   EXPECT_EQ((*compiled)->classification.rule, "no paper result applies");
@@ -385,15 +378,8 @@ constexpr char kFamily11[] =
 TEST(EngineCompiledQueryTest, NeutralLetterAndLocalityAreDfaScans) {
   const Language lang = Language::MustFromRegexString(kFamily10);
   ASSERT_EQ(lang.min_dfa().num_states(), 2051);
-  const auto start = std::chrono::steady_clock::now();
-  const std::vector<char> neutral = NeutralLetters(lang);
-  const bool local = IsLocal(lang);
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  EXPECT_TRUE(neutral.empty());
-  EXPECT_FALSE(local);
-  EXPECT_LT(seconds, 0.5);
+  EXPECT_TRUE(NeutralLetters(lang).empty());
+  EXPECT_FALSE(IsLocal(lang));
 }
 
 // The 64-character member compiled in about 20 s, most of it in the
@@ -401,13 +387,8 @@ TEST(EngineCompiledQueryTest, NeutralLetterAndLocalityAreDfaScans) {
 // now stops at its state-id cap, and the classifier skips only the rule
 // that needs it.
 TEST(EngineCompiledQueryTest, LargeDfaFamilyCompilesWithinBudget) {
-  const auto start = std::chrono::steady_clock::now();
   auto compiled = CompileQuery(kFamily11, Semantics::kBag);
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_LT(seconds, 5.0);
   const Classification& verdict = (*compiled)->classification;
   EXPECT_EQ(verdict.complexity, ComplexityClass::kUnclassified);
   EXPECT_EQ(verdict.rule, "no paper result applies");
@@ -509,8 +490,8 @@ TEST(FixedEndpointRequestTest, MatchesDirectSolverAndBooleanBound) {
   // The targeted witness must actually sever every s -> t route.
   std::vector<bool> removed(graph.num_facts(), false);
   for (FactId f : targeted.result.contingency) removed[f] = true;
-  EXPECT_FALSE(EvaluatesToTrueBetween(graph, LabelIndex(graph), lang.enfa(),
-                                      s, t, &removed));
+  EXPECT_FALSE(EvaluatesToTrueBetween(graph, LabelIndex(graph),
+                                      lang.min_dfa(), s, t, &removed));
 }
 
 TEST(FixedEndpointRequestTest, ValidationAndNonLocalRefusal) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "automata/ops.h"
+#include "automata/thompson.h"
 #include "lang/language.h"
+#include "regex/parser.h"
 
 namespace rpqres {
 namespace {
@@ -91,13 +93,14 @@ TEST(LanguageTest, EquivalentTo) {
 }
 
 TEST(LanguageTest, FromEnfaAndFromDfaAgree) {
-  Enfa e = Language::MustFromRegexString("ab|ad|cd").enfa();
+  Enfa e = ThompsonEnfa(MustParseRegex("ab|ad|cd"));
   Language from_enfa = Language::FromEnfa(e);
   Language from_dfa = Language::FromDfa(MinimalDfa(e));
   EXPECT_TRUE(from_enfa.EquivalentTo(from_dfa));
 }
 
-// Property sweep: the stored εNFA and minimal DFA agree on membership.
+// Property sweep: Thompson's εNFA and the language's minimal DFA agree on
+// membership.
 class LanguageAgreementTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(LanguageAgreementTest, EnfaAndDfaAgree) {
@@ -112,8 +115,9 @@ TEST_P(LanguageAgreementTest, EnfaAndDfaAgree) {
       for (char c : sigma) words.push_back(w + c);
     }
   }
+  const Enfa enfa = ThompsonEnfa(MustParseRegex(GetParam()));
   for (const std::string& w : words) {
-    EXPECT_EQ(lang.enfa().Accepts(w), lang.min_dfa().Accepts(w))
+    EXPECT_EQ(enfa.Accepts(w), lang.min_dfa().Accepts(w))
         << GetParam() << " disagrees on " << w;
   }
 }

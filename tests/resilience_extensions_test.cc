@@ -132,12 +132,12 @@ TEST(ExogenousTest, RandomizedAgainstBruteForce) {
 TEST(FixedEndpointTest, EvaluatesToTrueBetween) {
   GraphDb db = PathDb("axb");  // nodes 0..3
   LabelIndex index(db);
-  Enfa query = Language::MustFromRegexString("ax*b").enfa();
+  Dfa query = Language::MustFromRegexString("ax*b").min_dfa();
   EXPECT_TRUE(EvaluatesToTrueBetween(db, index, query, 0, 3));
   EXPECT_FALSE(EvaluatesToTrueBetween(db, index, query, 1, 3));
   EXPECT_FALSE(EvaluatesToTrueBetween(db, index, query, 0, 2));
   // ε ∈ L: empty walk only at coinciding endpoints.
-  Enfa star = Language::MustFromRegexString("x*").enfa();
+  Dfa star = Language::MustFromRegexString("x*").min_dfa();
   EXPECT_TRUE(EvaluatesToTrueBetween(db, index, star, 2, 2));
   EXPECT_FALSE(EvaluatesToTrueBetween(db, index, star, 0, 3));
   EXPECT_TRUE(EvaluatesToTrueBetween(db, index, star, 1, 2));  // the x edge
@@ -220,8 +220,8 @@ TEST(FixedEndpointTest, RandomizedAgainstBruteForce) {
       if (!flow->infinite) {
         std::vector<bool> removed(db.num_facts(), false);
         for (FactId f : flow->contingency) removed[f] = true;
-        EXPECT_FALSE(EvaluatesToTrueBetween(db, LabelIndex(db), lang.enfa(),
-                                            s, t, &removed));
+        EXPECT_FALSE(EvaluatesToTrueBetween(db, LabelIndex(db),
+                                            lang.min_dfa(), s, t, &removed));
       }
     }
   }
