@@ -30,6 +30,14 @@ about, enforced over the source tree:
       a database. A call to `AddNode(`, `AddFact(`, `MirrorDb(`,
       `Compact(` or `RemoveFacts(` there is a violation.
 
+  classify-word-list
+      The Figure 1 classifier (src/classify/) reads every fact about a
+      language off its minimal DFA and lists no words: a finite IF(L) may
+      have more words than memory holds. A call of `Words(`,
+      `WordsUpTo(`, `EnumerateFiniteLanguage(` or `WordsUpToLength(`
+      there is a violation; `FirstWordsUpToLength(`, which stops at the
+      words it is asked for, is not.
+
 Suppressions: a violating line is waived by `invariant-ok: <reason>`
 (optionally `invariant-ok(<rule>): <reason>`) in a comment on the same
 line or the line directly above. The reason is mandatory — an empty
@@ -73,6 +81,11 @@ FLOW_SOLVER_FILES = {
 DB_REBUILD_RE = re.compile(
     r"\b(AddNode|AddFact|MirrorDb|Compact|RemoveFacts)\s*\(")
 
+# The calls that list every word of a language (or every word up to a
+# length), which the classifier must not make.
+WORD_LIST_RE = re.compile(
+    r"\b(Words|WordsUpTo|EnumerateFiniteLanguage|WordsUpToLength)\s*\(")
+
 
 class Finding:
     def __init__(self, rule: str, path: str, line_no: int, message: str):
@@ -115,6 +128,7 @@ def scan_file(rel_path: str, text: str):
     in_workload = rel_path.startswith("src/workload/")
     is_annotation_header = rel_path.endswith("util/thread_annotations.h")
     is_flow_solver = rel_path in FLOW_SOLVER_FILES
+    in_classify = rel_path.startswith("src/classify/")
 
     def check(idx: int, rule: str, message: str):
         nonlocal suppressions
@@ -154,6 +168,13 @@ def scan_file(rel_path: str, text: str):
                       f"{m.group(1)}( in a flow solver — read the caller's "
                       "database through its LabelIndex and emit the network "
                       "into the scratch ResidualGraph instead")
+        if in_classify:
+            m = WORD_LIST_RE.search(line)
+            if m:
+                check(idx, "classify-word-list",
+                      f"{m.group(1)}( in the classifier — read the fact off "
+                      "the minimal DFA (a walk, CountWordsByLength or "
+                      "FirstWordsUpToLength) instead of listing the words")
     return findings, suppressions
 
 
@@ -253,6 +274,33 @@ SELF_TEST_CASES = [
         # Building databases is fine outside the flow solvers.
         "src/resilience/exact.cc",
         "GraphDb rest = db.RemoveFacts(cut);\n",
+        [],
+    ),
+    (
+        "src/classify/bad_classifier.cc",
+        "Result<std::vector<std::string>> listed = ifl.Words();\n"
+        "auto short_words = lang.WordsUpTo(5, 16);\n"
+        "auto all = EnumerateFiniteLanguage(dfa);\n"
+        "auto some = WordsUpToLength (dfa, 8);\n",
+        [
+            ("classify-word-list", 1),
+            ("classify-word-list", 2),
+            ("classify-word-list", 3),
+            ("classify-word-list", 4),
+        ],
+    ),
+    (
+        # The bounded display and word-list arguments are not listings.
+        "src/classify/good_classifier.cc",
+        "first_words = FirstWordsUpToLength(dfa, dfa.num_states(), 32);\n"
+        "Language lang = Language::FromWords(words);\n"
+        "out.if_language = ShowFiniteLanguage(first_words, count);\n",
+        [],
+    ),
+    (
+        # Word lists are fine outside the classifier.
+        "src/lang/chain.cc",
+        "Result<std::vector<std::string>> words = lang.Words(max_words);\n",
         [],
     ),
     (

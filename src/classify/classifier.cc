@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "automata/ops.h"
 #include "gadgets/chain_cycle.h"
@@ -40,9 +41,7 @@ constexpr size_t kShownWords = 32;
 std::string ShowFiniteLanguage(const std::vector<std::string>& first_words,
                                uint64_t count) {
   std::vector<std::string> shown;
-  for (size_t i = 0; i < first_words.size() && i < kShownWords; ++i) {
-    shown.push_back(DisplayWord(first_words[i]));
-  }
+  for (const auto& word : first_words) shown.push_back(DisplayWord(word));
   std::string out = shown.empty() ? "∅" : Join(shown, "|");
   if (count > kShownWords) {
     out += " … (" + std::string(count >= kWordCountCap ? "at least " : "") +
@@ -63,55 +62,23 @@ const std::vector<std::vector<std::string>>& KnownHardWordSets() {
 }
 
 // Does some letter bijection map `words` onto `pattern` (as word sets)?
-bool MatchesUpToRenaming(std::vector<std::string> words,
-                         std::vector<std::string> pattern) {
+// Tries every pairing of the words with the pattern's: small sets only.
+bool MatchesUpToRenaming(const std::vector<std::string>& words,
+                         const std::vector<std::string>& pattern) {
   if (words.size() != pattern.size()) return false;
-  std::sort(words.begin(), words.end());
-  std::sort(pattern.begin(), pattern.end());
-  // Backtracking over letter bindings. Small languages only.
-  std::map<char, char> binding;  // word letter -> pattern letter
-  std::map<char, char> reverse;
-
-  // Words must be matched as a set: try permutations of same-length words.
-  std::sort(words.begin(), words.end(),
-            [](const auto& a, const auto& b) { return a.size() < b.size(); });
-  std::sort(pattern.begin(), pattern.end(),
-            [](const auto& a, const auto& b) { return a.size() < b.size(); });
-
-  std::vector<int> perm(pattern.size());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<int>(i);
-  // Only permute within same-length groups.
+  std::vector<size_t> perm(pattern.size());
+  std::iota(perm.begin(), perm.end(), 0);
   do {
-    bool length_ok = true;
-    for (size_t i = 0; i < words.size(); ++i) {
-      if (words[i].size() != pattern[perm[i]].size()) {
-        length_ok = false;
-        break;
-      }
-    }
-    if (!length_ok) continue;
-    binding.clear();
-    reverse.clear();
+    std::map<char, char> binding;  // word letter -> pattern letter
+    std::map<char, char> reverse;  // pattern letter -> word letter
     bool ok = true;
     for (size_t i = 0; i < words.size() && ok; ++i) {
       const std::string& w = words[i];
       const std::string& p = pattern[perm[i]];
-      for (size_t j = 0; j < w.size(); ++j) {
-        auto it = binding.find(w[j]);
-        if (it != binding.end()) {
-          if (it->second != p[j]) {
-            ok = false;
-            break;
-          }
-        } else {
-          auto rit = reverse.find(p[j]);
-          if (rit != reverse.end()) {
-            ok = false;
-            break;
-          }
-          binding[w[j]] = p[j];
-          reverse[p[j]] = w[j];
-        }
+      ok = w.size() == p.size();
+      for (size_t j = 0; j < w.size() && ok; ++j) {
+        ok = binding.emplace(w[j], p[j]).first->second == p[j] &&
+             reverse.emplace(p[j], w[j]).first->second == w[j];
       }
     }
     if (ok) return true;
@@ -140,32 +107,20 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
   const Language& ifl = plan.if_language;
   Classification out;
   out.finite = ifl.IsFinite();
-  // A bounded step that runs out (OutOfRange) skips only the rules that
-  // need its result; the verdict names the exhausted bound.
-  std::vector<std::string> words;
-  std::string words_exhausted;
+  // The first words of a finite IF(L): shown in `if_language`, and matched
+  // against the gadget patterns below, none of which has more words.
+  std::vector<std::string> first_words;
   if (!out.finite) {
     out.if_language = "IF(" + lang.description() + ") [infinite]";
-  } else if (plan.method != ResilienceMethod::kExact) {
-    // Only the NP-hard rules read the word list: show the first words and
-    // count the rest. A word of a finite language visits no state twice.
+  } else {
+    // A word of a finite language visits no state twice.
     const Dfa& dfa = ifl.min_dfa();
     uint64_t count = 0;
     for (uint64_t n : CountWordsByLength(dfa, dfa.num_states())) {
       count = std::min(kWordCountCap, count + n);
     }
-    out.if_language = ShowFiniteLanguage(
-        FirstWordsUpToLength(dfa, dfa.num_states(), kShownWords), count);
-  } else if (Result<std::vector<std::string>> listed = ifl.Words();
-             listed.ok()) {
-    words = *std::move(listed);
-    out.if_language = ShowFiniteLanguage(words, words.size());
-  } else if (listed.status().code() == StatusCode::kOutOfRange) {
-    words_exhausted = listed.status().message();
-    out.if_language = "IF(" + lang.description() + ") [finite; " +
-                      words_exhausted + "]";
-  } else {
-    return listed.status();
+    first_words = FirstWordsUpToLength(dfa, dfa.num_states(), kShownWords);
+    out.if_language = ShowFiniteLanguage(first_words, count);
   }
 
   // Trivial cases.
@@ -211,13 +166,13 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
   }
 
   // --- NP-hard side ---------------------------------------------------------
-  // A finite IF(L) is already spelled out: scan its words for a repeat
-  // (none to scan when the list ran out).
-  if (std::optional<RepeatedLetterWord> word = FindMaximalGapWord(words)) {
-    out.complexity = ComplexityClass::kNpHard;
-    out.rule = "finite with repeated-letter word (Thm 6.1)";
-    out.detail = "maximal-gap word " + word->word;
-    return out;
+  if (out.finite) {
+    if (std::optional<std::string> word = ShortestRepeatedLetterWord(ifl)) {
+      out.complexity = ComplexityClass::kNpHard;
+      out.rule = "finite with repeated-letter word (Thm 6.1)";
+      out.detail = "shortest repeated-letter word " + *word;
+      return out;
+    }
   }
   std::optional<FourLeggedWitness> witness =
       FindFourLeggedWitness(ifl, max_word_length);
@@ -229,6 +184,7 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
                  " ∈ L, " + witness->CrossWord() + " ∉ L";
     return out;
   }
+  // A monoid walk that runs out skips only the non-star-free rule.
   std::string star_free_exhausted;
   if (!out.finite) {
     Result<bool> star_free = IsStarFree(ifl);
@@ -255,9 +211,8 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
     }
   }
   if (out.finite) {
-    // An unlisted IF(L) has more words than any of these sets.
     for (const std::vector<std::string>& pattern : KnownHardWordSets()) {
-      if (MatchesUpToRenaming(words, pattern)) {
+      if (MatchesUpToRenaming(first_words, pattern)) {
         out.complexity = ComplexityClass::kNpHard;
         out.rule = pattern.size() == 3 && pattern[0] == "ab"
                        ? "non-bipartite chain ab|bc|ca (Prp 7.4)"
@@ -282,16 +237,18 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
 
   out.complexity = ComplexityClass::kUnclassified;
   out.rule = "no paper result applies";
-  const std::string repeats =
-      words_exhausted.empty()
-          ? "no repeated letter"
-          : "repeated letter unchecked (" + words_exhausted + ")";
+  // The four-legged search bounds its words only on an infinite IF(L),
+  // and the repeated-letter rule reads only a finite one.
+  const std::string four_legged =
+      out.finite ? "no repeated letter, not four-legged"
+                 : "infinite, no four-legged witness of at most " +
+                       std::to_string(max_word_length) + " letters";
   const std::string star_free =
       star_free_exhausted.empty()
           ? "star-free"
           : "star-freeness undecided (" + star_free_exhausted + ")";
-  out.detail = "not local/BCL/one-dangling; " + repeats +
-               ", not four-legged, " + star_free + ", no neutral letter";
+  out.detail = "not local/BCL/one-dangling; " + four_legged + ", " +
+               star_free + ", no neutral letter";
   return out;
 }
 

@@ -5,8 +5,9 @@
 //   PTIME:   local (Thm 3.13), bipartite chain (Prp 7.6),
 //            one-dangling (Prp 7.9; mirror-symmetric, so Prp 6.3 adds
 //            nothing here)
-//   NP-hard: four-legged (Thm 5.3), non-star-free (Lem 5.6),
-//            finite with a repeated-letter word (Thm 6.1),
+//   NP-hard: finite with a repeated-letter word (Thm 6.1),
+//            four-legged (Thm 5.3), non-star-free (Lem 5.6),
+//            neutral letter and non-local (Prp 5.7),
 //            specific proven-hard languages up to letter renaming
 //            (Prp 7.4: ab|bc|ca; Prp 7.11: abcd|be|ef, abcd|bef)
 //   UNCLASSIFIED otherwise (the open middle column of Fig 1).
@@ -70,19 +71,18 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
 /// `plan.trivial_infinite` / `plan.trivial_empty`, and the PTIME verdict
 /// from `plan.method`: kLocalFlow gives Thm 3.13, kBclFlow Prp 7.6 and
 /// kOneDanglingFlow Prp 7.9 (its detail is the decomposition the tables
-/// hold). Only a kExact plan runs the NP-hard rules: repeated letter (a
-/// scan of the finite IF(L)'s words), four-legged (a walk over IF(L)'s
-/// minimal DFA that decides witnesses with both words of at most
-/// `max_word_length` letters exactly, and is unbounded on finite
-/// languages), star-free, neutral letter, the known gadgets and the chain
-/// gadget.
-/// Only a kExact plan lists the words of a finite IF(L); any other plan
-/// lists the 32 shown words and counts the rest.
-/// A bounded step that runs out does not fail the call: when the word list
-/// of a finite IF(L) (2^20 words) or the star-free monoid walk
-/// (lang/star_free.h) returns OutOfRange, only the rules that need its
-/// result are skipped, the rest still run, and the exhausted bound is
-/// named in `if_language` (the word list) or in an UNCLASSIFIED `detail`.
+/// hold). Only a kExact plan runs the NP-hard rules: repeated letter on a
+/// finite IF(L) (ShortestRepeatedLetterWord, a walk over IF(L)'s minimal
+/// DFA), four-legged (a walk over the same DFA that decides witnesses with
+/// both words of at most `max_word_length` letters exactly, and is
+/// unbounded on finite languages), star-free, neutral letter, the known
+/// gadgets and the chain gadget.
+/// No rule lists words: a finite IF(L) shows its first 32 words and its
+/// count, both read off the DFA, and the known gadgets (three words at
+/// most) are matched against the shown words.
+/// A bounded step that runs out does not fail the call: when the star-free
+/// monoid walk (lang/star_free.h) returns OutOfRange, only the non-star-free
+/// rule is skipped, and an UNCLASSIFIED `detail` names the exhausted bound.
 /// `plan` must come from PlanResilienceWithIF (InvalidArgument for a
 /// kAuto or kBruteForce method).
 Result<Classification> ClassifyResilienceWithPlan(const Language& lang,

@@ -75,10 +75,13 @@ Result<Hypergraph> HypergraphOfMatches(const Language& lang,
   // Determine a walk-length bound.
   int max_length;
   if (lang.IsFinite()) {
-    RPQRES_ASSIGN_OR_RETURN(std::vector<std::string> words, lang.Words());
+    // The longest word: a word of a finite language visits no state twice.
+    const Dfa& dfa = lang.min_dfa();
+    const std::vector<uint64_t> counts =
+        CountWordsByLength(dfa, dfa.num_states());
     max_length = 0;
-    for (const std::string& w : words) {
-      max_length = std::max(max_length, static_cast<int>(w.size()));
+    for (int len = 0; len < static_cast<int>(counts.size()); ++len) {
+      if (counts[len] > 0) max_length = len;
     }
   } else {
     if (HasDirectedCycle(db, index)) {

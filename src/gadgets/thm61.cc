@@ -33,7 +33,13 @@ bool TryCandidate(const Language& target, PreGadget gadget, bool mirrored,
 // the caller, so this function may legitimately fall through.
 bool TryMaximalGapRoutes(const Language& ifl, bool mirrored,
                          Thm61Gadget* out, std::string* log) {
-  std::optional<RepeatedLetterWord> word = FindMaximalGapWord(ifl);
+  Result<std::optional<RepeatedLetterWord>> found = FindMaximalGapWord(ifl);
+  if (!found.ok()) {
+    *log += std::string("\n  [maximal-gap word") +
+            (mirrored ? ", mirrored" : "") + "] " + found.status().ToString();
+    return false;
+  }
+  const std::optional<RepeatedLetterWord>& word = *found;
   if (!word || !word->beta().empty()) return false;  // wrong orientation
   const char a = word->letter;
   const std::string gamma = word->gamma();

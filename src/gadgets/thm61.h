@@ -42,7 +42,9 @@ struct Thm61Gadget {
 /// Builds a hardness gadget for `lang` following Theorem 6.1's proof.
 /// Requirements: IF(lang) finite, non-empty, ε-free, with a repeated
 /// letter word. Errors: FailedPrecondition if the requirements fail,
-/// NotFound when no candidate verifies (the Fig 6 and Fig 12 gaps).
+/// NotFound when no candidate verifies (the Fig 6 and Fig 12 gaps). Past
+/// 2^20 words the maximal-gap routes are skipped, and the NotFound message
+/// logs their OutOfRange.
 Result<Thm61Gadget> BuildThm61Gadget(const Language& lang);
 
 }  // namespace rpqres

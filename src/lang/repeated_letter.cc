@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/check.h"
-
 namespace rpqres {
 namespace {
 
@@ -93,12 +91,10 @@ std::optional<RepeatedLetterWord> FindMaximalGapWord(
   return best;
 }
 
-std::optional<RepeatedLetterWord> FindMaximalGapWord(const Language& lang) {
-  Result<std::vector<std::string>> words = lang.Words();
-  RPQRES_CHECK_MSG(words.ok(),
-                   "FindMaximalGapWord requires a finite language: " +
-                       words.status().ToString());
-  return FindMaximalGapWord(*words);
+Result<std::optional<RepeatedLetterWord>> FindMaximalGapWord(
+    const Language& lang) {
+  RPQRES_ASSIGN_OR_RETURN(std::vector<std::string> words, lang.Words());
+  return FindMaximalGapWord(words);
 }
 
 }  // namespace rpqres

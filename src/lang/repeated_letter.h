@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "lang/language.h"
+#include "util/status.h"
 
 namespace rpqres {
 
@@ -44,9 +45,11 @@ std::optional<std::string> ShortestRepeatedLetterWord(const Language& lang);
 std::optional<RepeatedLetterWord> BestRepeatInWord(const std::string& word);
 
 /// A maximal-gap word of a finite language (Def 6.4): maximize the gap γ
-/// between the repeated letters, then the total word length. Requires L
-/// finite; nullopt if no word has a repeated letter.
-std::optional<RepeatedLetterWord> FindMaximalGapWord(const Language& lang);
+/// between the repeated letters, then the total word length; nullopt if no
+/// word has a repeated letter. Reads the word list of L: FailedPrecondition
+/// if L is infinite, OutOfRange past Language::Words' 2^20 words.
+Result<std::optional<RepeatedLetterWord>> FindMaximalGapWord(
+    const Language& lang);
 
 /// Word-list variant of FindMaximalGapWord (for tests).
 std::optional<RepeatedLetterWord> FindMaximalGapWord(

@@ -17,7 +17,19 @@ struct Fig1Case {
   const char* regex;
   ComplexityClass expected;
   const char* rule_substring;
+  const char* detail;
 };
+
+// The details shared by several rows.
+constexpr char kLocal[] = "RO-εNFA product with D, then MinCut";
+constexpr char kBcl[] =
+    "per-fact flow network with forward/reversed word wiring";
+constexpr char kOpenFinite[] =
+    "not local/BCL/one-dangling; no repeated letter, not four-legged, "
+    "star-free, no neutral letter";
+constexpr char kOpenInfinite[] =
+    "not local/BCL/one-dangling; infinite, no four-legged witness of at "
+    "most 8 letters, star-free, no neutral letter";
 
 class Fig1Test : public ::testing::TestWithParam<Fig1Case> {};
 
@@ -30,37 +42,55 @@ TEST_P(Fig1Test, MatchesPaperColumn) {
       << c.regex << " classified as " << classification->rule;
   EXPECT_NE(classification->rule.find(c.rule_substring), std::string::npos)
       << c.regex << ": " << classification->rule;
+  EXPECT_EQ(classification->detail, c.detail) << c.regex;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Figure1, Fig1Test,
     ::testing::Values(
         // PTIME column.
-        Fig1Case{"abc|abd", ComplexityClass::kPtime, "local"},
-        Fig1Case{"ab|ad|cd", ComplexityClass::kPtime, "local"},
-        Fig1Case{"ax*b", ComplexityClass::kPtime, "local"},
-        Fig1Case{"ab|bc", ComplexityClass::kPtime, "bipartite chain"},
-        Fig1Case{"axb|byc", ComplexityClass::kPtime, "bipartite chain"},
-        Fig1Case{"abc|be", ComplexityClass::kPtime, "one-dangling"},
-        Fig1Case{"abcd|ce", ComplexityClass::kPtime, "one-dangling"},
-        Fig1Case{"abcd|be", ComplexityClass::kPtime, "one-dangling"},
-        Fig1Case{"ax*b|xd", ComplexityClass::kPtime, "one-dangling"},
+        Fig1Case{"abc|abd", ComplexityClass::kPtime, "local", kLocal},
+        Fig1Case{"ab|ad|cd", ComplexityClass::kPtime, "local", kLocal},
+        Fig1Case{"ax*b", ComplexityClass::kPtime, "local", kLocal},
+        Fig1Case{"ab|bc", ComplexityClass::kPtime, "bipartite chain", kBcl},
+        Fig1Case{"axb|byc", ComplexityClass::kPtime, "bipartite chain",
+                 kBcl},
+        Fig1Case{"abc|be", ComplexityClass::kPtime, "one-dangling",
+                 "L = IF(abc|be) \\ {be} ∪ {be}"},
+        Fig1Case{"abcd|ce", ComplexityClass::kPtime, "one-dangling",
+                 "L = IF(abcd|ce) \\ {ce} ∪ {ce}"},
+        Fig1Case{"abcd|be", ComplexityClass::kPtime, "one-dangling",
+                 "L = IF(abcd|be) \\ {be} ∪ {be}"},
+        Fig1Case{"ax*b|xd", ComplexityClass::kPtime, "one-dangling",
+                 "L = IF(ax*b|xd) \\ {xd} ∪ {xd}"},
         // NP-hard column.
-        Fig1Case{"axb|cxd", ComplexityClass::kNpHard, "four-legged"},
-        Fig1Case{"ax*b|cxd", ComplexityClass::kNpHard, "four-legged"},
-        Fig1Case{"b(aa)*d", ComplexityClass::kNpHard, "four-legged"},
-        Fig1Case{"aa", ComplexityClass::kNpHard, "repeated-letter"},
-        Fig1Case{"aaaa", ComplexityClass::kNpHard, "repeated-letter"},
-        Fig1Case{"abca|cab", ComplexityClass::kNpHard, "repeated-letter"},
-        Fig1Case{"ab|bc|ca", ComplexityClass::kNpHard, "Prp 7.4"},
-        Fig1Case{"abcd|be|ef", ComplexityClass::kNpHard, "Prp 7.11"},
-        Fig1Case{"abcd|bef", ComplexityClass::kNpHard, "Prp 7.11"},
+        Fig1Case{"axb|cxd", ComplexityClass::kNpHard, "four-legged",
+                 "x-body, axb ∈ L, cxd ∈ L, axd ∉ L"},
+        Fig1Case{"ax*b|cxd", ComplexityClass::kNpHard, "four-legged",
+                 "x-body, axb ∈ L, cxd ∈ L, axd ∉ L"},
+        Fig1Case{"b(aa)*d", ComplexityClass::kNpHard, "four-legged",
+                 "a-body, baad ∈ L, baad ∈ L, baaad ∉ L"},
+        Fig1Case{"aa", ComplexityClass::kNpHard, "repeated-letter",
+                 "shortest repeated-letter word aa"},
+        Fig1Case{"aaaa", ComplexityClass::kNpHard, "repeated-letter",
+                 "shortest repeated-letter word aaaa"},
+        Fig1Case{"abca|cab", ComplexityClass::kNpHard, "repeated-letter",
+                 "shortest repeated-letter word abca"},
+        Fig1Case{"ab|bc|ca", ComplexityClass::kNpHard, "Prp 7.4",
+                 "matches ab|bc|ca up to renaming"},
+        Fig1Case{"abcd|be|ef", ComplexityClass::kNpHard, "Prp 7.11",
+                 "matches abcd|be|ef up to renaming"},
+        Fig1Case{"abcd|bef", ComplexityClass::kNpHard, "Prp 7.11",
+                 "matches abcd|bef up to renaming"},
         // Unclassified column.
-        Fig1Case{"abc|bcd", ComplexityClass::kUnclassified, "no paper"},
-        Fig1Case{"abc|bef", ComplexityClass::kUnclassified, "no paper"},
-        Fig1Case{"ab*c|ba", ComplexityClass::kUnclassified, "no paper"},
-        Fig1Case{"ab*d|ac*d|bc", ComplexityClass::kUnclassified,
-                 "no paper"}));
+        Fig1Case{"abc|bcd", ComplexityClass::kUnclassified, "no paper",
+                 kOpenFinite},
+        Fig1Case{"abc|bef", ComplexityClass::kUnclassified, "no paper",
+                 kOpenFinite},
+        Fig1Case{"ab*c|ba", ComplexityClass::kUnclassified, "no paper",
+                 kOpenInfinite},
+        Fig1Case{"ab*d|ac*d|bc", ComplexityClass::kUnclassified, "no paper",
+                 kOpenInfinite}));
 
 TEST(ClassifierTest, TrivialLanguages) {
   Result<Classification> c =
@@ -83,9 +113,9 @@ TEST(ClassifierTest, ClassifiesOnInfixFreeSublanguage) {
 
 TEST(ClassifierTest, FiniteIfLanguageDisplayIsBounded) {
   // IF(L) = L, of which if_language spells out the first 32 words and then
-  // states the count: (a|b) sixteen times (2^16 words, an exact plan, which
-  // lists them all), and eleven groups of four letters (4^11 words, a local
-  // plan, which lists only the shown ones).
+  // states the count, whatever the plan: (a|b) sixteen times (2^16 words,
+  // an exact plan), and eleven groups of four letters (4^11 words, a local
+  // plan).
   struct Case {
     std::string regex;
     std::string first_words;
@@ -132,6 +162,20 @@ TEST(ClassifierTest, FiniteIfLanguageWordCountSaturates) {
                 "… (at least 9223372036854775807 words)"),
             std::string::npos)
       << verdict->if_language;
+}
+
+TEST(ClassifierTest, RepeatedLetterWordPastTheShownWords) {
+  // IF(L) = L has 65 words, and only the last, xyzx, repeats a letter: it
+  // is not among the 32 shown, and the Thm 6.1 rule still finds it.
+  Result<Classification> c = ClassifyResilience(
+      Language::MustFromRegexString("(a|b|c|d|e|f|g|h)(i|j|k|l|m|n|o|p)|xyzx"));
+  ASSERT_TRUE(c.ok()) << c.status();
+  EXPECT_EQ(c->complexity, ComplexityClass::kNpHard);
+  EXPECT_EQ(c->rule, "finite with repeated-letter word (Thm 6.1)");
+  EXPECT_EQ(c->detail, "shortest repeated-letter word xyzx");
+  EXPECT_EQ(c->if_language.find("xyzx"), std::string::npos) << c->if_language;
+  EXPECT_NE(c->if_language.find("… (65 words)"), std::string::npos)
+      << c->if_language;
 }
 
 TEST(ClassifierTest, VerdictIsReadOffThePlan) {

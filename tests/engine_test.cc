@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -22,6 +23,7 @@
 #include "lang/language.h"
 #include "lang/local.h"
 #include "lang/neutral_letter.h"
+#include "language_sweep.h"
 #include "resilience/local_resilience.h"
 #include "resilience/resilience.h"
 #include "util/rng.h"
@@ -396,23 +398,35 @@ TEST(EngineCompiledQueryTest, LargeDfaFamilyCompilesWithinBudget) {
       << verdict.detail;
 }
 
-// IF(L) = L has 5^9 words, past the classifier's 2^20-word list. Its plan
-// (exact) is valid, so the compile must not fail on the list: the
-// repeated-letter scan is skipped, and the four-legged walk, unbounded on
-// finite languages, still decides.
-TEST(EngineCompiledQueryTest, ExhaustedWordListDoesNotFailCompile) {
-  auto compiled = CompileQuery(
-      "(a|b|c|d|e)(a|b|c|d|e)(a|b|c|d|e)(a|b|c|d|e)(a|b|c|d|e)(a|b|c|d|e)"
-      "(a|b|c|d|e)(a|b|c|d|e)(a|b|c|d|e)",
-      Semantics::kBag);
-  ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_EQ((*compiled)->plan.method, ResilienceMethod::kExact);
-  const Classification& verdict = (*compiled)->classification;
-  EXPECT_EQ(verdict.complexity, ComplexityClass::kNpHard);
-  EXPECT_EQ(verdict.rule, "four-legged language (Thm 5.3)");
-  EXPECT_NE(verdict.if_language.find("more than 1048576 words"),
-            std::string::npos)
-      << verdict.if_language;
+// IF(L) = L for each of these, with 4^10, 4^11 and 5^9 words of one
+// length. The repeated-letter rule is a walk over IF(L)'s minimal DFA and
+// if_language shows the first 32 words and the count, so no step lists
+// the words, however many there are.
+TEST(EngineCompiledQueryTest, RepeatedLetterRuleListsNoWords) {
+  struct Case {
+    std::string regex;
+    std::string shortest;
+    std::string count;
+  };
+  const std::vector<Case> cases = {
+      {RepeatedGroup("(a|b|c|d)", 10), "aaaaaaaaaa", "1048576"},
+      {RepeatedGroup("(a|b|c|d)", 11), "aaaaaaaaaaa", "4194304"},
+      {RepeatedGroup("(a|b|c|d|e)", 9), "aaaaaaaaa", "1953125"},
+  };
+  for (const Case& c : cases) {
+    auto compiled = CompileQuery(c.regex, Semantics::kBag);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    EXPECT_EQ((*compiled)->plan.method, ResilienceMethod::kExact);
+    const Classification& verdict = (*compiled)->classification;
+    EXPECT_EQ(verdict.complexity, ComplexityClass::kNpHard) << c.regex;
+    EXPECT_EQ(verdict.rule, "finite with repeated-letter word (Thm 6.1)");
+    EXPECT_EQ(verdict.detail, "shortest repeated-letter word " + c.shortest);
+    const std::string& shown = verdict.if_language;
+    EXPECT_EQ(shown.rfind(c.shortest + "|", 0), 0u) << shown;
+    EXPECT_EQ(std::count(shown.begin(), shown.end(), '|'), 31) << shown;
+    EXPECT_NE(shown.find("… (" + c.count + " words)"), std::string::npos)
+        << shown;
+  }
 }
 
 // ---------------------------------------------------------------------------

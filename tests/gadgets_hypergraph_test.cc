@@ -5,6 +5,7 @@
 #include "gadgets/hypergraph.h"
 #include "graphdb/generators.h"
 #include "lang/language.h"
+#include "language_sweep.h"
 
 namespace rpqres {
 namespace {
@@ -66,6 +67,19 @@ TEST(HypergraphOfMatchesTest, FiniteLanguageOnCycleOk) {
       HypergraphOfMatches(Language::MustFromRegexString("aa"), db);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h->edges, (std::vector<std::vector<int>>{{0, 1}}));
+}
+
+TEST(HypergraphOfMatchesTest, FiniteLanguageOfMillionsOfWords) {
+  // (a|b|c|d)×11 has 4^11 words; the walk bound, 11, is read off the
+  // minimal DFA without listing them.
+  GraphDb db = PathDb("abcdabcdabcd");
+  Result<Hypergraph> h = HypergraphOfMatches(
+      Language::MustFromRegexString(RepeatedGroup("(a|b|c|d)", 11)), db);
+  ASSERT_TRUE(h.ok()) << h.status();
+  EXPECT_EQ(h->edges,
+            (std::vector<std::vector<int>>{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+                                           {1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                            11}}));
 }
 
 TEST(HypergraphOfMatchesTest, NamesRenderFacts) {

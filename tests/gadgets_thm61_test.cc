@@ -8,6 +8,7 @@
 #include "gadgets/thm61.h"
 #include "lang/infix_free.h"
 #include "lang/language.h"
+#include "language_sweep.h"
 
 namespace rpqres {
 namespace {
@@ -92,6 +93,24 @@ TEST(Thm61PipelineTest, ReconstructionGapsReportedAsNotFound) {
       EXPECT_EQ(built.status().code(), StatusCode::kNotFound) << regex;
     }
   }
+}
+
+TEST(Thm61PipelineTest, WordListPastItsCapIsLoggedNotFatal) {
+  // (a|b|c|d)×11 has 4^11 words, more than the maximal-gap word list
+  // holds: both orientations log the OutOfRange, the four-legged exits
+  // still run (into the Fig 6 gap), and the pipeline returns a status.
+  Result<Thm61Gadget> built = BuildThm61Gadget(
+      Language::MustFromRegexString(RepeatedGroup("(a|b|c|d)", 11)));
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kNotFound);
+  const std::string& log = built.status().message();
+  EXPECT_NE(log.find("[maximal-gap word] OutOfRange"), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("[maximal-gap word, mirrored] OutOfRange"),
+            std::string::npos)
+      << log;
+  EXPECT_NE(log.find("[four-legged, Case 2 (Fig 6)]"), std::string::npos)
+      << log;
 }
 
 TEST(Thm61PipelineTest, UsesInfixFreeSublanguage) {

@@ -7,6 +7,7 @@
 #include "lang/language.h"
 #include "lang/local.h"
 #include "lang/repeated_letter.h"
+#include "language_sweep.h"
 
 namespace rpqres {
 namespace {
@@ -69,10 +70,29 @@ TEST(RepeatedLetterTest, MaximalGapWordDefinition64) {
 
 TEST(RepeatedLetterTest, MaximalGapFromLanguage) {
   Language lang = Language::MustFromRegexString("abca|cab|aa");
-  std::optional<RepeatedLetterWord> m = FindMaximalGapWord(lang);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->word, "abca");
-  EXPECT_EQ(m->letter, 'a');
+  Result<std::optional<RepeatedLetterWord>> m = FindMaximalGapWord(lang);
+  ASSERT_TRUE(m.ok()) << m.status();
+  ASSERT_TRUE(m->has_value());
+  EXPECT_EQ((*m)->word, "abca");
+  EXPECT_EQ((*m)->letter, 'a');
+  EXPECT_EQ(*FindMaximalGapWord(Language::MustFromRegexString("abc|cab")),
+            std::nullopt);
+}
+
+TEST(RepeatedLetterTest, MaximalGapWordListFailsAsAStatus) {
+  // (a|b|c|d)×11 has 4^11 words, past the 2^20 the word list holds: the
+  // maximal-gap word is an OutOfRange status, while the DFA walks still
+  // find a repeat. An infinite language has no word list.
+  Language quad =
+      Language::MustFromRegexString(RepeatedGroup("(a|b|c|d)", 11));
+  EXPECT_TRUE(HasRepeatedLetterWord(quad));
+  EXPECT_EQ(ShortestRepeatedLetterWord(quad), "aaaaaaaaaaa");
+  EXPECT_EQ(FindMaximalGapWord(quad).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(FindMaximalGapWord(Language::MustFromRegexString("ax*b"))
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(RepeatedLetterTest, Lemma62FiniteRepeatedNotLocal) {

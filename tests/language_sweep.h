@@ -1,7 +1,7 @@
 // rpqres tests — the language sets the classifier and language-property
-// sweeps share: every small finite language over {a, b, c}, and the
-// regex stream the query generator draws for the engine and the
-// benchmark.
+// sweeps share: every small finite language over {a, b, c}, the large
+// finite languages of repeated letter groups, and the regex stream the
+// query generator draws for the engine and the benchmark.
 
 #ifndef RPQRES_TESTS_LANGUAGE_SWEEP_H_
 #define RPQRES_TESTS_LANGUAGE_SWEEP_H_
@@ -30,6 +30,14 @@ inline std::vector<std::vector<std::string>> SmallWordSets() {
     }
   }
   return sets;
+}
+
+/// `group` written `times` times in a row: RepeatedGroup("(a|b|c|d)", 11)
+/// is a finite, infix-free language of 4^11 words, all of 11 letters.
+inline std::string RepeatedGroup(const std::string& group, int times) {
+  std::string regex;
+  for (int i = 0; i < times; ++i) regex += group;
+  return regex;
 }
 
 /// `count` regexes drawn by workload::GenerateQuery from Rng(seed),
