@@ -32,8 +32,14 @@ median and quartiles, the change's win count, every run, and one verdict:
               the metric's bound (a share of the parent's median);
   no change   otherwise.
 
-The rules are checked in that order. `--self-test` checks the quartile and
-verdict arithmetic on canned runs and runs no benchmark.
+The rules are checked in that order. The last line of output is the
+workload's trajectory row, one JSON object: the workload, seed and run
+length, the parent's commit (null when the parent checkout is not the top
+of a git work tree, e.g. a `git archive` copy), the pair count, and per
+end-to-end metric each side's median and quartiles, the win count and the
+verdict. BENCH_trajectory.json keeps these rows, one per workload per
+performance change. `--self-test` checks the quartile, verdict and row
+arithmetic on canned runs and runs no benchmark.
 """
 
 import argparse
@@ -41,6 +47,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 RUN_TIMEOUT_S = 1200
 MIN_GAIN_PAIRS = 10  # fewer pairs cannot show a gain
@@ -104,6 +111,41 @@ def child_env(environ):
     CARGO_TARGET_DIR, so that each checkout builds in its own tree."""
     return {key: value for key, value in environ.items()
             if key != "CARGO_TARGET_DIR"}
+
+
+def checkout_commit(checkout):
+    """The commit checked out at `checkout`, or None when `checkout` is not
+    the top of a git work tree."""
+    try:
+        done = subprocess.run(["git", "-C", checkout, "rev-parse",
+                               "--show-toplevel", "HEAD"],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    lines = done.stdout.split()
+    if done.returncode != 0 or len(lines) != 2 or \
+            os.path.realpath(lines[0]) != os.path.realpath(checkout):
+        return None
+    return lines[1]
+
+
+def trajectory_row(workload, seed, seconds, parent_commit, metrics, runs):
+    """The trajectory row of one workload's pairs."""
+    row = {"workload": workload, "seed": seed, "seconds": seconds,
+           "parent": parent_commit, "pairs": len(runs), "metrics": {}}
+    for spec in metrics:
+        name = spec["name"]
+        sides = {side: [run[side][name] for run in runs]
+                 for side in ("parent", "change")}
+        figures = judge(sides["parent"], sides["change"], spec["better"],
+                        spec["bound"])
+        entry = {side: dict(zip(("q1", "median", "q3"), summary(values)))
+                 for side, values in sides.items()}
+        entry["wins"] = figures["wins"]
+        entry["verdict"] = figures["verdict"]
+        row["metrics"][name] = entry
+    return row
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -213,11 +255,36 @@ def self_test():
     inherited = {"CARGO_TARGET_DIR": "/shared/target", "PATH": "/bin"}
     expect("child env", child_env(inherited), {"PATH": "/bin"})
 
+    # The trajectory row carries both sides' quartiles and the verdict of
+    # every metric, and survives a JSON round trip.
+    metrics = [{"name": "read_p50_us", "better": "lower", "bound": 0.25},
+               {"name": "read_per_s", "better": "higher", "bound": 0.25}]
+    runs = [{"parent": {"read_p50_us": p, "read_per_s": 1000.0},
+             "change": {"read_p50_us": c, "read_per_s": 1000.0}}
+            for p, c in zip(tight, [40] * 10)]
+    row = json.loads(json.dumps(trajectory_row("solve_matrix", 7, 30, "abc",
+                                               metrics, runs)))
+    expect("row header", [row[k] for k in ("workload", "seed", "seconds",
+                                           "parent", "pairs")],
+           ["solve_matrix", 7, 30, "abc", 10])
+    expect("row parent p50", row["metrics"]["read_p50_us"]["parent"],
+           {"q1": 99.25, "median": 100.0, "q3": 100.75})
+    expect("row change p50", row["metrics"]["read_p50_us"]["change"],
+           {"q1": 40.0, "median": 40.0, "q3": 40.0})
+    expect("row p50 judged", [row["metrics"]["read_p50_us"][k]
+                              for k in ("wins", "verdict")], [10, "gain"])
+    expect("row ties", [row["metrics"]["read_per_s"][k]
+                        for k in ("wins", "verdict")], [0, "no change"])
+    # A directory outside any work tree has no commit.
+    with tempfile.TemporaryDirectory() as bare:
+        expect("no commit", checkout_commit(bare), None)
+
     for failure in failures:
         print("self-test FAILED: " + failure)
     if failures:
         return 2
-    print("self-test: ok (%d verdict cases, child env)" % len(cases))
+    print("self-test: ok (%d verdict cases, child env, trajectory row)" %
+          len(cases))
     return 0
 
 
@@ -261,6 +328,10 @@ def main():
     print("%s, seed %d, %d pairs of %gs runs" % (args.workload, args.seed,
                                                  args.pairs, seconds))
     report(spec["end_to_end"], runs)
+    print(json.dumps(trajectory_row(args.workload, args.seed, seconds,
+                                    checkout_commit(sides["parent"]),
+                                    spec["end_to_end"], runs),
+                     sort_keys=True))
     return 0
 
 

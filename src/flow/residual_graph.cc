@@ -21,13 +21,6 @@ void ResidualGraph::Reset(int num_vertices) {
   view_ = MinCutView{};
 }
 
-int ResidualGraph::AddVertices(int count) {
-  RPQRES_DCHECK(count >= 0);
-  int first = num_vertices_;
-  num_vertices_ += count;
-  return first;
-}
-
 int32_t ResidualGraph::AddEdge(int from, int to, Capacity capacity) {
   RPQRES_DCHECK(from >= 0 && from < num_vertices_);
   RPQRES_DCHECK(to >= 0 && to < num_vertices_);
@@ -89,21 +82,23 @@ void ResidualGraph::BuildCsr() {
   }
 }
 
-bool ResidualGraph::Bfs() {
+bool ResidualGraph::LevelToTarget() {
   level_.assign(num_vertices_, -1);
   queue_.clear();
-  level_[source_] = 0;
-  queue_.push_back(source_);
+  level_[target_] = 0;
+  queue_.push_back(target_);
   for (size_t head = 0; head < queue_.size(); ++head) {
     int v = queue_[head];
+    // Arc a leaves v, so its pair is the residual arc from arc_to_[a]
+    // into v: the BFS walks residual arcs backward.
     for (int32_t a = arc_offset_[v]; a < arc_offset_[v + 1]; ++a) {
-      int to = arc_to_[a];
-      if (arc_cap_[a] > 0 && level_[to] < 0) {
-        level_[to] = level_[v] + 1;
-        // Every shortest augmenting path is leveled once the target is:
-        // BlockingFlow never uses a vertex at or past the target's level.
-        if (to == target_) return true;
-        queue_.push_back(to);
+      int from = arc_to_[a];
+      if (arc_cap_[arc_pair_[a]] > 0 && level_[from] < 0) {
+        level_[from] = level_[v] + 1;
+        // BlockingFlow starts at the source and only descends, and every
+        // vertex below the source's level is labelled by now.
+        if (from == source_) return true;
+        queue_.push_back(from);
       }
     }
   }
@@ -113,10 +108,12 @@ bool ResidualGraph::Bfs() {
 bool ResidualGraph::BlockingFlow() {
   // The whole blocking flow of one level phase in a single iterative DFS
   // over the per-vertex arc cursors (iter_): advance along admissible
-  // arcs, retreat (and kill the level) at dead ends, push the bottleneck
-  // whenever the target is reached — then resume from the first
-  // saturated arc instead of restarting at the source. Returns true iff
-  // the flow provably exceeds every finite cut.
+  // arcs (one level closer to the target), retreat (and kill the level)
+  // at dead ends, push the bottleneck whenever the target is reached —
+  // then resume from the first saturated arc instead of restarting at the
+  // source. A killed vertex reads level -1, which no admissible arc can
+  // match: only the target has level 0, and the DFS never scans its arcs.
+  // Returns true iff the flow provably exceeds every finite cut.
   path_.clear();
   int v = source_;
   for (;;) {
@@ -142,7 +139,7 @@ bool ResidualGraph::BlockingFlow() {
     bool advanced = false;
     for (int32_t& a = iter_[v]; a < arc_offset_[v + 1]; ++a) {
       int to = arc_to_[a];
-      if (arc_cap_[a] > 0 && level_[to] == level_[v] + 1) {
+      if (arc_cap_[a] > 0 && level_[to] == level_[v] - 1) {
         path_.push_back(a);
         v = to;
         advanced = true;
@@ -156,6 +153,23 @@ bool ResidualGraph::BlockingFlow() {
       path_.pop_back();
       v = arc_to_[arc_pair_[back]];  // the arc's origin
       ++iter_[v];                    // skip the arc that led to the dead end
+    }
+  }
+}
+
+void ResidualGraph::MarkSourceSide() {
+  side_.assign(num_vertices_, 0);
+  queue_.clear();
+  side_[source_] = 1;
+  queue_.push_back(source_);
+  for (size_t head = 0; head < queue_.size(); ++head) {
+    int v = queue_[head];
+    for (int32_t a = arc_offset_[v]; a < arc_offset_[v + 1]; ++a) {
+      int to = arc_to_[a];
+      if (arc_cap_[a] > 0 && !side_[to]) {
+        side_[to] = 1;
+        queue_.push_back(to);
+      }
     }
   }
 }
@@ -179,7 +193,7 @@ const MinCutView& ResidualGraph::Solve(obs::TraceContext* trace) {
   }
   {
     obs::ScopedSpan span(trace, obs::SpanKind::kDinic);
-    while (Bfs()) {
+    while (LevelToTarget()) {
       iter_.assign(arc_offset_.begin(), arc_offset_.end() - 1);
       if (BlockingFlow()) {
         view_.infinite = true;
@@ -190,12 +204,12 @@ const MinCutView& ResidualGraph::Solve(obs::TraceContext* trace) {
   obs::ScopedSpan cut_span(trace, obs::SpanKind::kCutExtract);
   view_.value = flow_;
 
-  // Residual reachability split: the final BFS already computed it. That
-  // BFS failed, so it never stopped early at the target and ran to
-  // exhaustion — a vertex is reachable from the source iff it got a
-  // level. No blocking flow ran after it, so the levels are pristine.
-  side_.resize(num_vertices_);
-  for (int v = 0; v < num_vertices_; ++v) side_[v] = level_[v] >= 0 ? 1 : 0;
+  // Residual reachability split. The levels count steps to the target,
+  // so they say nothing about the source side: one forward BFS from the
+  // source marks it. Every maximum flow leaves the same vertices
+  // reachable, so the cut is the minimum cut closest to the source
+  // whichever flow Dinic found.
+  MarkSourceSide();
   cut_edges_.clear();
   for (size_t e = 0; e < edge_to_.size(); ++e) {
     if (side_[edge_from_[e]] && !side_[edge_to_[e]]) {
@@ -213,7 +227,6 @@ const MinCutView& ResidualGraph::Solve(obs::TraceContext* trace) {
   RPQRES_CHECK(crossing == view_.value);
 #endif
   view_.cut_edges = std::span<const int32_t>(cut_edges_);
-  view_.source_side = side_.data();
   return view_;
 }
 

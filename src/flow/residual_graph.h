@@ -7,12 +7,17 @@
 // paired by index) with one counting-sort pass, runs Dinic, and extracts
 // the minimum cut — all inside grow-only buffers owned by this object.
 //
-// This replaces the previous FlowNetwork (edge list) → Dinic (per-arc
-// linked list) pipeline, which copied every edge once and allocated a
-// dozen fresh vectors per solve. A ResidualGraph reused across solves
-// (via Reset) reaches a steady state where no call allocates at all; the
-// engine keeps one per worker thread inside a SolverScratch
-// (flow/solver_scratch.h).
+// Dinic's levels count residual steps *to the target*: each phase's BFS
+// runs backward from the target and stops once it labels the source, and
+// the blocking-flow DFS from the source follows only arcs one level
+// closer to the target, so it never enters a vertex that cannot reach
+// the target. After the last phase one forward residual BFS from the
+// source gives the cut side: the vertices every maximum flow leaves
+// reachable, i.e. the minimum cut closest to the source.
+//
+// A ResidualGraph reused across solves (via Reset) reaches a steady
+// state where no call allocates at all; the engine keeps one per worker
+// thread inside a SolverScratch (flow/solver_scratch.h).
 //
 // The paper relies on MinCut being in PTIME (max-flow min-cut / Menger)
 // and cites near-linear algorithms [21]. This substitutes Dinic for them:
@@ -34,9 +39,9 @@ namespace obs {
 class TraceContext;
 }  // namespace obs
 
-/// Result of a min-cut computation. Spans and pointers reference buffers
-/// owned by the ResidualGraph that produced the view; they stay valid
-/// until its next Reset().
+/// Result of a min-cut computation. Its span references a buffer owned by
+/// the ResidualGraph that produced the view; it stays valid until its next
+/// Reset().
 struct MinCutView {
   /// True iff every source-target cut uses an infinite-capacity edge.
   bool infinite = false;
@@ -44,11 +49,8 @@ struct MinCutView {
   Capacity value = 0;
   /// Ids (in AddEdge order, ascending) of the cut edges: finite-capacity
   /// edges from the source side to the target side of the residual
-  /// reachability split.
+  /// reachability split, i.e. of the minimum cut closest to the source.
   std::span<const int32_t> cut_edges;
-  /// source_side[v] != 0 iff v is reachable from the source in the final
-  /// residual graph (size num_vertices()); null iff `infinite`.
-  const uint8_t* source_side = nullptr;
 };
 
 /// A single-source single-target flow network plus the Dinic solver state,
@@ -66,8 +68,6 @@ class ResidualGraph {
   void Reset(int num_vertices);
   /// Adds a fresh vertex and returns its id.
   int AddVertex() { return num_vertices_++; }
-  /// Adds `count` vertices; returns the id of the first.
-  int AddVertices(int count);
   /// Stages a directed edge; returns its edge id. Capacity must be >= 0
   /// or kInfiniteCapacity.
   int32_t AddEdge(int from, int to, Capacity capacity);
@@ -77,11 +77,6 @@ class ResidualGraph {
 
   int num_vertices() const { return num_vertices_; }
   int64_t num_edges() const { return static_cast<int64_t>(edge_to_.size()); }
-  int source() const { return source_; }
-  int target() const { return target_; }
-  int edge_from(int32_t e) const { return edge_from_[e]; }
-  int edge_to(int32_t e) const { return edge_to_[e]; }
-  Capacity edge_capacity(int32_t e) const { return edge_cap_[e]; }
 
   /// Sum of all finite staged capacities (the basis of the effective
   /// infinity; must stay below kInfiniteCapacity / 4).
@@ -103,8 +98,9 @@ class ResidualGraph {
 
  private:
   void BuildCsr();
-  bool Bfs();
+  bool LevelToTarget();
   bool BlockingFlow();
+  void MarkSourceSide();
 
   int num_vertices_ = 0;
   int source_ = -1;
@@ -126,12 +122,12 @@ class ResidualGraph {
   std::vector<Capacity> arc_cap_;
   std::vector<int32_t> cursor_;  // counting-sort placement cursor
 
-  // Search state.
+  // Search state. level_[v] is v's residual distance to the target.
   std::vector<int32_t> level_;
   std::vector<int32_t> iter_;
   std::vector<int32_t> queue_;
   std::vector<int32_t> path_;  // DFS stack of arc indices
-  std::vector<uint8_t> side_;
+  std::vector<uint8_t> side_;  // 1 iff reachable from the source
   std::vector<int32_t> cut_edges_;
   MinCutView view_;
 };

@@ -127,14 +127,16 @@ class SolverScratch {
   std::vector<int64_t> fwd_visited;
   /// Backward BFS queue (same packing).
   std::vector<int64_t> bwd_queue;
-  /// Live (forward- and co-reachable) pairs, network-id order.
+  /// Live (forward- and co-reachable) pairs with a vertex of their own,
+  /// i.e. not contracted into a terminal, network-id order.
   std::vector<int64_t> live_list;
   /// Facts discovered by the forward sweep whose edge may be staged (the
   /// tail vertex is reachable); each relevant fact appears at most once.
   std::vector<int32_t> candidate_facts;
 
   // --- BCL solver state (Prp 7.6) ------------------------------------------
-  /// Fact id -> start/end network vertex, -1 for irrelevant facts.
+  /// Fact id -> start/end network vertex (the source or the target for an
+  /// end the terminals force), -1 for irrelevant facts.
   std::vector<int32_t> start_of, end_of;
 
   // --- one-dangling split state (Prp 7.9, LetterSplit) ---------------------
@@ -148,9 +150,10 @@ class SolverScratch {
   /// Per node: 1 iff the node's z-edge is in the minimum cut.
   std::vector<uint8_t> z_cut;
 
-  /// Test-only knob: emit the full (unpruned) product network. The pruned
-  /// and unpruned constructions must produce identical cut values — the
-  /// parity suite flips this to prove it.
+  /// Test-only knob: emit the full (unpruned, uncontracted) product
+  /// network with its terminal hookups. Both constructions must produce
+  /// identical cut values and contingency sets — the parity suite flips
+  /// this to prove it.
   bool disable_product_pruning = false;
 
   // --- observability -------------------------------------------------------

@@ -8,6 +8,7 @@
 #include "flow/solver_scratch.h"
 #include "lang/chain.h"
 #include "lang/infix_free.h"
+#include "obs/trace.h"
 #include "util/check.h"
 
 namespace rpqres {
@@ -85,6 +86,8 @@ ResilienceResult SolveBclWithTables(const BclTables& tables, const GraphDb& db,
   const LabelIndex& index =
       label_index != nullptr ? *label_index : built.emplace(db);
 
+  obs::TraceContext* trace = scratch->trace;
+  obs::ScopedSpan build_span(trace, obs::SpanKind::kFlowBuild);
   Capacity forced_cost = 0;
   for (char label : tables.forced_labels) {
     for (FactId f : index.Facts(label)) {
@@ -105,9 +108,14 @@ ResilienceResult SolveBclWithTables(const BclTables& tables, const GraphDb& db,
     return result;
   }
 
-  // Network: one start/end vertex pair and one finite fact edge per
-  // relevant fact, staged directly into the scratch's residual graph.
-  // Fact edges come first, so edge id == index into fact_of_edge.
+  // Network: one finite fact edge per relevant fact, from its start vertex
+  // to its end vertex, staged directly into the scratch's residual graph.
+  // Prp 7.6 hooks the start vertex of every fact whose letter lies in the
+  // source partition to the source by an infinite edge, which puts it on
+  // the source side of every finite cut; so such a fact starts at the
+  // source itself. Likewise a fact whose letter lies in the target
+  // partition ends at the target. Fact edges come first, so edge id ==
+  // index into fact_of_edge.
   ResidualGraph& network = scratch->graph;
   network.Reset(2);
   network.SetSource(0);
@@ -119,9 +127,10 @@ ResilienceResult SolveBclWithTables(const BclTables& tables, const GraphDb& db,
   auto& fact_of_edge = scratch->fact_of_edge;
   fact_of_edge.clear();
   for (char label : tables.relevant_labels) {
+    const int side = tables.endpoint_side[static_cast<unsigned char>(label)];
     for (FactId f : index.Facts(label)) {
-      start_of[f] = network.AddVertex();
-      end_of[f] = network.AddVertex();
+      start_of[f] = side == 0 ? 0 : network.AddVertex();
+      end_of[f] = side == 1 ? 1 : network.AddVertex();
       int32_t edge =
           network.AddEdge(start_of[f], end_of[f], db.Cost(f, semantics));
       RPQRES_CHECK(edge == static_cast<int32_t>(fact_of_edge.size()));
@@ -135,38 +144,32 @@ ResilienceResult SolveBclWithTables(const BclTables& tables, const GraphDb& db,
   // output-linear: O(|A| + emitted edges) per pair, never the all-pairs
   // |A|·|B| scan. Every letter of a long word was staged above: IF(L) is
   // infix-free, so no single-letter word's letter occurs in a longer word.
+  // No edge into the source or out of the target is staged: none can
+  // cross a cut.
   for (const BclTables::Word& word : tables.long_words) {
     const std::string& w = word.letters;
     for (size_t i = 0; i + 1 < w.size(); ++i) {
       for (FactId f1 : index.Facts(w[i])) {
         for (FactId f2 : index.FactsFrom(w[i + 1], db.fact(f1).target)) {
-          if (word.forward) {
-            network.AddEdge(end_of[f1], start_of[f2], kInfiniteCapacity);
-          } else {
-            network.AddEdge(end_of[f2], start_of[f1], kInfiniteCapacity);
+          const int32_t from = end_of[word.forward ? f1 : f2];
+          const int32_t to = start_of[word.forward ? f2 : f1];
+          if (from != 1 && to != 0) {
+            network.AddEdge(from, to, kInfiniteCapacity);
           }
         }
       }
     }
   }
-  // Source/target hookup by endpoint letter partition.
-  for (FactId f : fact_of_edge) {
-    int side =
-        tables.endpoint_side[static_cast<unsigned char>(db.fact(f).label)];
-    if (side == 0) {
-      network.AddEdge(0, start_of[f], kInfiniteCapacity);
-    } else if (side == 1) {
-      network.AddEdge(end_of[f], 1, kInfiniteCapacity);
-    }
-  }
+  build_span.End();
 
-  const MinCutView& cut = network.Solve(scratch->trace);
+  const MinCutView& cut = network.Solve(trace);
   if (cut.infinite) {
     // Some match consists of exogenous facts only.
     result.infinite = true;
     result.contingency.clear();
     return result;
   }
+  obs::ScopedSpan cut_span(trace, obs::SpanKind::kCutExtract);
   result.value = forced_cost + cut.value;
   result.contingency.reserve(result.contingency.size() + cut.cut_edges.size());
   for (int32_t edge : cut.cut_edges) {

@@ -4,7 +4,10 @@
 // start/end vertex pair per fact: forward words are wired left-to-right
 // and reversed words right-to-left according to the bipartition of the
 // endpoint graph, so that every match is a source-target path and every
-// source-target path is a match. Runs in Õ(|A|·|D|²·|Σ|²).
+// source-target path is a match. A fact whose letter lies in the source
+// partition starts at the source itself, and one whose letter lies in the
+// target partition ends at the target, in place of the proof's infinite
+// hookup edges. Runs in Õ(|A|·|D|²·|Σ|²).
 //
 // All language work — IF(L), the chain analysis, the endpoint graph and
 // its bipartition — depends on L alone, so BuildBclTables does it once

@@ -33,6 +33,18 @@ namespace {
 // step over it: a split fact counts as a product edge iff its split-side
 // node has a z-edge, and the middle vertex is live iff one of its split
 // facts is staged.
+//
+// Terminal contraction: a live pair whose state lies in the ε-closure of
+// an initial state (at the fixed source, when there is one) is joined to
+// t_source by infinite edges alone, so it is on the source side of every
+// finite cut; it takes the source's id instead of a vertex of its own.
+// Likewise a pair that ε-reaches a final state (at the fixed target)
+// takes the target's id. Finite cuts, their values and the cut closest to
+// the source stay those of N_{D,A}. No edge into the source or out of the
+// target is staged (none can cross a cut), so the hookups disappear, and
+// so do the ε-edges out of contracted pairs: those out of a source pair
+// stay inside the source, those out of a target pair leave the target.
+// The test-only disable_product_pruning mode builds N_{D,A} itself.
 ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
                                    Semantics semantics, NodeId fixed_source,
                                    NodeId fixed_target,
@@ -178,16 +190,27 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
     relevant_facts = static_cast<int64_t>(candidate_facts.size());
   }
 
-  // Dense network ids for live vertices: 0 = source, 1 = target, then the
-  // live (node, state) pairs in forward-visit order.
+  // Dense network ids for live vertices: 0 = source, 1 = target (with
+  // the pairs contracted into them), then the other live (node, state)
+  // pairs in forward-visit order.
   auto& product_id = scratch->product_id;
   auto& live_list = scratch->live_list;
   product_id.Reset(product_size);
   live_list.clear();
+  const bool contract = !scratch->disable_product_pruning;
   int32_t live_count = 0;
   for (int64_t code : fwd_visited) {
     int64_t key = key_of(code);
-    if (bwd.Contains(key)) {
+    if (!bwd.Contains(key)) continue;
+    const NodeId v = static_cast<NodeId>(code >> 32);
+    const int s = static_cast<int>(code & 0xffffffff);
+    if (contract && t.eps_from_initial[s] &&
+        (fixed_source < 0 || v == fixed_source)) {
+      product_id.Set(key, 0);
+    } else if (contract && t.eps_to_final[s] &&
+               (fixed_target < 0 || v == fixed_target)) {
+      product_id.Set(key, 1);
+    } else {
       product_id.Set(key, 2 + live_count++);
       live_list.push_back(code);
     }
@@ -223,9 +246,13 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
     if (from < 0) continue;
     int32_t to = product_id.Get(int64_t{fact.target} * S + letter_to[label]);
     if (to < 0) continue;
+    if (from == 1 || to == 0) continue;  // out of the target or into the source
     if (label == split_label) {
       // The z-edge will join the middle vertex to the product vertex on
-      // the split side, which is live because this fact is.
+      // the split side, which is live because this fact is. That vertex
+      // may be a terminal, but never the source at targets nor the target
+      // at sources, so the z-edge neither enters the source nor leaves
+      // the target.
       const NodeId node = split_node(f);
       if (middle_of[node] < 0) {
         middle_of[node] = network.AddVertex();
@@ -250,9 +277,10 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
     }
   }
 
-  // Structural edges at live vertices only: ε-transitions within each
-  // database node, and source/target hookups at initial/final states (or
-  // at the fixed endpoints only).
+  // Structural edges at uncontracted live vertices only: ε-transitions
+  // within each database node (none into the source), and in the
+  // reference network the source/target hookups at initial/final states
+  // (or at the fixed endpoints only).
   for (size_t i = 0; i < live_list.size(); ++i) {
     int64_t code = live_list[i];
     int32_t id = 2 + static_cast<int32_t>(i);
@@ -260,8 +288,9 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
     int s = static_cast<int>(code & 0xffffffff);
     for (int32_t e = t.eps_out_offset[s]; e < t.eps_out_offset[s + 1]; ++e) {
       int32_t to = product_id.Get(int64_t{v} * S + t.eps_out[e]);
-      if (to >= 0) network.AddEdge(id, to, kInfiniteCapacity);
+      if (to > 0) network.AddEdge(id, to, kInfiniteCapacity);
     }
+    if (contract) continue;
     if (t.is_initial[s] && (fixed_source < 0 || v == fixed_source)) {
       network.AddEdge(0, id, kInfiniteCapacity);
     }
@@ -279,6 +308,7 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
     result.infinite = true;
     return result;
   }
+  obs::ScopedSpan cut_span(trace, obs::SpanKind::kCutExtract);
   result.value = cut.value;
   const int32_t fact_edges = static_cast<int32_t>(fact_of_edge.size());
   const int32_t z_edges = static_cast<int32_t>(middle_nodes.size());

@@ -8,6 +8,7 @@
 #include "lang/infix_free.h"
 #include "lang/one_dangling.h"
 #include "lang/ro_enfa.h"
+#include "obs/trace.h"
 #include "resilience/local_resilience.h"
 #include "util/check.h"
 
@@ -51,6 +52,9 @@ Result<ResilienceResult> SolveOneDanglingWithTables(
   // z(v) = split-letter cost at v − fresh-letter cost at v, on the split
   // side: p into v and q out of v when splitting at targets, q out of v
   // and p into v when splitting at sources. κ = total fresh-letter cost.
+  // The pass stages the z-edge capacities, so it is flow build; its span
+  // ends before the local solver opens its own.
+  obs::ScopedSpan build_span(scratch->trace, obs::SpanKind::kFlowBuild);
   auto& z = scratch->split_z;
   z.assign(db.num_nodes(), 0);
   Capacity kappa = 0;
@@ -76,6 +80,7 @@ Result<ResilienceResult> SolveOneDanglingWithTables(
   // Non-positive z-edges are removed for free (Claim 7.10).
   Capacity free_cost = 0;
   for (Capacity zv : z) free_cost += std::min<Capacity>(0, zv);
+  build_span.End();
 
   ResilienceResult result = SolveLocalResilienceWithSplit(
       tables.base, LetterSplit{tables.split, at_target, z}, db, semantics,
@@ -88,6 +93,7 @@ Result<ResilienceResult> SolveOneDanglingWithTables(
   }
   result.value += free_cost + kappa;
 
+  obs::ScopedSpan cut_span(scratch->trace, obs::SpanKind::kCutExtract);
   // Witness (Claim 7.10 (ii)). The contingency already holds the cut
   // facts; per node v with its z-edge cut or absent (z(v) <= 0), add every
   // split fact at v (case (a)); otherwise every fresh fact at v (case (b)),

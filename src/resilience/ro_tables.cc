@@ -19,6 +19,31 @@ void StateCsr(int num_states,
   for (const auto& [state, value] : pairs) (*values)[cursor[state]++] = value;
 }
 
+// Per state: 1 iff it is reachable from `seeds` along the CSR's arcs.
+std::vector<uint8_t> Closure(const std::vector<int32_t>& seeds,
+                             const std::vector<int32_t>& offsets,
+                             const std::vector<int32_t>& arcs) {
+  std::vector<uint8_t> marked(offsets.size() - 1, 0);
+  std::vector<int32_t> stack;
+  for (int32_t s : seeds) {
+    if (!marked[s]) {
+      marked[s] = 1;
+      stack.push_back(s);
+    }
+  }
+  while (!stack.empty()) {
+    const int32_t s = stack.back();
+    stack.pop_back();
+    for (int32_t i = offsets[s]; i < offsets[s + 1]; ++i) {
+      if (!marked[arcs[i]]) {
+        marked[arcs[i]] = 1;
+        stack.push_back(arcs[i]);
+      }
+    }
+  }
+  return marked;
+}
+
 }  // namespace
 
 Result<RoProductTables> BuildRoProductTables(const Enfa& ro) {
@@ -64,6 +89,8 @@ Result<RoProductTables> BuildRoProductTables(const Enfa& ro) {
     t.is_final[s] = 1;
     t.final_states.push_back(s);
   }
+  t.eps_from_initial = Closure(t.initial_states, t.eps_out_offset, t.eps_out);
+  t.eps_to_final = Closure(t.final_states, t.eps_in_offset, t.eps_in);
   return t;
 }
 

@@ -3,10 +3,11 @@
 //
 // Every local flow solve needs the same derived views of its RO-εNFA:
 // flat 256-entry letter→transition tables, ε-adjacency CSRs in both
-// directions, per-state readable-label lists, and initial/final membership
-// bits. They depend only on the automaton, so the planner builds them once
-// (ResiliencePlan::ro_tables / CompiledQuery::ro_tables_exact) and every
-// solve against any database starts emitting arcs immediately.
+// directions, per-state readable-label lists, initial/final membership
+// bits and their ε-closures. They depend only on the automaton, so the
+// planner builds them once (ResiliencePlan::ro_tables /
+// CompiledQuery::ro_tables_exact) and every solve against any database
+// starts emitting arcs immediately.
 
 #ifndef RPQRES_RESILIENCE_RO_TABLES_H_
 #define RPQRES_RESILIENCE_RO_TABLES_H_
@@ -35,9 +36,14 @@ struct RoProductTables {
   /// Letters read out of / into each state (CSR over states).
   std::vector<int32_t> labels_out_offset, labels_in_offset;
   std::vector<uint8_t> labels_out, labels_in;
-  /// Per-state initial/final membership (O(1) hookup tests).
+  /// Per-state initial/final membership (the hookup tests of the full,
+  /// uncontracted network).
   std::vector<uint8_t> is_initial, is_final;
   std::vector<int32_t> initial_states, final_states;
+  /// Per state: 1 iff it lies in the ε-closure of an initial state, and 1
+  /// iff it ε-reaches a final state. The product pairs of such states are
+  /// joined to the source, resp. the target, by infinite edges alone.
+  std::vector<uint8_t> eps_from_initial, eps_to_final;
 };
 
 /// Derives the tables; FailedPrecondition when `ro` is not read-once.

@@ -1,10 +1,11 @@
 // Differential parity suite for the zero-copy flow core: across >= 500
 // workload seeds per flow-backed class (local, BCL, one-dangling), the
-// CSR/pruned product path must produce the same cut value as (a) the
-// unpruned construction (the retired pre-CSR behavior, reproduced via
-// SolverScratch::disable_product_pruning), and (b) the independent exact
-// branch & bound — with every flow witness verifying against the
-// database. This is the regression net under every
+// pruned, terminal-contracted product path must produce the same cut
+// value and the same contingency set as (a) the full, uncontracted
+// construction (the retired pre-CSR behavior, reproduced via
+// SolverScratch::disable_product_pruning), and the same value as (b) the
+// independent exact branch & bound — with every flow witness verifying
+// against the database. This is the regression net under every
 // future flow optimization; the CI ASan/UBSan job runs it over the same
 // seeds with sanitizers on.
 
@@ -79,6 +80,8 @@ TEST_P(FlowParityTest, PrunedCsrPathMatchesSeedSemantics) {
     EXPECT_EQ(indexed->infinite, unpruned->infinite);
     if (!indexed->infinite) {
       EXPECT_EQ(indexed->value, unpruned->value);
+      // Both networks have the same minimum cut closest to the source.
+      EXPECT_EQ(indexed->contingency, unpruned->contingency);
     }
     for (const Result<ResilienceResult>* r : {&indexed, &unpruned}) {
       EXPECT_EQ(VerifyResilienceResult(*lang, db, semantics, **r),

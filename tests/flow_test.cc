@@ -102,6 +102,22 @@ TEST(ResidualGraphTest, InfiniteCutDetected) {
   EXPECT_TRUE(cut.infinite);
 }
 
+// s → u → t with both edges of capacity 1 has two minimum cuts. Dinic
+// levels by the distance to the target, but the cut it returns is the
+// one next to the source.
+TEST(ResidualGraphTest, TiedMinimumCutsResolveNextToTheSource) {
+  ResidualGraph n;
+  n.Reset(3);
+  n.SetSource(0);
+  n.SetTarget(1);
+  const int32_t su = n.AddEdge(0, 2, 1);
+  n.AddEdge(2, 1, 1);
+  const MinCutView& cut = n.Solve();
+  ASSERT_FALSE(cut.infinite);
+  EXPECT_EQ(cut.value, 1);
+  EXPECT_EQ(CutEdgeIds(cut), (std::vector<int32_t>{su}));
+}
+
 TEST(ResidualGraphTest, ParallelAndAntiparallelEdges) {
   ResidualGraph n;
   int s = n.AddVertex(), t = n.AddVertex();

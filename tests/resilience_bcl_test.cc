@@ -1,11 +1,19 @@
 // Tests for Proposition 7.6's BCL resilience solver: hand-checked
 // instances, forward/reversed word wiring, single-letter preprocessing,
-// and randomized cross-checks against brute force.
+// randomized cross-checks against brute force, and the contracted network
+// against the proof's network with its terminal hookups.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "flow/residual_graph.h"
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
+#include "lang/infix_free.h"
 #include "lang/language.h"
 #include "resilience/bcl_resilience.h"
 #include "resilience/exact.h"
@@ -127,6 +135,15 @@ struct BclCase {
   std::vector<char> labels;
 };
 
+std::vector<BclCase> BclCases() {
+  return {BclCase{"ab|bc", {'a', 'b', 'c'}},
+          BclCase{"axb|byc", {'a', 'b', 'c', 'x', 'y'}},
+          BclCase{"ab|cd", {'a', 'b', 'c', 'd'}},
+          BclCase{"a|bc", {'a', 'b', 'c'}},
+          BclCase{"axyb|bztc|cd|dea",
+                  {'a', 'b', 'c', 'd', 'e', 'x', 'y', 'z', 't'}}};
+}
+
 class BclVsBruteForceTest
     : public ::testing::TestWithParam<std::tuple<BclCase, int>> {};
 
@@ -151,15 +168,118 @@ TEST_P(BclVsBruteForceTest, AgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BclVsBruteForceTest,
-    ::testing::Combine(
-        ::testing::Values(
-            BclCase{"ab|bc", {'a', 'b', 'c'}},
-            BclCase{"axb|byc", {'a', 'b', 'c', 'x', 'y'}},
-            BclCase{"ab|cd", {'a', 'b', 'c', 'd'}},
-            BclCase{"a|bc", {'a', 'b', 'c'}},
-            BclCase{"axyb|bztc|cd|dea",
-                    {'a', 'b', 'c', 'd', 'e', 'x', 'y', 'z', 't'}}),
-        ::testing::Range(1, 9)));
+    ::testing::Combine(::testing::ValuesIn(BclCases()),
+                       ::testing::Range(1, 9)));
+
+// The Prp 7.6 network as the proof states it: a start and an end vertex
+// per relevant fact, the word wiring, and infinite hookups from the
+// source to the start of every source-partition fact and from the end of
+// every target-partition fact to the target.
+ResilienceResult SolveBclOnHookedNetwork(const BclTables& tables,
+                                         const GraphDb& db,
+                                         Semantics semantics) {
+  LabelIndex index(db);
+  ResilienceResult result;
+  Capacity forced_cost = 0;
+  for (char label : tables.forced_labels) {
+    for (FactId f : index.Facts(label)) {
+      if (db.IsExogenous(f)) {
+        result.infinite = true;
+        return result;  // the contingency is meaningless
+      }
+      forced_cost += db.Cost(f, semantics);
+      result.contingency.push_back(f);
+    }
+  }
+  ResidualGraph network;
+  network.Reset(2);
+  network.SetSource(0);
+  network.SetTarget(1);
+  std::vector<int> start_of(db.num_facts(), -1), end_of(db.num_facts(), -1);
+  std::vector<FactId> fact_of_edge;
+  for (char label : tables.relevant_labels) {
+    for (FactId f : index.Facts(label)) {
+      start_of[f] = network.AddVertex();
+      end_of[f] = network.AddVertex();
+      network.AddEdge(start_of[f], end_of[f], db.Cost(f, semantics));
+      fact_of_edge.push_back(f);
+    }
+  }
+  for (const BclTables::Word& word : tables.long_words) {
+    const std::string& w = word.letters;
+    for (size_t i = 0; i + 1 < w.size(); ++i) {
+      for (FactId f1 : index.Facts(w[i])) {
+        for (FactId f2 : index.FactsFrom(w[i + 1], db.fact(f1).target)) {
+          if (word.forward) {
+            network.AddEdge(end_of[f1], start_of[f2], kInfiniteCapacity);
+          } else {
+            network.AddEdge(end_of[f2], start_of[f1], kInfiniteCapacity);
+          }
+        }
+      }
+    }
+  }
+  for (FactId f : fact_of_edge) {
+    const int side =
+        tables.endpoint_side[static_cast<unsigned char>(db.fact(f).label)];
+    if (side == 0) network.AddEdge(0, start_of[f], kInfiniteCapacity);
+    if (side == 1) network.AddEdge(end_of[f], 1, kInfiniteCapacity);
+  }
+  const MinCutView& cut = network.Solve();
+  if (cut.infinite) {
+    result.infinite = true;
+    return result;
+  }
+  result.value = forced_cost + cut.value;
+  for (int32_t edge : cut.cut_edges) {
+    result.contingency.push_back(fact_of_edge[edge]);
+  }
+  std::sort(result.contingency.begin(), result.contingency.end());
+  result.contingency.erase(
+      std::unique(result.contingency.begin(), result.contingency.end()),
+      result.contingency.end());
+  return result;
+}
+
+class BclHookedNetworkTest
+    : public ::testing::TestWithParam<std::tuple<BclCase, int>> {};
+
+// Contracting the source- and target-partition fact ends into the
+// terminals keeps every finite cut, so the solver returns the hooked
+// network's value and its cut closest to the source, fact for fact.
+TEST_P(BclHookedNetworkTest, ContractedNetworkMatchesHookedNetwork) {
+  const auto& [c, seed] = GetParam();
+  Result<BclTables> tables = BuildBclTables(
+      InfixFreeSublanguage(Language::MustFromRegexString(c.regex)));
+  ASSERT_TRUE(tables.ok()) << tables.status();
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE(std::string(c.regex) + " seed " + std::to_string(seed) +
+                 " round " + std::to_string(round));
+    Rng rng(seed * 1009 + round);
+    GraphDb db = RandomGraphDb(&rng, 12 + 3 * round, 30 + 12 * round,
+                               c.labels, 4);
+    // Exogenous facts in every third database.
+    if (round % 3 == 2) {
+      for (FactId f = 0; f < db.num_facts(); ++f) {
+        if (rng.NextBelow(8) == 0) db.SetExogenous(f);
+      }
+    }
+    for (Semantics semantics : {Semantics::kSet, Semantics::kBag}) {
+      ResilienceResult reference =
+          SolveBclOnHookedNetwork(*tables, db, semantics);
+      ResilienceResult solved = SolveBclWithTables(*tables, db, semantics);
+      ASSERT_EQ(solved.infinite, reference.infinite);
+      if (reference.infinite) continue;
+      EXPECT_EQ(solved.value, reference.value);
+      EXPECT_EQ(solved.contingency, reference.contingency);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, BclHookedNetworkTest,
+    ::testing::Combine(::testing::ValuesIn(BclCases()),
+                       ::testing::Range(1, 9)));
 
 }  // namespace
 }  // namespace rpqres

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "flow/residual_graph.h"
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
@@ -122,6 +124,49 @@ TEST(LocalResilienceTest, SelfLoopWalks) {
       VerifyResilienceResult(Language::MustFromRegexString("ax*b"), db,
                              Semantics::kSet, r);
   EXPECT_TRUE(check.ok()) << check;
+}
+
+// The closure bits mark the states whose product pairs the terminals'
+// infinite edges reach: those in the ε-closure of an initial state, and
+// those that ε-reach a final state. Neither language contains ε, so no
+// state carries both.
+TEST(LocalResilienceTest, RoTablesMarkTheTerminalClosures) {
+  struct Case {
+    const char* regex;
+    const char* first_letters;  // letters a word can start with
+    const char* last_letters;   // letters a word can end with
+    const char* letters;
+  };
+  for (const Case& c : {Case{"ax*b", "a", "b", "axb"},
+                        Case{"ab|ad|cd", "ac", "bd", "abcd"}}) {
+    SCOPED_TRACE(c.regex);
+    Enfa ro = BuildRoEnfa(Language::MustFromRegexString(c.regex))
+                  .ValueOrDie();
+    RoProductTables t = BuildRoProductTables(ro).ValueOrDie();
+    ASSERT_EQ(t.eps_from_initial.size(), static_cast<size_t>(t.num_states));
+    ASSERT_EQ(t.eps_to_final.size(), static_cast<size_t>(t.num_states));
+    for (int s : t.initial_states) EXPECT_EQ(t.eps_from_initial[s], 1);
+    for (int s : t.final_states) EXPECT_EQ(t.eps_to_final[s], 1);
+    for (int s = 0; s < t.num_states; ++s) {
+      EXPECT_FALSE(t.eps_from_initial[s] && t.eps_to_final[s]) << s;
+    }
+    const std::string first = c.first_letters, last = c.last_letters;
+    for (const char* l = c.letters; *l != '\0'; ++l) {
+      SCOPED_TRACE(std::string(1, *l));
+      const unsigned char u = static_cast<unsigned char>(*l);
+      ASSERT_GE(t.letter_from[u], 0);
+      // A letter leaves the initial closure iff a word can start with it,
+      // and enters a state that ε-reaches a final one iff a word can end
+      // with it. In both languages no letter enters the initial closure
+      // or leaves the final one.
+      EXPECT_EQ(t.eps_from_initial[t.letter_from[u]],
+                first.find(*l) != std::string::npos);
+      EXPECT_EQ(t.eps_to_final[t.letter_to[u]],
+                last.find(*l) != std::string::npos);
+      EXPECT_EQ(t.eps_from_initial[t.letter_to[u]], 0);
+      EXPECT_EQ(t.eps_to_final[t.letter_from[u]], 0);
+    }
+  }
 }
 
 TEST(LocalResilienceTest, CombinedComplexityNetworkSize) {
