@@ -30,6 +30,12 @@ about, enforced over the source tree:
       a database. A call to `AddNode(`, `AddFact(`, `MirrorDb(`,
       `Compact(` or `RemoveFacts(` there is a violation.
 
+  solver-language-work
+      The same flow solvers read IF(L)'s tables from a plan
+      (ResiliencePlan, built once by the planner in
+      src/resilience/resilience.cc); they do no language work. A call of
+      `InfixFreeSublanguage(` there is a violation.
+
   classify-word-list
       The Figure 1 classifier (src/classify/) reads every fact about a
       language off its minimal DFA and lists no words: a finite IF(L) may
@@ -80,6 +86,9 @@ FLOW_SOLVER_FILES = {
 }
 DB_REBUILD_RE = re.compile(
     r"\b(AddNode|AddFact|MirrorDb|Compact|RemoveFacts)\s*\(")
+# The language work the planner does once, which a flow solver must not
+# repeat per solve.
+LANGUAGE_WORK_RE = re.compile(r"\bInfixFreeSublanguage\s*\(")
 
 # The calls that list every word of a language (or every word up to a
 # length), which the classifier must not make.
@@ -168,6 +177,12 @@ def scan_file(rel_path: str, text: str):
                       f"{m.group(1)}( in a flow solver — read the caller's "
                       "database through its LabelIndex and emit the network "
                       "into the scratch ResidualGraph instead")
+            m = LANGUAGE_WORK_RE.search(line)
+            if m:
+                check(idx, "solver-language-work",
+                      "InfixFreeSublanguage( in a flow solver — read IF(L)'s "
+                      "tables from the plan (PlanResilienceWithIF builds "
+                      "them once) instead of recomputing IF(L) per solve")
         if in_classify:
             m = WORD_LIST_RE.search(line)
             if m:
@@ -274,6 +289,17 @@ SELF_TEST_CASES = [
         # Building databases is fine outside the flow solvers.
         "src/resilience/exact.cc",
         "GraphDb rest = db.RemoveFacts(cut);\n",
+        [],
+    ),
+    (
+        "src/resilience/bcl_resilience.cc",
+        "Language ifl = InfixFreeSublanguage(lang);\n",
+        [("solver-language-work", 1)],
+    ),
+    (
+        # The planner is where IF(L) is computed.
+        "src/resilience/resilience.cc",
+        "Language ifl = InfixFreeSublanguage(lang);\n",
         [],
     ),
     (

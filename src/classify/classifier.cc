@@ -161,8 +161,7 @@ Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
     case ResilienceMethod::kAuto:
     case ResilienceMethod::kBruteForce:
       return Status::InvalidArgument(
-          "ClassifyResilienceWithPlan: not a plan PlanResilienceWithIF "
-          "builds");
+          "ClassifyResilienceWithPlan: not a kAuto plan");
   }
 
   // --- NP-hard side ---------------------------------------------------------

@@ -83,8 +83,9 @@ Result<Classification> ClassifyResilienceWithIF(const Language& lang,
 /// A bounded step that runs out does not fail the call: when the star-free
 /// monoid walk (lang/star_free.h) returns OutOfRange, only the non-star-free
 /// rule is skipped, and an UNCLASSIFIED `detail` names the exhausted bound.
-/// `plan` must come from PlanResilienceWithIF (InvalidArgument for a
-/// kAuto or kBruteForce method).
+/// `plan` must be the kAuto plan, PlanResilienceWithIF(ifl): a forced
+/// plan's method says what the caller asked for, not which class IF(L)
+/// lies in (InvalidArgument for a kAuto or kBruteForce method).
 Result<Classification> ClassifyResilienceWithPlan(const Language& lang,
                                                   const ResiliencePlan& plan,
                                                   int max_word_length = 8);

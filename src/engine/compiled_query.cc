@@ -16,11 +16,8 @@ Result<std::shared_ptr<const CompiledQuery>> CompileQuery(
   RPQRES_ASSIGN_OR_RETURN(Language language,
                           Language::FromRegexString(regex));
   // Plan first: the Figure 1 verdict reads its PTIME side off the plan.
-  ResilienceOptions plan_options;
-  plan_options.allow_exponential = options.allow_exponential;
-  RPQRES_ASSIGN_OR_RETURN(
-      ResiliencePlan plan,
-      PlanResilienceWithIF(InfixFreeSublanguage(language), plan_options));
+  RPQRES_ASSIGN_OR_RETURN(ResiliencePlan plan,
+                          PlanResilienceWithIF(InfixFreeSublanguage(language)));
   RPQRES_ASSIGN_OR_RETURN(
       Classification classification,
       ClassifyResilienceWithPlan(language, plan, options.max_word_length));

@@ -26,9 +26,6 @@ namespace rpqres {
 
 /// Knobs for query compilation.
 struct CompileOptions {
-  /// Whether the plan may fall back to the exponential exact solver when
-  /// no polynomial algorithm applies (Unimplemented otherwise).
-  bool allow_exponential = true;
   /// Bound on the words of a four-legged witness during classification
   /// (ClassifyResilience's max_word_length). The search walks IF(L)'s
   /// minimal DFA, so its cost does not grow with the bound.
@@ -47,7 +44,9 @@ struct CompiledQuery {
   Language language;
   /// The Figure 1 complexity verdict for IF(L), with its justifying rule.
   Classification classification;
-  /// The executable dispatch plan: IF(L), chosen solver, RO-εNFA tables.
+  /// The kAuto plan: IF(L) and the chosen solver with its tables. The
+  /// plan never depends on whether the exponential fallback is allowed;
+  /// execution checks that (CheckExponentialFallback).
   ResiliencePlan plan;
   /// Solver tables for the RO-εNFA of the *original* language L (not
   /// IF(L) — the IF rewrite is unsound with fixed endpoints), present iff

@@ -1,6 +1,5 @@
 #include "engine/engine.h"
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -35,6 +34,11 @@ const CancelToken* EffectiveCancel(const RequestOptions& options,
   }
   return cancel;
 }
+
+/// Fixed-endpoint differential reference: requests whose database has at
+/// most this many live facts get an endpoint-pinned brute-force second
+/// opinion (2^facts subsets); larger instances judge inconclusive.
+constexpr int kFixedEndpointReferenceMaxFacts = 16;
 
 /// No refutable answer: budget exhaustion, deadline, or cancellation.
 bool IsInconclusiveCode(StatusCode code) {
@@ -209,7 +213,6 @@ Result<std::shared_ptr<const CompiledQuery>> ResilienceEngine::CompileInternal(
   // Counted at the probe, before the compile can fail.
   Count(kPlanCacheMiss);
   CompileOptions compile_options;
-  compile_options.allow_exponential = options_.allow_exponential;
   compile_options.max_word_length = options_.max_word_length;
   RPQRES_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledQuery> compiled,
                           CompileQuery(regex, semantics, compile_options));
@@ -328,8 +331,8 @@ void JudgeDifferentialImpl(const Language& lang, const GraphDb& db,
     return;
   }
   if (!ps.ok() && !rs.ok()) {
-    // Both paths refused (e.g. exponential fallback disabled): agreement,
-    // unless they refused for different reasons.
+    // Both paths refused (e.g. an argument error both sides share):
+    // agreement, unless they refused for different reasons.
     if (ps.code() == rs.code()) {
       d.agree = true;
     } else {
@@ -421,15 +424,11 @@ void ResilienceEngine::RunReference(const CompiledQuery& query,
       return;
     }
     const GraphDb& db = request.db.db();
-    const int max_facts =
-        std::min(options_.fixed_endpoint_reference_max_facts, 22);
     auto start = std::chrono::steady_clock::now();
     Result<ResilienceResult> reference = SolveBruteForceResilienceBetween(
         query.language, db, *request.source, *request.target, query.semantics,
-        max_facts);
-    d.reference_stats.solve_micros = MicrosSince(start);
-    phase_micros_->WithLabel(reference_phase)
-        .Record(d.reference_stats.solve_micros);
+        kFixedEndpointReferenceMaxFacts);
+    phase_micros_->WithLabel(reference_phase).Record(MicrosSince(start));
     if (!reference.ok()) {
       d.reference_status = reference.status();
       // OutOfRange == database too large for the subset enumeration: no
@@ -438,8 +437,6 @@ void ResilienceEngine::RunReference(const CompiledQuery& query,
       return;
     }
     d.reference_result = *std::move(reference);
-    d.reference_stats.algorithm = d.reference_result.algorithm;
-    d.reference_stats.search_nodes = d.reference_result.search_nodes;
     auto judge_start = std::chrono::steady_clock::now();
     JudgeDifferentialBetween(query.language, db, *request.source,
                              *request.target, query.semantics, response);
@@ -473,15 +470,11 @@ void ResilienceEngine::RunReference(const CompiledQuery& query,
           ? Result<ResilienceResult>(reference_options.cancel->ToStatus())
           : SolveExactResilience(query.language, db, query.semantics,
                                  reference_options);
-  d.reference_stats.solve_micros = MicrosSince(start);
-  phase_micros_->WithLabel(reference_phase)
-      .Record(d.reference_stats.solve_micros);
+  phase_micros_->WithLabel(reference_phase).Record(MicrosSince(start));
   if (!reference.ok()) {
     d.reference_status = reference.status();
   } else {
     d.reference_result = *std::move(reference);
-    d.reference_stats.algorithm = d.reference_result.algorithm;
-    d.reference_stats.search_nodes = d.reference_result.search_nodes;
   }
   auto judge_start = std::chrono::steady_clock::now();
   JudgeDifferential(query.language, db, query.semantics, response);
@@ -514,11 +507,12 @@ std::vector<ResilienceResponse> ResilienceEngine::EvaluateDifferential(
           const PlanSlot& slot =
               plans.at({request.regex, request.semantics});
           if (!slot.compiled.ok()) {
+            // The reference parses the same regex, so it refuses with the
+            // same status: per the JudgeDifferential contract, agreement.
             response.status = slot.compiled.status();
             response.differential.emplace();
             response.differential->reference_status = slot.compiled.status();
-            response.differential->mismatch =
-                "compile failed: " + slot.compiled.status().ToString();
+            response.differential->agree = true;
             RecordContext context;
             context.request = &request;
             RecordInstance(response, context);
@@ -699,18 +693,11 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
                                request.target.value_or(-1)};
     auto lookup_start = std::chrono::steady_clock::now();
     obs::ScopedSpan lookup_span(trace, obs::SpanKind::kResultCacheLookup);
-    std::optional<CachedResult> hit = result_cache_.Lookup(cache_key);
+    std::optional<ResilienceResult> hit = result_cache_.Lookup(cache_key);
     context->result_cache_probe = hit ? kResultCacheHit : kResultCacheMiss;
     if (hit) {
-      response.result = hit->result;
-      // Report what computed the cached answer, stamped as a cache hit.
-      response.stats.algorithm = hit->stats.algorithm;
-      response.stats.network_vertices = hit->stats.network_vertices;
-      response.stats.network_edges = hit->stats.network_edges;
-      response.stats.product_vertices_pruned =
-          hit->stats.product_vertices_pruned;
-      response.stats.product_edges_pruned = hit->stats.product_edges_pruned;
-      response.stats.search_nodes = hit->stats.search_nodes;
+      // The cached result still names what computed the answer.
+      response.result = *std::move(hit);
       response.stats.result_cache_hit = true;
       response.stats.solve_micros = MicrosSince(lookup_start);
       return response;
@@ -725,8 +712,6 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
       request_options.max_exact_search_nodes.value_or(
           options_.max_exact_search_nodes);
   exact_options.cancel = cancel;
-  const bool allow_exponential =
-      request_options.allow_exponential.value_or(options_.allow_exponential);
 
   // The calling worker's reusable flow arena: in steady state the whole
   // flow path (product sweep, CSR build, Dinic) allocates nothing.
@@ -759,25 +744,20 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
     }
     if (request_options.method.has_value() &&
         *request_options.method != ResilienceMethod::kAuto) {
-      // Forced solver: bypass the compiled plan (the VCSP-style routing
-      // override); classification stats still describe the kAuto verdict.
-      ResilienceOptions forced;
-      forced.method = *request_options.method;
-      forced.allow_exponential = allow_exponential;
-      forced.exact = exact_options;
-      return ComputeResilience(query.language, db.db(), query.semantics,
-                               forced, db.label_index(), &scratch);
+      // Forced solver (the VCSP-style routing override): a plan of that
+      // method on the compiled IF(L). Classification stats still describe
+      // the kAuto verdict.
+      RPQRES_ASSIGN_OR_RETURN(
+          ResiliencePlan forced,
+          PlanResilienceWithIF(query.plan.if_language,
+                               *request_options.method));
+      return ComputeResilienceWithPlan(forced, db.db(), query.semantics,
+                                       exact_options, db.label_index(),
+                                       &scratch);
     }
-    if (!allow_exponential &&
-        query.plan.method == ResilienceMethod::kExact &&
-        !query.plan.trivial_infinite && !query.plan.trivial_empty) {
-      // The plan was compiled under the engine-wide allow_exponential;
-      // this request opted out, so refuse exactly like compilation would.
-      return Status::Unimplemented(
-          "no polynomial-time algorithm known for " +
-          query.plan.if_language.description() +
-          " and exponential fallback disabled for this request");
-    }
+    RPQRES_RETURN_IF_ERROR(CheckExponentialFallback(
+        query.plan, request_options.allow_exponential.value_or(
+                        options_.allow_exponential)));
     return ComputeResilienceWithPlan(query.plan, db.db(), query.semantics,
                                      exact_options, db.label_index(),
                                      &scratch);
@@ -789,18 +769,10 @@ ResilienceResponse ResilienceEngine::ExecuteTraced(
     response.status = result.status();
   } else {
     response.result = *std::move(result);
-    response.stats.algorithm = response.result.algorithm;
-    response.stats.network_vertices = response.result.network_vertices;
-    response.stats.network_edges = response.result.network_edges;
-    response.stats.product_vertices_pruned =
-        response.result.product_vertices_pruned;
-    response.stats.product_edges_pruned = response.result.product_edges_pruned;
-    response.stats.search_nodes = response.result.search_nodes;
     if (cacheable) {
       Count(kResultCacheEviction,
-            static_cast<int64_t>(result_cache_.Insert(
-                std::move(cache_key),
-                CachedResult{response.result, response.stats})));
+            static_cast<int64_t>(
+                result_cache_.Insert(std::move(cache_key), response.result)));
     }
   }
   return response;
@@ -814,8 +786,9 @@ void ResilienceEngine::RecordInstance(const ResilienceResponse& response,
   // Status first: stats() reads the algorithm and result-cache cells
   // before the status cells (see the constructor).
   requests_by_status_[status_index]->Increment();
-  if (!response.stats.algorithm.empty()) {
-    requests_by_algorithm_->WithLabel(response.stats.algorithm).Increment();
+  const ResilienceResult& result = response.result;
+  if (!result.algorithm.empty()) {
+    requests_by_algorithm_->WithLabel(result.algorithm).Increment();
   }
   if (context.result_cache_probe.has_value()) {
     Count(*context.result_cache_probe);
@@ -825,8 +798,8 @@ void ResilienceEngine::RecordInstance(const ResilienceResponse& response,
                                   ? context.total_micros
                                   : response.stats.solve_micros;
   request_latency_->WithLabel(status).Record(total_micros);
-  if (!response.stats.algorithm.empty()) {
-    solve_latency_->WithLabel(response.stats.algorithm)
+  if (!result.algorithm.empty()) {
+    solve_latency_->WithLabel(result.algorithm)
         .Record(response.stats.solve_micros);
   }
   if (context.trace != nullptr) {
@@ -862,16 +835,16 @@ void ResilienceEngine::RecordInstance(const ResilienceResponse& response,
       }
     }
     record.status = std::string(status);
-    record.algorithm = response.stats.algorithm;
+    record.algorithm = result.algorithm;
     record.lineage = context.lineage;
     record.version = context.version;
     record.compile_micros =
         static_cast<int64_t>(response.stats.compile_micros);
     record.solve_micros = static_cast<int64_t>(response.stats.solve_micros);
     record.total_micros = static_cast<int64_t>(total_micros);
-    record.network_vertices = response.stats.network_vertices;
-    record.network_edges = response.stats.network_edges;
-    record.search_nodes = response.stats.search_nodes;
+    record.network_vertices = result.network_vertices;
+    record.network_edges = result.network_edges;
+    record.search_nodes = result.search_nodes;
     if (context.trace != nullptr) {
       record.spans_dropped = context.trace->dropped();
       record.spans.assign(context.trace->spans(),

@@ -70,8 +70,12 @@ struct EngineOptions {
   size_t plan_cache_capacity = 256;
   /// Worker threads for batch/async execution; 0 = DefaultNumThreads().
   int num_threads = 0;
-  /// Forwarded to CompileQuery / plan selection.
+  /// Whether a request may fall back to the exponential exact solver when
+  /// no polynomial algorithm applies: the request default
+  /// (RequestOptions::allow_exponential), checked at execution. The
+  /// compiled plan is the same either way.
   bool allow_exponential = true;
+  /// Forwarded to CompileQuery (the four-legged word bound).
   int max_word_length = 8;
   /// Branch-and-bound node budget when an instance routes to the exact
   /// solver (both the plan side and the differential reference side).
@@ -84,11 +88,6 @@ struct EngineOptions {
   /// default: benchmarks and differential harnesses measure solvers, not
   /// memoization; serving deployments opt in.
   size_t result_cache_capacity = 0;
-  /// Fixed-endpoint differential reference: requests whose database has
-  /// at most this many live facts get an endpoint-pinned brute-force
-  /// second opinion (2^facts subsets); larger instances judge
-  /// inconclusive. Clamped to 22.
-  int fixed_endpoint_reference_max_facts = 16;
 
   // --- observability (src/obs/) --------------------------------------------
   /// Record per-request trace spans (resolve, result-cache lookup, solve,

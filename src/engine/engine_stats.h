@@ -1,8 +1,10 @@
 // rpqres — engine/engine_stats: per-instance and aggregate engine metrics.
 //
-// Every engine run records what happened (classification outcome, solver,
-// wall time, flow-network size) so benchmark harnesses and operators can
-// see where time goes without instrumenting solvers themselves.
+// Every engine run records what happened (classification outcome, caches,
+// wall time) so benchmark harnesses and operators can see where time goes
+// without instrumenting solvers themselves. What the solver did (its
+// algorithm, network size, pruning, search nodes) is in the response's
+// ResilienceResult, the one record of a solve.
 
 #ifndef RPQRES_ENGINE_ENGINE_STATS_H_
 #define RPQRES_ENGINE_ENGINE_STATS_H_
@@ -13,35 +15,24 @@
 
 namespace rpqres {
 
-/// What happened to one (query, database) instance.
+/// What the engine alone knows about one (query, database) instance.
 struct InstanceStats {
   /// Classification column for IF(L) ("PTIME", "NP-hard", ...).
   std::string complexity;
   /// The paper result that justified the classification.
   std::string rule;
-  /// Solver that produced the answer (ResilienceResult::algorithm).
-  std::string algorithm;
   /// False iff this instance paid a fresh compilation; true for plan-cache
   /// hits and for requests that carry a caller-managed precompiled query
   /// (ResilienceRequest::query), which bypass the cache.
   bool cache_hit = false;
   /// True iff the answer came from the version-keyed ResultCache (no
-  /// solver ran; `algorithm` etc. describe the run that populated the
-  /// entry).
+  /// solver ran; the response's result, algorithm included, is the one
+  /// the run that populated the entry produced).
   bool result_cache_hit = false;
   /// Compile wall time attributed to this instance (0 on a cache hit).
   double compile_micros = 0;
   /// Solve wall time (plan execution only).
   double solve_micros = 0;
-  /// Flow-network size, when a flow solver ran.
-  int64_t network_vertices = 0;
-  int64_t network_edges = 0;
-  /// Product pruning (local flow): dead (node, state) vertices and edges
-  /// skipped relative to the full |V|·|S| Thm 3.13 construction.
-  int64_t product_vertices_pruned = 0;
-  int64_t product_edges_pruned = 0;
-  /// Branch-and-bound nodes, when the exact solver ran.
-  uint64_t search_nodes = 0;
 };
 
 /// Aggregate counters for one engine (or, from serve::Router, for a

@@ -12,7 +12,8 @@
 //   * method            — force one solver (the VCSP view: the same
 //                         instance can route to algorithms of wildly
 //                         different complexity; callers may pin one)
-//   * allow_exponential — refuse the exact fallback for this request
+//   * allow_exponential — allow or refuse the kAuto plan's exact
+//                         fallback for this request
 //   * max_exact_search_nodes — per-request branch & bound budget
 //   * deadline / cancel — wall-clock deadline and cooperative
 //                         cancellation, polled inside the exact solver
@@ -45,12 +46,16 @@ namespace rpqres {
 /// EngineOptions default, so a default-constructed RequestOptions is
 /// exactly the v1 behavior.
 struct RequestOptions {
-  /// Force a specific solver instead of the compiled kAuto plan.
-  /// kAuto (or unset) = execute the plan. Forcing a polynomial method on
-  /// a language outside its class fails with FailedPrecondition, same as
-  /// the direct solver entry points.
+  /// Force a specific solver instead of the compiled kAuto plan: the
+  /// request runs PlanResilienceWithIF(IF(L), method) on the compiled
+  /// IF(L). kAuto (or unset) = execute the compiled plan. Forcing a
+  /// polynomial method on a language whose IF(L) lies outside its class
+  /// fails with FailedPrecondition, as ComputeResilience does. A forced
+  /// kExact always runs, whatever `allow_exponential` says.
   std::optional<ResilienceMethod> method;
-  /// Whether this request may fall back to the exponential exact solver.
+  /// Whether a kAuto request may fall back to the exponential exact
+  /// solver; unset = EngineOptions::allow_exponential. Checked at
+  /// execution (CheckExponentialFallback): Unimplemented when refused.
   std::optional<bool> allow_exponential;
   /// Branch & bound node budget when the exact solver runs (OutOfRange
   /// when exhausted).
@@ -101,9 +106,8 @@ struct ResilienceRequest {
   /// Requires the query language *itself* to be local — IF-rewriting is
   /// unsound with fixed endpoints, so non-local languages fail with
   /// FailedPrecondition. Differential runs use the endpoint-pinned
-  /// brute force as the reference on databases up to
-  /// EngineOptions::fixed_endpoint_reference_max_facts facts, and judge
-  /// larger instances inconclusive.
+  /// brute force as the reference on databases of at most 16 facts, and
+  /// judge larger instances inconclusive.
   std::optional<NodeId> source;
   std::optional<NodeId> target;
   RequestOptions options;
@@ -117,17 +121,20 @@ struct ResilienceResponse {
   /// (exact budget exhausted), Unimplemented (exponential fallback
   /// disallowed).
   Status status;
+  /// The answer and what computed it (algorithm, network size, pruning,
+  /// search nodes), also on a result-cache hit.
   ResilienceResult result;
-  /// Always filled as far as execution got (classification, timings...).
+  /// Always filled as far as execution got (classification, caches,
+  /// timings).
   InstanceStats stats;
 
   /// Second opinion + verdict, present iff the request ran differentially
   /// (EvaluateDifferential).
   struct Differential {
-    /// The independent exact reference solve.
+    /// The independent exact reference solve. Its wall time lands in the
+    /// engine's `reference_solve` phase histogram.
     Status reference_status;
     ResilienceResult reference_result;
-    InstanceStats reference_stats;
     /// Matching values/infiniteness AND both witnesses verified.
     bool agree = false;
     /// A side ran out of budget/deadline: no refutable answer, neither
@@ -142,7 +149,8 @@ struct ResilienceResponse {
 /// Fills `response->differential` (creating it if absent) from the
 /// primary and reference results plus witness verification against
 /// (lang, db, semantics). Both-errored pairs agree iff the status codes
-/// match; budget/deadline exhaustion on either side is inconclusive.
+/// match (e.g. both refused an unparsable regex); budget/deadline
+/// exhaustion on either side is inconclusive.
 /// Exposed so the workload oracle's counterexample minimizer can re-judge
 /// shrunken databases outside the engine.
 void JudgeDifferential(const Language& lang, const GraphDb& db,

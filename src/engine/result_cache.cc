@@ -12,7 +12,7 @@ size_t StringBytes(const std::string& s) {
 }  // namespace
 
 size_t ResultCache::EntryFootprintBytes(const ResultCacheKey& key,
-                                        const CachedResult& value) {
+                                        const ResilienceResult& value) {
   // The list node plus the index node (which re-copies the key). Node
   // headers are approximated as three pointers each.
   size_t bytes = sizeof(Entry) + 3 * sizeof(void*);  // list node
@@ -21,15 +21,13 @@ size_t ResultCache::EntryFootprintBytes(const ResultCacheKey& key,
            sizeof(std::list<Entry>::iterator);
   bytes += 2 * StringBytes(key.regex);  // both key copies
   // The witness set is the dominant variable-size component.
-  bytes += value.result.contingency.capacity() * sizeof(FactId);
-  bytes += StringBytes(value.result.algorithm);
-  bytes += StringBytes(value.stats.complexity);
-  bytes += StringBytes(value.stats.rule);
-  bytes += StringBytes(value.stats.algorithm);
+  bytes += value.contingency.capacity() * sizeof(FactId);
+  bytes += StringBytes(value.algorithm);
   return bytes;
 }
 
-std::optional<CachedResult> ResultCache::Lookup(const ResultCacheKey& key) {
+std::optional<ResilienceResult> ResultCache::Lookup(
+    const ResultCacheKey& key) {
   if (!enabled()) return std::nullopt;
   MutexLock lock(mu_);
   auto it = index_.find(key);
@@ -44,7 +42,7 @@ void ResultCache::PopLru() {
   lru_.pop_back();
 }
 
-size_t ResultCache::Insert(ResultCacheKey key, CachedResult value) {
+size_t ResultCache::Insert(ResultCacheKey key, ResilienceResult value) {
   if (!enabled()) return 0;
   const size_t footprint = EntryFootprintBytes(key, value);
   MutexLock lock(mu_);

@@ -24,7 +24,6 @@
 #include <string>
 #include <utility>
 
-#include "engine/engine_stats.h"
 #include "graphdb/graph_db.h"
 #include "resilience/result.h"
 #include "util/sync.h"
@@ -45,15 +44,9 @@ struct ResultCacheKey {
   auto operator<=>(const ResultCacheKey&) const = default;
 };
 
-/// A cached answer: the result plus the solve-side stats of the run that
-/// produced it (algorithm, network sizes) so cache hits still report what
-/// computed the answer.
-struct CachedResult {
-  ResilienceResult result;
-  InstanceStats stats;
-};
-
-/// Thread-safe LRU (key → answer). Capacity 0 disables the cache (every
+/// Thread-safe LRU (key → answer). An answer is the ResilienceResult of
+/// the solve that produced it, so a hit still reports what computed it
+/// (algorithm, network sizes). Capacity 0 disables the cache (every
 /// Lookup misses, Insert is a no-op). Holds no counters: callers learn
 /// hits, misses, evictions and invalidations from the return values of
 /// Lookup, Insert and Erase*. Bounded two ways:
@@ -74,17 +67,19 @@ class ResultCache {
 
   /// Approximate heap footprint of one entry: the LRU node, the two key
   /// copies (list + index), the witness contingency set, and the owned
-  /// strings. The basis of the byte budget and the cache-bytes gauge.
+  /// strings (the key's regex and the result's algorithm). The basis of
+  /// the byte budget and the cache-bytes gauge.
   static size_t EntryFootprintBytes(const ResultCacheKey& key,
-                                    const CachedResult& value);
+                                    const ResilienceResult& value);
 
   /// The cached answer, marked most-recently-used; nullopt on miss.
-  std::optional<CachedResult> Lookup(const ResultCacheKey& key)
+  std::optional<ResilienceResult> Lookup(const ResultCacheKey& key)
       RPQRES_EXCLUDES(mu_);
 
   /// Inserts (or refreshes) the answer, evicting LRU entries while over
   /// the entry or byte budget. Returns how many entries were evicted.
-  size_t Insert(ResultCacheKey key, CachedResult value) RPQRES_EXCLUDES(mu_);
+  size_t Insert(ResultCacheKey key, ResilienceResult value)
+      RPQRES_EXCLUDES(mu_);
 
   /// Drops every entry of `lineage` (all versions); returns the count.
   int64_t EraseLineage(uint64_t lineage) RPQRES_EXCLUDES(mu_);
@@ -99,7 +94,7 @@ class ResultCache {
  private:
   struct Entry {
     ResultCacheKey key;
-    CachedResult value;
+    ResilienceResult value;
     size_t bytes = 0;  ///< EntryFootprintBytes at insertion time
   };
 

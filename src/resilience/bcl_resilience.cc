@@ -7,7 +7,6 @@
 #include "flow/residual_graph.h"
 #include "flow/solver_scratch.h"
 #include "lang/chain.h"
-#include "lang/infix_free.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -185,28 +184,6 @@ ResilienceResult SolveBclWithTables(const BclTables& tables, const GraphDb& db,
   result.network_vertices = network.num_vertices();
   result.network_edges = network.num_edges();
   return result;
-}
-
-Result<ResilienceResult> SolveBclResilience(const Language& lang,
-                                            const GraphDb& db,
-                                            Semantics semantics,
-                                            const LabelIndex* label_index,
-                                            SolverScratch* scratch) {
-  // Work on IF(L) (same query; BCL-ness is preserved by IF, Lem 7.5).
-  Language ifl = InfixFreeSublanguage(lang);
-  if (ifl.ContainsEpsilon()) {
-    ResilienceResult result;
-    result.algorithm = kAlgorithm;
-    result.infinite = true;
-    return result;
-  }
-  Result<BclTables> tables = BuildBclTables(ifl);
-  if (!tables.ok()) {
-    return Status::FailedPrecondition("SolveBclResilience: IF(" +
-                                      lang.description() + ") " +
-                                      tables.status().message());
-  }
-  return SolveBclWithTables(*tables, db, semantics, label_index, scratch);
 }
 
 }  // namespace rpqres

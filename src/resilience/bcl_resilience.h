@@ -66,13 +66,6 @@ ResilienceResult SolveBclWithTables(const BclTables& tables, const GraphDb& db,
                                     const LabelIndex* label_index = nullptr,
                                     SolverScratch* scratch = nullptr);
 
-/// One-shot form: computes IF(L), builds its tables and calls
-/// SolveBclWithTables. FailedPrecondition when IF(L) is not a bipartite
-/// chain language.
-Result<ResilienceResult> SolveBclResilience(
-    const Language& lang, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
-
 }  // namespace rpqres
 
 #endif  // RPQRES_RESILIENCE_BCL_RESILIENCE_H_

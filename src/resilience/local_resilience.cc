@@ -5,7 +5,6 @@
 
 #include "flow/residual_graph.h"
 #include "flow/solver_scratch.h"
-#include "lang/infix_free.h"
 #include "lang/ro_enfa.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -348,34 +347,6 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
   return result;
 }
 
-// Obtains an RO-εNFA for L or IF(L); IF(L) may be local even when L is
-// not (e.g. a|aa). Note IF preserves the query even with fixed endpoints:
-// a sub-walk of an s→t walk witnesses Q existentially, but conversely the
-// IF rewrite is only safe for endpoint-free queries OR when used on a
-// language that is already infix-free; we therefore only fall back to
-// IF(L) when it is equivalent to L for the constrained semantics, i.e.
-// for Boolean use. Fixed-endpoint callers pass require_exact = true.
-Result<Enfa> RoEnfaForSolver(const Language& lang, bool require_exact) {
-  Result<Enfa> ro = BuildRoEnfa(lang);
-  if (ro.ok()) return ro;
-  if (!require_exact) {
-    Language ifl = InfixFreeSublanguage(lang);
-    ro = BuildRoEnfa(ifl);
-    if (ro.ok()) return ro;
-  }
-  return Status::FailedPrecondition(
-      "local resilience: " + lang.description() +
-      " is not a local language" +
-      (require_exact ? " (IF-rewriting is unsound with fixed endpoints)"
-                     : " and neither is its infix-free sublanguage"));
-}
-
-RoProductTables MustBuildTables(const Enfa& ro) {
-  Result<RoProductTables> tables = BuildRoProductTables(ro);
-  RPQRES_CHECK_MSG(tables.ok(), "automaton is not read-once");
-  return *std::move(tables);
-}
-
 }  // namespace
 
 ResilienceResult SolveLocalResilienceWithSplit(const RoProductTables& tables,
@@ -401,24 +372,6 @@ ResilienceResult SolveLocalResilienceWithTables(const RoProductTables& tables,
       /*split=*/nullptr, scratch);
 }
 
-ResilienceResult SolveLocalResilienceWithRoEnfa(
-    const Enfa& ro, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index, SolverScratch* scratch) {
-  return SolveLocalResilienceWithTables(MustBuildTables(ro), db, semantics,
-                                        label_index, scratch);
-}
-
-Result<ResilienceResult> SolveLocalResilience(const Language& lang,
-                                              const GraphDb& db,
-                                              Semantics semantics,
-                                              const LabelIndex* label_index,
-                                              SolverScratch* scratch) {
-  RPQRES_ASSIGN_OR_RETURN(Enfa ro,
-                          RoEnfaForSolver(lang, /*require_exact=*/false));
-  return SolveLocalResilienceWithRoEnfa(ro, db, semantics, label_index,
-                                        scratch);
-}
-
 ResilienceResult SolveLocalResilienceFixedEndpointsWithTables(
     const RoProductTables& tables, const GraphDb& db, NodeId source,
     NodeId target, Semantics semantics, const LabelIndex* label_index,
@@ -438,10 +391,18 @@ Result<ResilienceResult> SolveLocalResilienceFixedEndpoints(
     return Status::InvalidArgument(
         "fixed endpoints must be nodes of the database");
   }
-  RPQRES_ASSIGN_OR_RETURN(Enfa ro,
-                          RoEnfaForSolver(lang, /*require_exact=*/true));
-  return SolveLocalResilienceFixedEndpointsWithTables(
-      MustBuildTables(ro), db, source, target, semantics);
+  // L's own RO-εNFA: IF(L) may be local when L is not (e.g. a|aa), but a
+  // sub-walk of an s→t walk need not run from s to t.
+  Result<Enfa> ro = BuildRoEnfa(lang);
+  if (!ro.ok()) {
+    return Status::FailedPrecondition(
+        "local resilience: " + lang.description() +
+        " is not a local language (IF-rewriting is unsound with fixed "
+        "endpoints)");
+  }
+  RPQRES_ASSIGN_OR_RETURN(RoProductTables tables, BuildRoProductTables(*ro));
+  return SolveLocalResilienceFixedEndpointsWithTables(tables, db, source,
+                                                      target, semantics);
 }
 
 }  // namespace rpqres

@@ -15,7 +15,6 @@
 
 #include <span>
 
-#include "automata/enfa.h"
 #include "graphdb/graph_db.h"
 #include "graphdb/label_index.h"
 #include "lang/language.h"
@@ -27,28 +26,16 @@ namespace rpqres {
 
 class SolverScratch;
 
-/// Solves RES(Q_L, D) for a language whose infix-free sublanguage is local.
-/// Fails with FailedPrecondition otherwise. `label_index` and `scratch` as
-/// for SolveLocalResilienceWithRoEnfa.
-Result<ResilienceResult> SolveLocalResilience(
-    const Language& lang, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
-
-/// Core of Theorem 3.13: resilience given an RO-εNFA for the language.
-/// `ro` must be read-once (checked); the language may be any local language.
-/// Both the product-pruning sweep and the network construction read the
-/// facts through `label_index`, which must be built from `db`, so they
-/// visit only facts whose label the automaton reads. When it is null the
-/// call builds LabelIndex(db) once; the registered-database hot path
-/// passes the snapshot's index. `scratch` (optional) supplies the reusable
-/// solver arena; the calling thread's shared scratch is used when absent.
-ResilienceResult SolveLocalResilienceWithRoEnfa(
-    const Enfa& ro, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
-
-/// Like SolveLocalResilienceWithRoEnfa, but from tables precomputed once
-/// per automaton (BuildRoProductTables) — the plan-cache hot path, which
-/// skips all per-solve automaton preprocessing.
+/// Core of Theorem 3.13: resilience from the tables of an RO-εNFA for a
+/// local language (BuildRoProductTables), precomputed once per automaton —
+/// the planner stores IF(L)'s in ResiliencePlan::ro_tables, so a solve
+/// does no automaton preprocessing. Both the product-pruning sweep and the
+/// network construction read the facts through `label_index`, which must
+/// be built from `db`, so they visit only facts whose label the automaton
+/// reads. When it is null the call builds LabelIndex(db) once; the
+/// registered-database hot path passes the snapshot's index. `scratch`
+/// (optional) supplies the reusable solver arena; the calling thread's
+/// shared scratch is used when absent.
 ResilienceResult SolveLocalResilienceWithTables(
     const RoProductTables& tables, const GraphDb& db, Semantics semantics,
     const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
@@ -69,7 +56,7 @@ struct LetterSplit {
 /// The Thm 3.13 product of `tables` and `db` with `split` applied; the
 /// core of SolveOneDanglingWithTables. The contingency holds the cut
 /// facts only; afterwards scratch->z_cut[v] is 1 iff v's z-edge is in the
-/// minimum cut. `scratch` as for SolveLocalResilienceWithRoEnfa.
+/// minimum cut. `scratch` as for SolveLocalResilienceWithTables.
 ResilienceResult SolveLocalResilienceWithSplit(const RoProductTables& tables,
                                                const LetterSplit& split,
                                                const GraphDb& db,

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "flow/solver_scratch.h"
-#include "lang/infix_free.h"
 #include "lang/one_dangling.h"
 #include "lang/ro_enfa.h"
 #include "obs/trace.h"
@@ -119,26 +118,6 @@ Result<ResilienceResult> SolveOneDanglingWithTables(
   RPQRES_CHECK(witness_cost == result.value);
 #endif
   return result;
-}
-
-Result<ResilienceResult> SolveOneDanglingResilience(
-    const Language& lang, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index, SolverScratch* scratch) {
-  Language ifl = InfixFreeSublanguage(lang);
-  if (ifl.ContainsEpsilon()) {
-    ResilienceResult result;
-    result.infinite = true;
-    result.algorithm = kAlgorithm;
-    return result;
-  }
-  Result<OneDanglingTables> tables = BuildOneDanglingTables(ifl);
-  if (!tables.ok()) {
-    return Status::FailedPrecondition("SolveOneDanglingResilience: IF(" +
-                                      lang.description() + ") " +
-                                      tables.status().message());
-  }
-  return SolveOneDanglingWithTables(*tables, db, semantics, label_index,
-                                    scratch);
 }
 
 }  // namespace rpqres

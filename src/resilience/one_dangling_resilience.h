@@ -73,13 +73,6 @@ Result<ResilienceResult> SolveOneDanglingWithTables(
     const OneDanglingTables& tables, const GraphDb& db, Semantics semantics,
     const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
 
-/// One-shot form: computes IF(L), builds its tables and calls
-/// SolveOneDanglingWithTables. FailedPrecondition when IF(L) is not
-/// one-dangling.
-Result<ResilienceResult> SolveOneDanglingResilience(
-    const Language& lang, const GraphDb& db, Semantics semantics,
-    const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
-
 }  // namespace rpqres
 
 #endif  // RPQRES_RESILIENCE_ONE_DANGLING_RESILIENCE_H_

@@ -1,5 +1,6 @@
 #include "resilience/resilience.h"
 
+#include <string>
 #include <utility>
 
 #include "flow/solver_scratch.h"
@@ -14,20 +15,47 @@
 
 namespace rpqres {
 
+namespace {
+
+// ResilienceMethod's enumerators, in declaration order (for messages).
+constexpr const char* kMethodNames[] = {
+    "kAuto", "kLocalFlow", "kBclFlow", "kOneDanglingFlow", "kExact",
+    "kBruteForce"};
+
+// Sets `method` on the plan with the tables it executes from, built for
+// the plan's IF(L). Each builder runs its class's analysis once and keeps
+// the result; an error (a predicate on IF(L), such as "is not local")
+// means IF(L) lies outside the method's class.
+Status BuildTables(ResilienceMethod method, ResiliencePlan* plan) {
+  const Language& ifl = plan->if_language;
+  if (method == ResilienceMethod::kLocalFlow) {
+    // BuildRoEnfa succeeds exactly on local languages.
+    Result<Enfa> ro = BuildRoEnfa(ifl);
+    if (!ro.ok()) return Status::FailedPrecondition("is not local");
+    RPQRES_ASSIGN_OR_RETURN(plan->ro_tables, BuildRoProductTables(*ro));
+  } else if (method == ResilienceMethod::kBclFlow) {
+    RPQRES_ASSIGN_OR_RETURN(plan->bcl_tables, BuildBclTables(ifl));
+  } else if (method == ResilienceMethod::kOneDanglingFlow) {
+    RPQRES_ASSIGN_OR_RETURN(plan->one_dangling_tables,
+                            BuildOneDanglingTables(ifl));
+  }
+  plan->method = method;
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<ResiliencePlan> PlanResilience(const Language& lang,
-                                      const ResilienceOptions& options) {
-  return PlanResilienceWithIF(InfixFreeSublanguage(lang), options);
+                                      ResilienceMethod method) {
+  return PlanResilienceWithIF(InfixFreeSublanguage(lang), method);
 }
 
 Result<ResiliencePlan> PlanResilienceWithIF(Language ifl,
-                                            const ResilienceOptions& options) {
-  if (options.method != ResilienceMethod::kAuto) {
-    return Status::InvalidArgument(
-        "PlanResilience plans the kAuto dispatch; to force a solver, call "
-        "ComputeResilience with that method directly");
-  }
+                                            ResilienceMethod method) {
   ResiliencePlan plan{std::move(ifl),
-                      ResilienceMethod::kExact,
+                      method == ResilienceMethod::kAuto
+                          ? ResilienceMethod::kExact
+                          : method,
                       /*trivial_infinite=*/false,
                       /*trivial_empty=*/false,
                       /*ro_tables=*/std::nullopt,
@@ -41,32 +69,30 @@ Result<ResiliencePlan> PlanResilienceWithIF(Language ifl,
     plan.trivial_empty = true;
     return plan;
   }
-  // Each builder runs its class's analysis once and keeps the result;
-  // BuildRoEnfa succeeds exactly on local languages.
-  if (Result<Enfa> ro = BuildRoEnfa(plan.if_language); ro.ok()) {
-    plan.method = ResilienceMethod::kLocalFlow;
-    RPQRES_ASSIGN_OR_RETURN(plan.ro_tables, BuildRoProductTables(*ro));
+  if (method != ResilienceMethod::kAuto) {
+    if (Status built = BuildTables(method, &plan); !built.ok()) {
+      return Status::FailedPrecondition(
+          std::string("forced ") + kMethodNames[static_cast<size_t>(method)] +
+          ": " + plan.if_language.description() + " " + built.message());
+    }
     return plan;
   }
-  if (Result<BclTables> bcl = BuildBclTables(plan.if_language); bcl.ok()) {
-    plan.method = ResilienceMethod::kBclFlow;
-    plan.bcl_tables = *std::move(bcl);
-    return plan;
+  for (ResilienceMethod flow :
+       {ResilienceMethod::kLocalFlow, ResilienceMethod::kBclFlow,
+        ResilienceMethod::kOneDanglingFlow}) {
+    if (BuildTables(flow, &plan).ok()) return plan;
   }
-  if (Result<OneDanglingTables> one_dangling =
-          BuildOneDanglingTables(plan.if_language);
-      one_dangling.ok()) {
-    plan.method = ResilienceMethod::kOneDanglingFlow;
-    plan.one_dangling_tables = *std::move(one_dangling);
-    return plan;
+  return plan;  // kExact: no polynomial algorithm applies
+}
+
+Status CheckExponentialFallback(const ResiliencePlan& plan, bool allow) {
+  if (allow || plan.method != ResilienceMethod::kExact ||
+      plan.trivial_infinite || plan.trivial_empty) {
+    return Status::OK();
   }
-  if (!options.allow_exponential) {
-    return Status::Unimplemented(
-        "no polynomial-time algorithm known for " +
-        plan.if_language.description() + " and exponential fallback disabled");
-  }
-  plan.method = ResilienceMethod::kExact;
-  return plan;
+  return Status::Unimplemented("no polynomial-time algorithm known for " +
+                               plan.if_language.description() +
+                               " and exponential fallback disabled");
 }
 
 Result<ResilienceResult> ComputeResilienceWithPlan(
@@ -119,27 +145,12 @@ Result<ResilienceResult> ComputeResilience(const Language& lang,
                                            const ResilienceOptions& options,
                                            const LabelIndex* label_index,
                                            SolverScratch* scratch) {
-  switch (options.method) {
-    case ResilienceMethod::kLocalFlow:
-      return SolveLocalResilience(lang, db, semantics, label_index, scratch);
-    case ResilienceMethod::kBclFlow:
-      return SolveBclResilience(lang, db, semantics, label_index, scratch);
-    case ResilienceMethod::kOneDanglingFlow:
-      return SolveOneDanglingResilience(lang, db, semantics, label_index,
-                                        scratch);
-    case ResilienceMethod::kExact:
-      return SolveExactInfixFree(InfixFreeSublanguage(lang), db, semantics,
-                                 options.exact, label_index);
-    case ResilienceMethod::kBruteForce:
-      return SolveBruteForceResilience(lang, db, semantics);
-    case ResilienceMethod::kAuto:
-      break;
+  RPQRES_ASSIGN_OR_RETURN(ResiliencePlan plan,
+                          PlanResilience(lang, options.method));
+  if (options.method == ResilienceMethod::kAuto) {
+    RPQRES_RETURN_IF_ERROR(
+        CheckExponentialFallback(plan, options.allow_exponential));
   }
-
-  // kAuto: plan (classify IF(L), pick the solver) then execute. One-shot
-  // callers pay the plan derivation here; repeated callers should plan
-  // once and use ComputeResilienceWithPlan (or the engine, which caches).
-  RPQRES_ASSIGN_OR_RETURN(ResiliencePlan plan, PlanResilience(lang, options));
   return ComputeResilienceWithPlan(plan, db, semantics, options.exact,
                                    label_index, scratch);
 }

@@ -1,9 +1,12 @@
 // rpqres — resilience/resilience: the public entry point.
 //
-// ComputeResilience classifies the query language (on its infix-free
-// sublanguage) and routes to the best algorithm:
+// Every solve plans, then executes. PlanResilience works on the query's
+// infix-free sublanguage IF(L) and builds the tables of one solver: the
+// one kAuto picks,
 //   local (Thm 3.13) → BCL (Prp 7.6) → one-dangling (Prp 7.9) →
-//   exact branch & bound (exponential; the paper's NP-hard side).
+//   exact branch & bound (exponential; the paper's NP-hard side),
+// or the one the caller forces. ComputeResilienceWithPlan executes a plan
+// on a database; ComputeResilience does both.
 
 #ifndef RPQRES_RESILIENCE_RESILIENCE_H_
 #define RPQRES_RESILIENCE_RESILIENCE_H_
@@ -38,36 +41,44 @@ enum class ResilienceMethod {
 struct ResilienceOptions {
   ResilienceMethod method = ResilienceMethod::kAuto;
   /// With kAuto: whether falling back to the exponential exact solver is
-  /// allowed when no polynomial algorithm applies.
+  /// allowed when no polynomial algorithm applies (CheckExponentialFallback).
+  /// A forced kExact always runs.
   bool allow_exponential = true;
   /// Forwarded whenever the exact branch & bound runs (kExact or the
   /// kAuto fallback): node budget plus cooperative cancellation.
   ExactOptions exact;
 };
 
-/// Computes RES(Q_L, D) under the given semantics. See ResilienceResult for
-/// the contract on the returned witness contingency set. `label_index`
-/// and `scratch` are forwarded to the solvers as in
-/// ComputeResilienceWithPlan.
+/// Computes RES(Q_L, D) under the given semantics, for any method:
+/// PlanResilience(lang, options.method), then, for kAuto,
+/// CheckExponentialFallback(plan, options.allow_exponential), then
+/// ComputeResilienceWithPlan. One-shot callers pay the plan here; repeated
+/// callers should plan once (or use the engine, which caches the plan).
+/// See ResilienceResult for the contract on the returned witness
+/// contingency set. `label_index` and `scratch` are forwarded to the
+/// solvers as in ComputeResilienceWithPlan.
 Result<ResilienceResult> ComputeResilience(
     const Language& lang, const GraphDb& db, Semantics semantics,
     const ResilienceOptions& options = {},
     const LabelIndex* label_index = nullptr, SolverScratch* scratch = nullptr);
 
-/// A precompiled kAuto dispatch decision: the infix-free sublanguage plus
-/// the solver selected for it, derived once from the query and reusable
-/// across any number of databases (the engine's plan-cache payload).
+/// A solve's plan: the infix-free sublanguage plus one solver and its
+/// tables, derived once from the query and reusable across any number of
+/// databases. The engine's plan cache holds the kAuto plan; a forced
+/// method is a plan too.
 ///
 /// Invariant: PlanResilienceWithIF is the only code that builds a plan,
-/// and it sets a flow method's tables exactly when it picks that method
-/// (and the plan is not trivial): `ro_tables` for kLocalFlow,
-/// `bcl_tables` for kBclFlow, `one_dangling_tables` for kOneDanglingFlow.
-/// ComputeResilienceWithPlan relies on it and refuses a flow plan without
-/// its tables as unexecutable, so a planned request does no language work.
+/// and it sets a flow method's tables exactly when the plan's method is
+/// that flow method and the plan is not trivial: `ro_tables` for
+/// kLocalFlow, `bcl_tables` for kBclFlow, `one_dangling_tables` for
+/// kOneDanglingFlow. ComputeResilienceWithPlan relies on it and refuses a
+/// flow plan without its tables as unexecutable, so a planned request does
+/// no language work.
 struct ResiliencePlan {
   /// The language handed to the solver — IF(L) (Q_L = Q_IF(L), Section 2).
   Language if_language;
-  /// The solver kAuto selected for IF(L); never kAuto itself.
+  /// The solver kAuto selected for IF(L), or the forced one; never kAuto
+  /// itself.
   ResilienceMethod method = ResilienceMethod::kExact;
   /// ε ∈ L: resilience is +∞ on every database; no solver runs.
   bool trivial_infinite = false;
@@ -86,23 +97,32 @@ struct ResiliencePlan {
   std::optional<OneDanglingTables> one_dangling_tables;
 };
 
-/// Derives the kAuto dispatch plan for `lang`. Plans are a kAuto notion:
-/// `options.method` must be kAuto (InvalidArgument otherwise). With
-/// `options.allow_exponential` false, Unimplemented when no polynomial
-/// solver applies.
-Result<ResiliencePlan> PlanResilience(const Language& lang,
-                                      const ResilienceOptions& options = {});
+/// Plans `method` for `lang` on IF(L). kAuto picks local, then BCL, then
+/// one-dangling, then the exact solver. A forced flow method builds only
+/// its own tables, and fails with FailedPrecondition when IF(L) lies
+/// outside its class; kExact and kBruteForce carry no tables. ε ∈ IF(L)
+/// and IF(L) = ∅ give a trivial plan whatever the method. The planner
+/// never refuses the exponential fallback: CheckExponentialFallback does,
+/// where a kAuto plan executes.
+Result<ResiliencePlan> PlanResilience(
+    const Language& lang, ResilienceMethod method = ResilienceMethod::kAuto);
 
 /// Like PlanResilience but takes the precomputed IF(L) — the entry point
-/// of CompileQuery and ClassifyResilienceWithIF, whose Figure 1 verdict
-/// is read off the plan (classify/classifier.h).
+/// of CompileQuery, of the engine's forced requests (on the compiled
+/// IF(L)) and of ClassifyResilienceWithIF, whose Figure 1 verdict is read
+/// off the kAuto plan (classify/classifier.h).
 Result<ResiliencePlan> PlanResilienceWithIF(
-    Language ifl, const ResilienceOptions& options = {});
+    Language ifl, ResilienceMethod method = ResilienceMethod::kAuto);
+
+/// The exponential-fallback policy, checked where a kAuto plan executes
+/// (ComputeResilience and the engine): Unimplemented for a non-trivial
+/// kExact plan when `allow` is false, OK otherwise.
+Status CheckExponentialFallback(const ResiliencePlan& plan, bool allow);
 
 /// Computes RES(Q_L, D) by executing a precompiled plan. Equivalent to
-/// ComputeResilience(lang, db, semantics) with kAuto, minus all per-query
-/// work (parse, determinize, IF, classification, RO-εNFA construction,
-/// chain analysis, one-dangling decomposition).
+/// ComputeResilience(lang, db, semantics) with the plan's method, minus
+/// all per-query work (parse, determinize, IF, classification, RO-εNFA
+/// construction, chain analysis, one-dangling decomposition).
 /// `exact_options` only applies when the plan routes to the exact solver
 /// (adversarial instances can make the branch & bound explode; callers
 /// like the differential oracle bound it and treat OutOfRange as an

@@ -4,6 +4,11 @@
 
 namespace rpqres::serve {
 
+/// Completed-request samples a shard's histogram needs before the
+/// predictive deadline check activates; below this only already-expired
+/// deadlines shed (cold shards must not guess).
+constexpr uint64_t kMinPredictSamples = 32;
+
 std::string_view AdmissionDecisionName(AdmissionDecision decision) {
   switch (decision) {
     case AdmissionDecision::kAdmitted:
@@ -76,7 +81,7 @@ AdmissionDecision AdmissionController::TryAdmit(
   ShardState& shard_state = *shards_[shard];
 
   const auto now = std::chrono::steady_clock::now();
-  if (options_.deadline_shedding && deadline.has_value() && *deadline <= now) {
+  if (deadline.has_value() && *deadline <= now) {
     return AdmissionDecision::kShedDeadlineExpired;
   }
 
@@ -96,11 +101,10 @@ AdmissionDecision AdmissionController::TryAdmit(
     return AdmissionDecision::kShedTenantCap;
   }
 
-  if (options_.deadline_shedding && deadline.has_value()) {
+  if (deadline.has_value()) {
     const obs::LatencyHistogram::Snapshot observed =
         shard_state.latency.TakeSnapshot();
-    if (observed.total_count >=
-        static_cast<uint64_t>(options_.min_predict_samples)) {
+    if (observed.total_count >= kMinPredictSamples) {
       // Service estimate: p95 of completed requests. Queue estimate: the
       // requests already in flight ahead of us drain at roughly p50 per
       // pool thread. Both are lower bounds from a live histogram, so the

@@ -13,7 +13,8 @@
 //  * deadline-aware shedding — a request whose deadline is already past,
 //    or whose deadline cannot be met given the shard's OBSERVED latency
 //    distribution (p95 service estimate plus a p50-per-queued-request
-//    drain estimate), sheds immediately with kDeadlineExceeded. This
+//    drain estimate, once the shard has 32 completed samples), sheds
+//    immediately with kDeadlineExceeded. This
 //    extends the engine's CancelToken deadline plumbing upstream: the
 //    engine stops work at the deadline, the controller refuses work that
 //    would only burn cycles before that stop.
@@ -50,12 +51,6 @@ struct AdmissionOptions {
   int64_t max_inflight_per_shard = 1024;
   /// In-flight requests one tenant may hold across the fleet.
   int64_t max_inflight_per_tenant = 256;
-  /// Master switch for deadline-based shedding (expired + predicted).
-  bool deadline_shedding = true;
-  /// Completed-request samples a shard's histogram needs before the
-  /// predictive check activates; below this only already-expired
-  /// deadlines shed (cold shards must not guess).
-  int64_t min_predict_samples = 32;
 };
 
 /// Outcome of one admission decision, most specific reason wins.

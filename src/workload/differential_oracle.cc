@@ -166,8 +166,8 @@ void DifferentialOracle::CheckBatch(
     ResilienceResponse& response = responses[i];
     ++per_class->instances;
     ++report->instances;
-    if (!response.stats.algorithm.empty()) {
-      ++per_class->by_algorithm[response.stats.algorithm];
+    if (!response.result.algorithm.empty()) {
+      ++per_class->by_algorithm[response.result.algorithm];
     }
     bool inconclusive = response.differential.has_value() &&
                         response.differential->inconclusive;

@@ -51,7 +51,7 @@ TEST(ResultCacheTest, RepeatRequestsHitAndPreserveAnswers) {
   EXPECT_EQ(warm.result.value, cold.result.value);
   EXPECT_EQ(warm.result.infinite, cold.result.infinite);
   EXPECT_EQ(warm.result.contingency, cold.result.contingency);
-  EXPECT_EQ(warm.stats.algorithm, cold.stats.algorithm);
+  EXPECT_EQ(warm.result.algorithm, cold.result.algorithm);
 
   EngineStats stats = engine.stats();
   EXPECT_EQ(stats.result_cache_hits, 1);

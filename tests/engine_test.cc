@@ -241,8 +241,8 @@ TEST(EngineEvaluateTest, SingleEvaluateMatchesDirectCompute) {
   EXPECT_FALSE(response.stats.cache_hit);
   EXPECT_GT(response.stats.compile_micros, 0);
   EXPECT_EQ(response.stats.complexity, "PTIME");
-  EXPECT_EQ(response.stats.algorithm, "local flow (Thm 3.13)");
-  EXPECT_GT(response.stats.network_vertices, 0);
+  EXPECT_EQ(response.result.algorithm, "local flow (Thm 3.13)");
+  EXPECT_GT(response.result.network_vertices, 0);
 
   // Second run of the same query: cache hit, no compile cost attributed.
   ResilienceResponse again = engine.Evaluate(
@@ -263,7 +263,8 @@ TEST(EngineEvaluateTest, TrivialAndErrorPlans) {
   EXPECT_TRUE(inf.result.infinite);
 
   // NP-hard query with the exponential fallback disabled engine-wide:
-  // the request fails at compile time with Unimplemented.
+  // the plan compiles, and the strict engine refuses to execute its exact
+  // fallback with Unimplemented.
   EngineOptions no_exp;
   no_exp.allow_exponential = false;
   ResilienceEngine strict_engine(no_exp);
@@ -314,6 +315,27 @@ TEST(EngineEvaluateTest, PerRequestOverrides) {
       {.regex = "ab|bc|ca", .db = db,
        .options = {.method = ResilienceMethod::kLocalFlow}});
   EXPECT_FALSE(wrong_class.status.ok());
+
+  // The opposite direction: a strict engine lets a request opt in, and a
+  // forced kExact always runs. Refusal happens at execution, so all three
+  // requests share one compiled plan.
+  EngineOptions strict_options;
+  strict_options.allow_exponential = false;
+  ResilienceEngine strict(strict_options);
+  ResilienceResponse opted_in = strict.Evaluate(
+      {.regex = "ab|bc|ca", .db = db,
+       .options = {.allow_exponential = true}});
+  ASSERT_TRUE(opted_in.status.ok()) << opted_in.status;
+  EXPECT_EQ(opted_in.result.value, 1);
+  ResilienceResponse forced_exact = strict.Evaluate(
+      {.regex = "ab|bc|ca", .db = db,
+       .options = {.method = ResilienceMethod::kExact}});
+  EXPECT_TRUE(forced_exact.status.ok()) << forced_exact.status;
+  ResilienceResponse strict_default =
+      strict.Evaluate({.regex = "ab|bc|ca", .db = db});
+  EXPECT_EQ(strict_default.status.code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(strict.stats().compilations, 1);
+  EXPECT_EQ(strict.stats().cache_misses, 1);
 }
 
 TEST(EngineCompiledQueryTest, ExposesClassificationAndPlan) {
@@ -464,6 +486,30 @@ TEST(InvalidRequestTest, MissingDatabaseIsInvalidArgumentNotACrash) {
   EXPECT_EQ(engine.stats().differential_mismatches, 0);
 }
 
+TEST(InvalidRequestTest, UnparsableRegexIsNotADifferentialMismatch) {
+  // The reference parses the same regex, so a regex that fails to compile
+  // is refused by both sides with the same status: an argument error, as
+  // a request without a database is, not a solver divergence.
+  DbRegistry registry;
+  DbHandle db = registry.Register(PathDb("ab"));
+  ResilienceEngine engine;
+  std::vector<ResilienceRequest> requests = {
+      {.regex = "(", .db = db},
+      {.regex = "ab"},  // no database
+  };
+  std::vector<ResilienceResponse> responses =
+      engine.EvaluateDifferential(requests);
+  for (const ResilienceResponse& response : responses) {
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+    ASSERT_TRUE(response.differential.has_value());
+    EXPECT_EQ(response.differential->reference_status.code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(response.differential->agree);
+    EXPECT_TRUE(response.differential->mismatch.empty());
+  }
+  EXPECT_EQ(engine.stats().differential_mismatches, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Fixed-endpoint requests (Thm 3.13 ext through API v2)
 // ---------------------------------------------------------------------------
@@ -602,16 +648,34 @@ TEST(ResiliencePlanTest, PlanApiMatchesAutoDispatch) {
     ASSERT_TRUE(via_plan.ok() && via_auto.ok());
     EXPECT_EQ(via_plan->value, via_auto->value);
     EXPECT_EQ(via_plan->infinite, via_auto->infinite);
+    // Forcing the method kAuto picked plans the same solver.
+    Result<ResilienceResult> forced =
+        ComputeResilience(lang, db, Semantics::kBag, {.method = c.method});
+    ASSERT_TRUE(forced.ok()) << forced.status();
+    EXPECT_EQ(forced->value, via_auto->value);
+    EXPECT_EQ(forced->infinite, via_auto->infinite);
   }
 }
 
-TEST(ResiliencePlanTest, ForcedMethodIsRejected) {
-  ResilienceOptions options;
-  options.method = ResilienceMethod::kExact;
-  Result<ResiliencePlan> plan =
-      PlanResilience(Language::MustFromRegexString("ab"), options);
-  EXPECT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+TEST(ResiliencePlanTest, ForcedMethodIsAPlan) {
+  const Language ab = Language::MustFromRegexString("ab");
+  Result<ResiliencePlan> exact = PlanResilience(ab, ResilienceMethod::kExact);
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  EXPECT_EQ(exact->method, ResilienceMethod::kExact);
+  EXPECT_FALSE(exact->ro_tables.has_value());
+  EXPECT_FALSE(exact->bcl_tables.has_value());
+  EXPECT_FALSE(exact->one_dangling_tables.has_value());
+
+  Result<ResiliencePlan> local =
+      PlanResilience(ab, ResilienceMethod::kLocalFlow);
+  ASSERT_TRUE(local.ok()) << local.status();
+  EXPECT_EQ(local->method, ResilienceMethod::kLocalFlow);
+  EXPECT_TRUE(local->ro_tables.has_value());
+
+  // Outside its class a forced flow method is refused at plan time.
+  Result<ResiliencePlan> hard = PlanResilience(
+      Language::MustFromRegexString("ab|bc|ca"), ResilienceMethod::kLocalFlow);
+  EXPECT_EQ(hard.status().code(), StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

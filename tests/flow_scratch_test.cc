@@ -113,15 +113,17 @@ TEST(SolverScratchTest, BclSolveReusesBuffers) {
   LabelIndex index(db);
   Language lang = Language::MustFromRegexString("ab|bc");
 
+  const ResilienceOptions bcl{.method = ResilienceMethod::kBclFlow};
+
   SolverScratch scratch;
   Result<ResilienceResult> first =
-      SolveBclResilience(lang, db, Semantics::kBag, &index, &scratch);
+      ComputeResilience(lang, db, Semantics::kBag, bcl, &index, &scratch);
   ASSERT_TRUE(first.ok()) << first.status();
   const size_t warm_bytes = scratch.total_capacity_bytes();
 
   for (int round = 0; round < 10; ++round) {
     Result<ResilienceResult> again =
-        SolveBclResilience(lang, db, Semantics::kBag, &index, &scratch);
+        ComputeResilience(lang, db, Semantics::kBag, bcl, &index, &scratch);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again->value, first->value);
     EXPECT_EQ(scratch.total_capacity_bytes(), warm_bytes)

@@ -25,8 +25,9 @@ namespace {
 
 ResilienceResult MustSolve(const char* regex, const GraphDb& db,
                            Semantics semantics) {
-  Result<ResilienceResult> r = SolveBclResilience(
-      Language::MustFromRegexString(regex), db, semantics);
+  Result<ResilienceResult> r =
+      ComputeResilience(Language::MustFromRegexString(regex), db, semantics,
+                        {.method = ResilienceMethod::kBclFlow});
   EXPECT_TRUE(r.ok()) << r.status();
   return *r;
 }
@@ -100,24 +101,28 @@ TEST(BclResilienceTest, EpsilonIsInfinite) {
 TEST(BclResilienceTest, EmptyLanguageIsZero) {
   GraphDb db = PathDb("ab");
   Language empty = Language::FromWords({});
-  Result<ResilienceResult> r =
-      SolveBclResilience(empty, db, Semantics::kSet);
+  Result<ResilienceResult> r = ComputeResilience(
+      empty, db, Semantics::kSet, {.method = ResilienceMethod::kBclFlow});
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->value, 0);
 }
 
 TEST(BclResilienceTest, RejectsNonChain) {
   GraphDb db = PathDb("aa");
-  Result<ResilienceResult> r = SolveBclResilience(
-      Language::MustFromRegexString("aa"), db, Semantics::kSet);
+  Result<ResilienceResult> r =
+      ComputeResilience(Language::MustFromRegexString("aa"), db,
+                        Semantics::kSet,
+                        {.method = ResilienceMethod::kBclFlow});
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(BclResilienceTest, RejectsNonBipartiteChain) {
   GraphDb db = PathDb("abc");
-  Result<ResilienceResult> r = SolveBclResilience(
-      Language::MustFromRegexString("ab|bc|ca"), db, Semantics::kSet);
+  Result<ResilienceResult> r =
+      ComputeResilience(Language::MustFromRegexString("ab|bc|ca"), db,
+                        Semantics::kSet,
+                        {.method = ResilienceMethod::kBclFlow});
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("bipartite"), std::string::npos);
 }
@@ -153,7 +158,8 @@ TEST_P(BclVsBruteForceTest, AgreesWithBruteForce) {
   Rng rng(seed * 31);
   GraphDb db = RandomGraphDb(&rng, 5, 11, c.labels, 3);
   for (Semantics semantics : {Semantics::kSet, Semantics::kBag}) {
-    Result<ResilienceResult> flow = SolveBclResilience(lang, db, semantics);
+    Result<ResilienceResult> flow = ComputeResilience(
+        lang, db, semantics, {.method = ResilienceMethod::kBclFlow});
     Result<ResilienceResult> brute =
         SolveBruteForceResilience(lang, db, semantics);
     ASSERT_TRUE(flow.ok()) << flow.status();

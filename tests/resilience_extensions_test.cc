@@ -48,8 +48,10 @@ TEST(ExogenousTest, LocalSolverAvoidsExogenousFacts) {
   FactId x = db.AddFact(u, 'x', v, 1);
   db.AddFact(v, 'b', t, 5);
   db.SetExogenous(x);
-  Result<ResilienceResult> r = SolveLocalResilience(
-      Language::MustFromRegexString("ax*b"), db, Semantics::kBag);
+  Result<ResilienceResult> r =
+      ComputeResilience(Language::MustFromRegexString("ax*b"), db,
+                        Semantics::kBag,
+                        {.method = ResilienceMethod::kLocalFlow});
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->value, 5);
   EXPECT_EQ(r->contingency, (std::vector<FactId>{2}));
@@ -78,8 +80,8 @@ TEST(ExogenousTest, BclForcedExogenousIsInfinite) {
   GraphDb db = PathDb("a");
   db.SetExogenous(0);
   Language lang = Language::MustFromRegexString("a|bc");
-  Result<ResilienceResult> r =
-      SolveBclResilience(lang, db, Semantics::kSet);
+  Result<ResilienceResult> r = ComputeResilience(
+      lang, db, Semantics::kSet, {.method = ResilienceMethod::kBclFlow});
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r->infinite);
   EXPECT_TRUE(VerifyResilienceResult(lang, db, Semantics::kSet, *r).ok());
@@ -168,8 +170,8 @@ TEST(FixedEndpointTest, ResilienceBasic) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->value, 2);  // one cut per parallel chain; stranger ignored
   // Boolean resilience by contrast must also kill the stranger.
-  Result<ResilienceResult> boolean =
-      SolveLocalResilience(lang, db, Semantics::kSet);
+  Result<ResilienceResult> boolean = ComputeResilience(
+      lang, db, Semantics::kSet, {.method = ResilienceMethod::kLocalFlow});
   ASSERT_TRUE(boolean.ok());
   EXPECT_EQ(boolean->value, 3);
 }

@@ -21,8 +21,9 @@ namespace {
 
 ResilienceResult MustSolve(const char* regex, const GraphDb& db,
                            Semantics semantics) {
-  Result<ResilienceResult> r = SolveLocalResilience(
-      Language::MustFromRegexString(regex), db, semantics);
+  Result<ResilienceResult> r =
+      ComputeResilience(Language::MustFromRegexString(regex), db, semantics,
+                        {.method = ResilienceMethod::kLocalFlow});
   EXPECT_TRUE(r.ok()) << r.status();
   return *r;
 }
@@ -106,8 +107,10 @@ TEST(LocalResilienceTest, IfMakesNonLocalSolvable) {
 
 TEST(LocalResilienceTest, RejectsNonLocal) {
   GraphDb db = PathDb("aa");
-  Result<ResilienceResult> r = SolveLocalResilience(
-      Language::MustFromRegexString("aa"), db, Semantics::kSet);
+  Result<ResilienceResult> r =
+      ComputeResilience(Language::MustFromRegexString("aa"), db,
+                        Semantics::kSet,
+                        {.method = ResilienceMethod::kLocalFlow});
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -176,8 +179,8 @@ TEST(LocalResilienceTest, CombinedComplexityNetworkSize) {
   Language lang = Language::MustFromRegexString("ax*b");
   Enfa ro = BuildRoEnfa(lang).ValueOrDie();
   GraphDb db = PathDb("axxb");
-  ResilienceResult r =
-      SolveLocalResilienceWithRoEnfa(ro, db, Semantics::kSet);
+  ResilienceResult r = SolveLocalResilienceWithTables(
+      *BuildRoProductTables(ro), db, Semantics::kSet);
   EXPECT_LE(r.network_vertices, 2 + db.num_nodes() * ro.num_states());
   EXPECT_EQ(r.network_vertices + r.product_vertices_pruned,
             2 + db.num_nodes() * ro.num_states());
@@ -234,8 +237,8 @@ TEST_P(LocalVsBruteForceTest, AgreesWithBruteForce) {
   Rng rng(seed);
   GraphDb db = RandomGraphDb(&rng, 5, 11, c.labels, 3);
   for (Semantics semantics : {Semantics::kSet, Semantics::kBag}) {
-    Result<ResilienceResult> flow =
-        SolveLocalResilience(lang, db, semantics);
+    Result<ResilienceResult> flow = ComputeResilience(
+        lang, db, semantics, {.method = ResilienceMethod::kLocalFlow});
     Result<ResilienceResult> brute =
         SolveBruteForceResilience(lang, db, semantics);
     ASSERT_TRUE(flow.ok()) << flow.status();

@@ -21,8 +21,9 @@ namespace {
 
 ResilienceResult MustSolve(const char* regex, const GraphDb& db,
                            Semantics semantics) {
-  Result<ResilienceResult> r = SolveOneDanglingResilience(
-      Language::MustFromRegexString(regex), db, semantics);
+  Result<ResilienceResult> r =
+      ComputeResilience(Language::MustFromRegexString(regex), db, semantics,
+                        {.method = ResilienceMethod::kOneDanglingFlow});
   EXPECT_TRUE(r.ok()) << r.status();
   return *r;
 }
@@ -111,8 +112,10 @@ TEST(OneDanglingResilienceTest, MirrorOnlyDecomposition) {
 
 TEST(OneDanglingResilienceTest, RejectsNonOneDangling) {
   GraphDb db = PathDb("aa");
-  Result<ResilienceResult> r = SolveOneDanglingResilience(
-      Language::MustFromRegexString("aa"), db, Semantics::kSet);
+  Result<ResilienceResult> r =
+      ComputeResilience(Language::MustFromRegexString("aa"), db,
+                        Semantics::kSet,
+                        {.method = ResilienceMethod::kOneDanglingFlow});
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -150,7 +153,8 @@ TEST(OneDanglingResilienceTest, OverlayIsSolvedInItsOwnIdSpace) {
       SCOPED_TRACE(std::string(regex) +
                    (semantics == Semantics::kSet ? " set" : " bag"));
       Result<ResilienceResult> flow =
-          SolveOneDanglingResilience(lang, overlay, semantics);
+          ComputeResilience(lang, overlay, semantics,
+                            {.method = ResilienceMethod::kOneDanglingFlow});
       Result<ResilienceResult> brute =
           SolveBruteForceResilience(lang, flat, semantics);
       ASSERT_TRUE(flow.ok()) << flow.status();
@@ -176,8 +180,8 @@ TEST_P(OneDanglingVsBruteForceTest, AgreesWithBruteForce) {
   Rng rng(seed * 77 + 5);
   GraphDb db = RandomGraphDb(&rng, 5, 11, c.labels, 3);
   for (Semantics semantics : {Semantics::kSet, Semantics::kBag}) {
-    Result<ResilienceResult> flow =
-        SolveOneDanglingResilience(lang, db, semantics);
+    Result<ResilienceResult> flow = ComputeResilience(
+        lang, db, semantics, {.method = ResilienceMethod::kOneDanglingFlow});
     Result<ResilienceResult> brute =
         SolveBruteForceResilience(lang, db, semantics);
     ASSERT_TRUE(flow.ok()) << flow.status();

@@ -207,10 +207,13 @@ TEST(EvaluateDifferentialTest, CompileErrorIsReportedPerInstance) {
   ResilienceEngine engine;
   std::vector<ResilienceResponse> responses =
       engine.EvaluateDifferential(requests);
+  // The reference would refuse the same parse: an argument error both
+  // sides share, which agrees (JudgeDifferential's contract).
+  EXPECT_EQ(responses[0].status.code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(responses[0].differential.has_value());
-  EXPECT_FALSE(responses[0].differential->agree);
-  EXPECT_NE(responses[0].differential->mismatch.find("compile failed"),
-            std::string::npos);
+  EXPECT_EQ(responses[0].differential->reference_status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(responses[0].differential->agree);
   ASSERT_TRUE(responses[1].differential.has_value());
   EXPECT_TRUE(responses[1].differential->agree)
       << responses[1].differential->mismatch;
