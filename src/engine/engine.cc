@@ -451,6 +451,23 @@ void ResilienceEngine::RunReference(const CompiledQuery& query,
     d.agree = true;
     return;
   }
+  const RequestOptions& request_options = request.options;
+  if (!request_options.method.has_value() ||
+      *request_options.method == ResilienceMethod::kAuto) {
+    // A refused exponential fallback is the request's policy, not an
+    // answer; the reference would run the exact solver anyway. As for the
+    // fixed-endpoint capability refusals above: neither agreement nor
+    // mismatch.
+    const Status refusal = CheckExponentialFallback(
+        query.plan,
+        request_options.allow_exponential.value_or(
+            options_.allow_exponential));
+    if (!refusal.ok() && response->status == refusal) {
+      d.reference_status = response->status;
+      d.inconclusive = true;
+      return;
+    }
+  }
   const GraphDb& db = request.db.db();
 
   // Reference: the exponential exact solver on the original language,
@@ -458,10 +475,10 @@ void ResilienceEngine::RunReference(const CompiledQuery& query,
   // and deadline as the primary side.
   ExactOptions reference_options;
   reference_options.max_search_nodes =
-      request.options.max_exact_search_nodes.value_or(
+      request_options.max_exact_search_nodes.value_or(
           options_.max_exact_search_nodes);
   std::optional<CancelToken> deadline_token;
-  reference_options.cancel = EffectiveCancel(request.options, &deadline_token);
+  reference_options.cancel = EffectiveCancel(request_options, &deadline_token);
 
   auto start = std::chrono::steady_clock::now();
   Result<ResilienceResult> reference =

@@ -18,8 +18,7 @@ size_t VectorBytes(const std::vector<T>& v) {
 
 size_t SolverScratch::total_capacity_bytes() const {
   return graph.total_capacity_bytes() + VectorBytes(fact_of_edge) +
-         reach_fwd.capacity_bytes() + reach_bwd.capacity_bytes() +
-         product_id.capacity_bytes() + VectorBytes(fwd_visited) +
+         reach_bwd.capacity_bytes() + product_id.capacity_bytes() +
          VectorBytes(bwd_queue) + VectorBytes(live_list) +
          VectorBytes(candidate_facts) + VectorBytes(start_of) +
          VectorBytes(end_of) + VectorBytes(split_z) + VectorBytes(middle_of) +

@@ -118,20 +118,19 @@ class SolverScratch {
   std::vector<int32_t> fact_of_edge;
 
   // --- product pruning state (Thm 3.13) ------------------------------------
-  /// Reachable / co-reachable marks over dense (node, state) keys.
-  StampedSet reach_fwd, reach_bwd;
-  /// Dense (node, state) key -> network vertex id for live vertices.
+  /// Co-reachable marks over dense (node, state) keys.
+  StampedSet reach_bwd;
+  /// Dense (node, state) key -> network vertex id for live vertices; the
+  /// forward sweep's visited marks.
   StampedIdMap product_id;
-  /// Forward BFS queue of packed (node << 32 | state) codes; after the
-  /// sweep, the list of all reached pairs.
-  std::vector<int64_t> fwd_visited;
-  /// Backward BFS queue (same packing).
+  /// Backward BFS queue of packed (node << 32 | state) codes.
   std::vector<int64_t> bwd_queue;
   /// Live (forward- and co-reachable) pairs with a vertex of their own,
-  /// i.e. not contracted into a terminal, network-id order.
+  /// i.e. not contracted into a terminal, network-id order; the forward
+  /// BFS queue (same packing).
   std::vector<int64_t> live_list;
-  /// Facts discovered by the forward sweep whose edge may be staged (the
-  /// tail vertex is reachable); each relevant fact appears at most once.
+  /// Facts the forward sweep keeps: each has a live or terminal tail and
+  /// head, and appears at most once.
   std::vector<int32_t> candidate_facts;
 
   // --- BCL solver state (Prp 7.6) ------------------------------------------

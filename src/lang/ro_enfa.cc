@@ -1,8 +1,9 @@
 #include "lang/ro_enfa.h"
 
 #include <algorithm>
+#include <span>
 
-#include "lang/local.h"
+#include "automata/ops.h"
 #include "util/check.h"
 
 namespace rpqres {
@@ -20,43 +21,72 @@ bool IsRoEnfa(const Enfa& a) {
 }
 
 Result<Enfa> BuildRoEnfa(const Language& lang) {
-  if (!IsLocal(lang)) {
-    return Status::FailedPrecondition(
-        "BuildRoEnfa: language " + lang.description() +
-        " is not local (RO-εNFAs recognize exactly the local languages, "
-        "Lemma 3.17)");
-  }
-  LocalProfile profile = ComputeLocalProfile(lang);
-  const std::vector<char>& letters = profile.letters;
+  const Dfa& dfa = lang.min_dfa();
+  const std::vector<bool> useful = UsefulStates(dfa);
+  const int n = dfa.num_states();
+  const std::vector<char>& alphabet = dfa.alphabet();
+  const int sigma = static_cast<int>(alphabet.size());
 
-  // State layout: 0 = q0; 1 + 2i = in_a (tail of the unique a-transition);
-  // 2 + 2i = out_a (its head), for a = letters[i].
+  // Per letter i: the shared target of its useful transitions, and their
+  // sources, sources[begin[i], begin[i + 1]) in state order.
+  std::vector<int> target(sigma, kNoState), begin(sigma + 1, 0), sources;
+  for (int i = 0; i < sigma; ++i) {
+    begin[i] = static_cast<int>(sources.size());
+    for (int q = 0; q < n; ++q) {
+      if (!useful[q]) continue;
+      const int to = dfa.NextByIndex(q, i);
+      if (to == kNoState || !useful[to]) continue;
+      if (target[i] == kNoState) {
+        target[i] = to;
+      } else if (target[i] != to) {
+        return Status::FailedPrecondition(
+            "BuildRoEnfa: language " + lang.description() +
+            " is not local (RO-εNFAs recognize exactly the local languages, "
+            "Lemma 3.17)");
+      }
+      sources.push_back(q);
+    }
+  }
+  begin[sigma] = static_cast<int>(sources.size());
+
+  // The useful DFA states, the initial one as state 0. Without a useful
+  // initial state L = ∅, which q0 alone recognizes.
   Enfa ro;
-  ro.AddStates(1 + 2 * static_cast<int>(letters.size()));
-  ro.AddInitial(0);
-  if (profile.contains_epsilon) ro.AddFinal(0);
-  auto index_of = [&letters](char c) {
-    auto it = std::lower_bound(letters.begin(), letters.end(), c);
-    RPQRES_DCHECK(it != letters.end() && *it == c);
-    return static_cast<int>(it - letters.begin());
+  ro.AddInitial(ro.AddState());
+  std::vector<int> state_of(n, -1);
+  if (n > 0 && useful[dfa.initial()]) state_of[dfa.initial()] = 0;
+  for (int q = 0; q < n; ++q) {
+    if (!useful[q]) continue;
+    if (state_of[q] < 0) state_of[q] = ro.AddState();
+    if (dfa.IsFinal(q)) ro.AddFinal(state_of[q]);
+  }
+  // One transition per letter: from its only source, or from the hub its
+  // sources enter by ε, shared by every letter with the same sources.
+  std::vector<int> hub(sigma, -1);
+  auto sources_of = [&](int i) {
+    return std::span<const int>(sources.data() + begin[i],
+                                sources.data() + begin[i + 1]);
   };
-  auto in_state = [&index_of](char c) { return 1 + 2 * index_of(c); };
-  auto out_state = [&index_of](char c) { return 2 + 2 * index_of(c); };
-
-  for (char c : letters) {
-    ro.AddTransition(in_state(c), c, out_state(c));  // the unique c-edge
+  for (int i = 0; i < sigma; ++i) {
+    const std::span<const int> from = sources_of(i);
+    if (from.empty()) continue;  // L reads no alphabet[i]
+    if (from.size() > 1) {
+      for (int j = 0; j < i && hub[i] < 0; ++j) {
+        if (hub[j] >= 0 && std::ranges::equal(from, sources_of(j))) {
+          hub[i] = hub[j];
+        }
+      }
+      if (hub[i] < 0) {
+        hub[i] = ro.AddState();
+        for (int q : from) {
+          ro.AddTransition(state_of[q], kEpsilonSymbol, hub[i]);
+        }
+      }
+    }
+    ro.AddTransition(from.size() > 1 ? hub[i] : state_of[from[0]],
+                     alphabet[i], state_of[target[i]]);
   }
-  for (char c : profile.start_letters) {
-    ro.AddTransition(0, kEpsilonSymbol, in_state(c));
-  }
-  for (auto [c1, c2] : profile.pairs) {
-    ro.AddTransition(out_state(c1), kEpsilonSymbol, in_state(c2));
-  }
-  for (char c : profile.end_letters) ro.AddFinal(out_state(c));
-
   RPQRES_DCHECK(IsRoEnfa(ro));
-  // The construction recognizes the local overapproximation of L, which
-  // is L itself since L is local (Claims 3.9-3.10).
   return ro;
 }
 

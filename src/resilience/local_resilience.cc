@@ -15,34 +15,45 @@ namespace {
 
 // Shared implementation of Thm 3.13's product network N_{D,A}, built
 // directly into the scratch's CSR residual graph from the precomputed
-// per-automaton tables. With fixed_source/fixed_target >= 0, only walks
-// between those nodes count (the non-Boolean extension; the
-// cut↔contingency correspondence is unaffected by which product vertices
-// hook to the terminals). With a `split`, facts of the split letter pass
-// through per-node middle vertices (Prp 7.9; see LetterSplit).
+// per-automaton tables. A is any RO-εNFA for L; the planner's is read off
+// the minimal DFA (lang/ro_enfa.h), and every state of it is useful. With
+// fixed_source/fixed_target >= 0, only walks between those nodes count
+// (the non-Boolean extension; the cut↔contingency correspondence is
+// unaffected by which product vertices hook to the terminals). With a
+// `split`, facts of the split letter pass through per-node middle
+// vertices (Prp 7.9; see LetterSplit).
 //
-// Product pruning: a product vertex (v, s) can lie on a source-target
-// path only if it is reachable from a hooked-up (node, initial) pair AND
-// co-reachable from a hooked-up (node, final) pair. Every L-walk of the
-// database corresponds to a path through live vertices only, so emitting
-// arcs (fact, ε, and terminal hookups) at live vertices alone preserves
-// every cut and its value; dead vertices — usually the bulk of |V|·|S| —
-// are never materialized. A middle vertex has one way in and one way out
-// (its split facts on one side, its z-edge on the other), so the sweeps
-// step over it: a split fact counts as a product edge iff its split-side
-// node has a z-edge, and the middle vertex is live iff one of its split
-// facts is staged.
-//
-// Terminal contraction: a live pair whose state lies in the ε-closure of
-// an initial state (at the fixed source, when there is one) is joined to
+// Terminal contraction: a pair whose state lies in the ε-closure of an
+// initial state (at the fixed source, when there is one) is joined to
 // t_source by infinite edges alone, so it is on the source side of every
-// finite cut; it takes the source's id instead of a vertex of its own.
-// Likewise a pair that ε-reaches a final state (at the fixed target)
-// takes the target's id. Finite cuts, their values and the cut closest to
-// the source stay those of N_{D,A}. No edge into the source or out of the
+// finite cut; it is the source, id 0, and has no vertex of its own.
+// Likewise a pair that ε-reaches a final state (at the fixed target) is
+// the target, id 1. Finite cuts, their values and the cut closest to the
+// source stay those of N_{D,A}. No edge into the source or out of the
 // target is staged (none can cross a cut), so the hookups disappear, and
-// so do the ε-edges out of contracted pairs: those out of a source pair
-// stay inside the source, those out of a target pair leave the target.
+// so do the ε-edges of terminal pairs: the closure of the initial states
+// is closed under ε-successors, the final-reaching states under
+// ε-predecessors.
+//
+// Product pruning: any other pair (v, s) can lie on a source-target path
+// only if it is reachable from the source AND co-reachable from the
+// target. Every L-walk of the database corresponds to a path through
+// live vertices only, so emitting arcs (fact and ε) at live vertices
+// alone preserves every cut and its value; dead vertices — usually the
+// bulk of |V|·|S| — are never materialized. The backward sweep marks the
+// co-reachable pairs, starting from the facts that enter the target:
+// Facts(l) (FactsInto(l, target) with a fixed target) for the labels l
+// read into a final-reaching state (RoProductTables::target_labels). The
+// forward sweep starts from the facts that leave the source, the same
+// way from source_labels, and enters only co-reachable pairs: a pair on a
+// path from the source to a co-reachable pair is co-reachable itself, so
+// it reaches exactly the live pairs and gives each its id on arrival, and
+// the facts it keeps are exactly the fact edges to stage. Neither sweep
+// marks a terminal pair or touches every database node. A middle vertex
+// has one way in and one way out (its split facts on one side, its z-edge
+// on the other), so the sweeps step over it: a split fact counts as a
+// product edge iff its split-side node has a z-edge, and the middle
+// vertex is live iff one of its split facts is staged.
 // The test-only disable_product_pruning mode builds N_{D,A} itself.
 ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
                                    Semantics semantics, NodeId fixed_source,
@@ -74,8 +85,25 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
   auto pack = [](NodeId v, int s) {
     return (int64_t{v} << 32) | static_cast<uint32_t>(s);
   };
-  auto key_of = [S](int64_t packed) {
-    return (packed >> 32) * S + (packed & 0xffffffff);
+
+  // The contracted terminals. No pair is both: with ε ∉ L no state is in
+  // both closures, and with ε ∈ L the endpoints differ.
+  const bool contract = !scratch->disable_product_pruning;
+  auto in_source = [&](NodeId v, int s) {
+    return contract && t.eps_from_initial[s] &&
+           (fixed_source < 0 || v == fixed_source);
+  };
+  auto in_target = [&](NodeId v, int s) {
+    return contract && t.eps_to_final[s] &&
+           (fixed_target < 0 || v == fixed_target);
+  };
+  auto& product_id = scratch->product_id;
+  // The network vertex of a pair: 0 or 1 for a terminal pair, its own id
+  // when live, -1 when dead.
+  auto id_of = [&](NodeId v, int s) -> int32_t {
+    if (in_source(v, s)) return 0;
+    if (in_target(v, s)) return 1;
+    return product_id.Get(int64_t{v} * S + s);
   };
 
   // The split letter, or -1 when there is no split or the automaton does
@@ -94,64 +122,42 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
     return label != split_label || split->z[split_node(f)] > 0;
   };
 
-  // --- Reach / co-reach sweep over (node, state) ---------------------------
+  // --- Co-reach, then reach within it, over (node, state) -----------------
   obs::TraceContext* trace = scratch->trace;
   obs::ScopedSpan prune_span(trace, obs::SpanKind::kProductPrune);
-  auto& fwd = scratch->reach_fwd;
   auto& bwd = scratch->reach_bwd;
-  auto& fwd_visited = scratch->fwd_visited;
   auto& bwd_queue = scratch->bwd_queue;
+  auto& live_list = scratch->live_list;
   auto& candidate_facts = scratch->candidate_facts;
-  fwd.Reset(product_size);
   bwd.Reset(product_size);
-  fwd_visited.clear();
+  product_id.Reset(product_size);
   bwd_queue.clear();
+  live_list.clear();
   candidate_facts.clear();
-  int64_t relevant_facts = 0;
+  // Dense network ids for live vertices: 0 = source, 1 = target (the
+  // terminal pairs, which the sweeps never mark), then the other live
+  // (node, state) pairs in forward-visit order, which live_list keeps.
+  int32_t live_count = 0;
+  auto make_live = [&](NodeId v, int s) {
+    product_id.Set(int64_t{v} * S + s, 2 + live_count++);
+    live_list.push_back(pack(v, s));
+  };
 
-  if (!scratch->disable_product_pruning) {
-    auto push_fwd = [&](NodeId v, int s) {
-      if (fwd.TryInsert(int64_t{v} * S + s)) fwd_visited.push_back(pack(v, s));
-    };
-    if (fixed_source < 0) {
-      for (NodeId v = 0; v < V; ++v) {
-        for (int s : t.initial_states) push_fwd(v, s);
-      }
-    } else {
-      for (int s : t.initial_states) push_fwd(fixed_source, s);
-    }
-    for (size_t head = 0; head < fwd_visited.size(); ++head) {
-      int64_t code = fwd_visited[head];
-      NodeId v = static_cast<NodeId>(code >> 32);
-      int s = static_cast<int>(code & 0xffffffff);
-      for (int32_t i = t.eps_out_offset[s]; i < t.eps_out_offset[s + 1];
-           ++i) {
-        push_fwd(v, t.eps_out[i]);
-      }
-      // Every relevant fact is enumerated at most once across the sweep
-      // (its tail (source, from-state) pair pops at most once), so this
-      // doubles as the candidate-edge discovery pass.
-      for (int32_t i = t.labels_out_offset[s]; i < t.labels_out_offset[s + 1];
-           ++i) {
-        const int label = t.labels_out[i];
-        const int to_state = letter_to[label];
-        for (FactId f : label_index.FactsFrom(static_cast<char>(label), v)) {
-          if (!open(label, f)) continue;
-          candidate_facts.push_back(f);
-          push_fwd(db.fact(f).target, to_state);
-        }
-      }
-    }
-
+  if (contract) {
     auto push_bwd = [&](NodeId v, int s) {
+      if (in_source(v, s) || in_target(v, s)) return;
       if (bwd.TryInsert(int64_t{v} * S + s)) bwd_queue.push_back(pack(v, s));
     };
-    if (fixed_target < 0) {
-      for (NodeId v = 0; v < V; ++v) {
-        for (int s : t.final_states) push_bwd(v, s);
+    auto coreach_over = [&](int label, FactId f) {
+      if (open(label, f)) push_bwd(db.fact(f).source, letter_from[label]);
+    };
+    for (uint8_t label : t.target_labels) {
+      const char l = static_cast<char>(label);
+      for (FactId f : fixed_target < 0
+                          ? label_index.Facts(l)
+                          : label_index.FactsInto(l, fixed_target)) {
+        coreach_over(label, f);
       }
-    } else {
-      for (int s : t.final_states) push_bwd(fixed_target, s);
     }
     for (size_t head = 0; head < bwd_queue.size(); ++head) {
       int64_t code = bwd_queue[head];
@@ -163,22 +169,58 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
       for (int32_t i = t.labels_in_offset[s]; i < t.labels_in_offset[s + 1];
            ++i) {
         const int label = t.labels_in[i];
-        const int from_state = letter_from[label];
         for (FactId f : label_index.FactsInto(static_cast<char>(label), v)) {
-          if (!open(label, f)) continue;
-          push_bwd(db.fact(f).source, from_state);
+          coreach_over(label, f);
         }
       }
     }
-    relevant_facts = static_cast<int64_t>(candidate_facts.size());
+
+    // The forward sweep enters only co-reachable pairs, so every pair it
+    // reaches is live, and every fact it keeps has a live or terminal
+    // tail and head: the candidate edges are exactly the staged ones. A
+    // fact out of the source is a seed, and any other fact's tail pair
+    // pops once.
+    auto push_fwd = [&](NodeId v, int s) {
+      if (in_source(v, s)) return false;
+      if (in_target(v, s)) return true;
+      const int64_t key = int64_t{v} * S + s;
+      if (!bwd.Contains(key)) return false;
+      if (product_id.Get(key) < 0) make_live(v, s);
+      return true;
+    };
+    auto reach_over = [&](int label, FactId f) {
+      if (open(label, f) && push_fwd(db.fact(f).target, letter_to[label])) {
+        candidate_facts.push_back(f);
+      }
+    };
+    for (uint8_t label : t.source_labels) {
+      const char l = static_cast<char>(label);
+      for (FactId f : fixed_source < 0
+                          ? label_index.Facts(l)
+                          : label_index.FactsFrom(l, fixed_source)) {
+        reach_over(label, f);
+      }
+    }
+    for (size_t head = 0; head < live_list.size(); ++head) {
+      int64_t code = live_list[head];
+      NodeId v = static_cast<NodeId>(code >> 32);
+      int s = static_cast<int>(code & 0xffffffff);
+      for (int32_t i = t.eps_out_offset[s]; i < t.eps_out_offset[s + 1];
+           ++i) {
+        push_fwd(v, t.eps_out[i]);
+      }
+      for (int32_t i = t.labels_out_offset[s]; i < t.labels_out_offset[s + 1];
+           ++i) {
+        const int label = t.labels_out[i];
+        for (FactId f : label_index.FactsFrom(static_cast<char>(label), v)) {
+          reach_over(label, f);
+        }
+      }
+    }
   } else {
     // Parity-test mode: everything is live (the pre-pruning construction).
     for (NodeId v = 0; v < V; ++v) {
-      for (int s = 0; s < S; ++s) {
-        fwd.TryInsert(int64_t{v} * S + s);
-        bwd.TryInsert(int64_t{v} * S + s);
-        fwd_visited.push_back(pack(v, s));
-      }
+      for (int s = 0; s < S; ++s) make_live(v, s);
     }
     for (int l = 0; l < 256; ++l) {
       if (letter_from[l] < 0) continue;
@@ -186,35 +228,7 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
         if (open(l, f)) candidate_facts.push_back(f);
       }
     }
-    relevant_facts = static_cast<int64_t>(candidate_facts.size());
   }
-
-  // Dense network ids for live vertices: 0 = source, 1 = target (with
-  // the pairs contracted into them), then the other live (node, state)
-  // pairs in forward-visit order.
-  auto& product_id = scratch->product_id;
-  auto& live_list = scratch->live_list;
-  product_id.Reset(product_size);
-  live_list.clear();
-  const bool contract = !scratch->disable_product_pruning;
-  int32_t live_count = 0;
-  for (int64_t code : fwd_visited) {
-    int64_t key = key_of(code);
-    if (!bwd.Contains(key)) continue;
-    const NodeId v = static_cast<NodeId>(code >> 32);
-    const int s = static_cast<int>(code & 0xffffffff);
-    if (contract && t.eps_from_initial[s] &&
-        (fixed_source < 0 || v == fixed_source)) {
-      product_id.Set(key, 0);
-    } else if (contract && t.eps_to_final[s] &&
-               (fixed_target < 0 || v == fixed_target)) {
-      product_id.Set(key, 1);
-    } else {
-      product_id.Set(key, 2 + live_count++);
-      live_list.push_back(code);
-    }
-  }
-
   prune_span.End();
 
   // --- Arc emission, straight into the CSR residual graph -----------------
@@ -240,18 +254,18 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
   for (FactId f : candidate_facts) {
     const Fact& fact = db.fact(f);
     unsigned char label = static_cast<unsigned char>(fact.label);
-    int32_t from =
-        product_id.Get(int64_t{fact.source} * S + letter_from[label]);
-    if (from < 0) continue;
-    int32_t to = product_id.Get(int64_t{fact.target} * S + letter_to[label]);
-    if (to < 0) continue;
-    if (from == 1 || to == 0) continue;  // out of the target or into the source
+    // The tail is the source or live, the head live or the target: no
+    // edge enters the source or leaves the target.
+    int32_t from = id_of(fact.source, letter_from[label]);
+    int32_t to = id_of(fact.target, letter_to[label]);
+    RPQRES_DCHECK(from == 0 || from >= 2);
+    RPQRES_DCHECK(to >= 1);
     if (label == split_label) {
       // The z-edge will join the middle vertex to the product vertex on
-      // the split side, which is live because this fact is. That vertex
-      // may be a terminal, but never the source at targets nor the target
-      // at sources, so the z-edge neither enters the source nor leaves
-      // the target.
+      // the split side, `to` at targets and `from` at sources. It is live
+      // because this fact is, and so a terminal at most as the target at
+      // targets or the source at sources: the z-edge neither enters the
+      // source nor leaves the target.
       const NodeId node = split_node(f);
       if (middle_of[node] < 0) {
         middle_of[node] = network.AddVertex();
@@ -268,7 +282,8 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
   for (NodeId node : middle_nodes) {
     const int state = split->at_target ? letter_to[split_label]
                                         : letter_from[split_label];
-    const int32_t product = product_id.Get(int64_t{node} * S + state);
+    const int32_t product = id_of(node, state);
+    RPQRES_DCHECK(product != (split->at_target ? 0 : 1));
     if (split->at_target) {
       network.AddEdge(middle_of[node], product, split->z[node]);
     } else {
@@ -276,7 +291,7 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
     }
   }
 
-  // Structural edges at uncontracted live vertices only: ε-transitions
+  // Structural edges at live non-terminal vertices only: ε-transitions
   // within each database node (none into the source), and in the
   // reference network the source/target hookups at initial/final states
   // (or at the fixed endpoints only).
@@ -286,7 +301,7 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
     NodeId v = static_cast<NodeId>(code >> 32);
     int s = static_cast<int>(code & 0xffffffff);
     for (int32_t e = t.eps_out_offset[s]; e < t.eps_out_offset[s + 1]; ++e) {
-      int32_t to = product_id.Get(int64_t{v} * S + t.eps_out[e]);
+      int32_t to = id_of(v, t.eps_out[e]);
       if (to > 0) network.AddEdge(id, to, kInfiniteCapacity);
     }
     if (contract) continue;
@@ -329,14 +344,14 @@ ResilienceResult SolveLocalProduct(const RoProductTables& t, const GraphDb& db,
   result.network_edges = network.num_edges();
   // Pruning telemetry: what the full |V|·|S| construction would have
   // materialized beyond what we staged (the fact component counts only
-  // sweep-discovered candidates, so it is a conservative lower bound).
-  // A split adds one middle vertex and one z-edge per node with a z-edge.
+  // the staged facts, so it is a conservative lower bound). A split adds
+  // one middle vertex and one z-edge per node with a z-edge.
   int64_t open_nodes = 0;
   if (split_label >= 0) {
     for (Capacity z : split->z) open_nodes += z > 0 ? 1 : 0;
   }
   int64_t full_edges =
-      relevant_facts + open_nodes + t.eps_transitions * V +
+      fact_edges + open_nodes + t.eps_transitions * V +
       (fixed_source < 0 ? int64_t{V} : 1) *
           static_cast<int64_t>(t.initial_states.size()) +
       (fixed_target < 0 ? int64_t{V} : 1) *

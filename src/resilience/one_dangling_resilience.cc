@@ -96,14 +96,19 @@ Result<ResilienceResult> SolveOneDanglingWithTables(
   // Witness (Claim 7.10 (ii)). The contingency already holds the cut
   // facts; per node v with its z-edge cut or absent (z(v) <= 0), add every
   // split fact at v (case (a)); otherwise every fresh fact at v (case (b)),
-  // whose cut split facts are already in.
+  // whose cut split facts are already in. One pass over each letter's
+  // facts, testing the fact's split-side node.
   const std::vector<uint8_t>& z_cut = scratch->z_cut;
-  for (NodeId v = 0; v < db.num_nodes(); ++v) {
-    const bool take_split = z[v] <= 0 || z_cut[v] != 0;
-    const char label = take_split ? tables.split : tables.fresh;
-    const bool facts_into = take_split == at_target;
-    for (FactId f : facts_into ? index.FactsInto(label, v)
-                               : index.FactsFrom(label, v)) {
+  auto takes_split = [&](NodeId v) { return z[v] <= 0 || z_cut[v] != 0; };
+  for (FactId f : index.Facts(tables.split)) {
+    const Fact& fact = db.fact(f);
+    if (takes_split(at_target ? fact.target : fact.source)) {
+      result.contingency.push_back(f);
+    }
+  }
+  for (FactId f : index.Facts(tables.fresh)) {
+    const Fact& fact = db.fact(f);
+    if (!takes_split(at_target ? fact.source : fact.target)) {
       result.contingency.push_back(f);
     }
   }

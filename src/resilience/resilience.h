@@ -84,9 +84,9 @@ struct ResiliencePlan {
   bool trivial_infinite = false;
   /// IF(L) = ∅: resilience is 0 on every database; no solver runs.
   bool trivial_empty = false;
-  /// Solver-ready tables of IF(L)'s RO-εNFA (Lemma 3.17) when method ==
-  /// kLocalFlow: letter transitions, ε-CSRs, per-state labels and
-  /// initial/final bits. Each ComputeResilienceWithPlan call skips straight
+  /// Solver-ready tables of IF(L)'s RO-εNFA (BuildRoEnfa, read off the
+  /// minimal DFA) when method == kLocalFlow: letter transitions, ε-CSRs,
+  /// per-state labels, initial/final bits and the sweeps' seed labels. Each ComputeResilienceWithPlan call skips straight
   /// to the Thm 3.13 product with zero per-solve automaton preprocessing.
   std::optional<RoProductTables> ro_tables;
   /// IF(L)'s forced and relevant labels, endpoint sides and oriented long

@@ -91,6 +91,15 @@ Result<RoProductTables> BuildRoProductTables(const Enfa& ro) {
   }
   t.eps_from_initial = Closure(t.initial_states, t.eps_out_offset, t.eps_out);
   t.eps_to_final = Closure(t.final_states, t.eps_in_offset, t.eps_in);
+  for (int l = 0; l < 256; ++l) {
+    if (t.letter_from[l] < 0) continue;
+    if (t.eps_from_initial[t.letter_from[l]]) {
+      t.source_labels.push_back(static_cast<uint8_t>(l));
+    }
+    if (t.eps_to_final[t.letter_to[l]]) {
+      t.target_labels.push_back(static_cast<uint8_t>(l));
+    }
+  }
   return t;
 }
 

@@ -1,11 +1,14 @@
 // rpqres — resilience/ro_tables: the per-automaton tables of the Thm 3.13
 // product construction, precomputed once per plan.
 //
-// Every local flow solve needs the same derived views of its RO-εNFA:
-// flat 256-entry letter→transition tables, ε-adjacency CSRs in both
-// directions, per-state readable-label lists, initial/final membership
-// bits and their ε-closures. They depend only on the automaton, so the
-// planner builds them once (ResiliencePlan::ro_tables /
+// Every local flow solve needs the same derived views of its RO-εNFA
+// (BuildRoEnfa's, read off the minimal DFA: Thm 3.13 accepts any
+// RO-εNFA for L): flat 256-entry letter→transition tables, ε-adjacency
+// CSRs in both directions, per-state readable-label lists, initial/final
+// membership bits, their ε-closures, and the labels of the facts that
+// leave the source and enter the target of a contracted network, from
+// which the solver seeds its two sweeps. They depend only on the
+// automaton, so the planner builds them once (ResiliencePlan::ro_tables /
 // CompiledQuery::ro_tables_exact) and every solve against any database
 // starts emitting arcs immediately.
 
@@ -44,6 +47,12 @@ struct RoProductTables {
   /// iff it ε-reaches a final state. The product pairs of such states are
   /// joined to the source, resp. the target, by infinite edges alone.
   std::vector<uint8_t> eps_from_initial, eps_to_final;
+  /// The labels read out of a state of the initial ε-closure, and the
+  /// labels read into a state that ε-reaches a final state, in label
+  /// order. Their facts leave the source, resp. enter the target, so the
+  /// forward sweep starts from the first list's facts and the backward
+  /// sweep from the second's.
+  std::vector<uint8_t> source_labels, target_labels;
 };
 
 /// Derives the tables; FailedPrecondition when `ro` is not read-once.

@@ -338,6 +338,42 @@ TEST(EngineEvaluateTest, PerRequestOverrides) {
   EXPECT_EQ(strict.stats().cache_misses, 1);
 }
 
+// A refused exponential fallback is the request's policy, not an answer:
+// its differential reads inconclusive, never a mismatch, whether the
+// engine or the request refuses; the allowed request still agrees.
+TEST(EngineEvaluateTest, RefusedFallbackIsNotADifferentialMismatch) {
+  DbRegistry registry;
+  DbHandle db = registry.Register(PathDb("abc"));
+  EngineOptions strict_options;
+  strict_options.allow_exponential = false;
+  ResilienceEngine strict(strict_options);
+  const std::vector<ResilienceRequest> requests = {
+      {.regex = "ab|bc|ca", .db = db},
+      {.regex = "ab|bc|ca", .db = db,
+       .options = {.allow_exponential = false}}};
+  std::vector<ResilienceResponse> refused =
+      strict.EvaluateDifferential(std::span(requests).first(1));
+  EXPECT_EQ(refused[0].status.code(), StatusCode::kUnimplemented);
+  ASSERT_TRUE(refused[0].differential.has_value());
+  EXPECT_TRUE(refused[0].differential->inconclusive);
+  EXPECT_FALSE(refused[0].differential->agree);
+  EXPECT_TRUE(refused[0].differential->mismatch.empty());
+  EXPECT_EQ(strict.stats().differential_mismatches, 0);
+
+  ResilienceEngine permissive;
+  std::vector<ResilienceResponse> responses =
+      permissive.EvaluateDifferential(requests);
+  ASSERT_TRUE(responses[0].status.ok()) << responses[0].status;
+  EXPECT_EQ(responses[0].result.value, 1);
+  ASSERT_TRUE(responses[0].differential.has_value());
+  EXPECT_TRUE(responses[0].differential->agree)
+      << responses[0].differential->mismatch;
+  EXPECT_EQ(responses[1].status.code(), StatusCode::kUnimplemented);
+  ASSERT_TRUE(responses[1].differential.has_value());
+  EXPECT_TRUE(responses[1].differential->inconclusive);
+  EXPECT_EQ(permissive.stats().differential_mismatches, 0);
+}
+
 TEST(EngineCompiledQueryTest, ExposesClassificationAndPlan) {
   ResilienceEngine engine;
   auto compiled = engine.Compile("ax*b", Semantics::kBag);

@@ -3,11 +3,14 @@
 // pruned, terminal-contracted product path must produce the same cut
 // value and the same contingency set as (a) the full, uncontracted
 // construction (the retired pre-CSR behavior, reproduced via
-// SolverScratch::disable_product_pruning), and the same value as (b) the
-// independent exact branch & bound — with every flow witness verifying
-// against the database. This is the regression net under every
-// future flow optimization; the CI ASan/UBSan job runs it over the same
-// seeds with sanitizers on.
+// SolverScratch::disable_product_pruning), (b) for local and one-dangling
+// plans, the same solve on Lemma 3.17's RO-εNFA (tests/lemma317_ro_enfa.h)
+// in place of the one read off the minimal DFA, built on IF(L), resp. on
+// the base B, and on four fixed-endpoint pairs per local instance; and the
+// same value as (c) the independent exact branch & bound — with every
+// flow witness verifying against the database. This is the regression net
+// under every future flow optimization; the CI ASan/UBSan job runs it over
+// the same seeds with sanitizers on.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +19,15 @@
 #include "flow/solver_scratch.h"
 #include "graphdb/label_index.h"
 #include "lang/language.h"
+#include "lang/local.h"
+#include "lang/one_dangling.h"
+#include "lang/ro_enfa.h"
+#include "lemma317_ro_enfa.h"
 #include "resilience/exact.h"
+#include "resilience/local_resilience.h"
+#include "resilience/one_dangling_resilience.h"
 #include "resilience/resilience.h"
+#include "util/rng.h"
 #include "workload/workload.h"
 
 namespace rpqres {
@@ -31,9 +41,70 @@ using workload::WorkloadInstance;
 struct ParityCounters {
   int generated = 0;
   int flow_solved = 0;
+  int reference_compared = 0;
+  int fixed_endpoint_compared = 0;
   int exact_compared = 0;
   int exact_inconclusive = 0;
 };
+
+RoProductTables Lemma317Tables(const Language& lang) {
+  return BuildRoProductTables(Lemma317RoEnfa(lang)).ValueOrDie();
+}
+
+// Same infinite flag, value and contingency set.
+void ExpectSameAnswer(const ResilienceResult& got,
+                      const ResilienceResult& reference) {
+  EXPECT_EQ(got.infinite, reference.infinite);
+  if (got.infinite || reference.infinite) return;
+  EXPECT_EQ(got.value, reference.value);
+  EXPECT_EQ(got.contingency, reference.contingency);
+}
+
+// The local and one-dangling solves again on Lemma 3.17's automaton: on
+// IF(L) for a local plan, on B for a one-dangling plan, and for a local
+// plan on four fixed-endpoint pairs with the tables of L itself (IF(L)'s
+// when only IF(L) is local).
+void CompareWithLemma317(const ResiliencePlan& plan, const Language& lang,
+                         const GraphDb& db, Semantics semantics,
+                         const LabelIndex& index, uint64_t seed,
+                         const ResilienceResult& solved,
+                         SolverScratch* scratch, ParityCounters* counters) {
+  if (plan.method == ResilienceMethod::kOneDanglingFlow) {
+    OneDanglingTables reference = *plan.one_dangling_tables;
+    reference.base =
+        Lemma317Tables(FindOneDanglingDecomposition(plan.if_language)->base);
+    Result<ResilienceResult> lemma =
+        SolveOneDanglingWithTables(reference, db, semantics, &index, scratch);
+    ASSERT_TRUE(lemma.ok()) << lemma.status();
+    ExpectSameAnswer(solved, *lemma);
+    ++counters->reference_compared;
+    return;
+  }
+  if (plan.method != ResilienceMethod::kLocalFlow) return;
+  ExpectSameAnswer(solved, SolveLocalResilienceWithTables(
+                               Lemma317Tables(plan.if_language), db,
+                               semantics, &index, scratch));
+  ++counters->reference_compared;
+  if (db.num_nodes() == 0) return;
+  const Language& fixed = IsLocal(lang) ? lang : plan.if_language;
+  const RoProductTables tables =
+      BuildRoProductTables(BuildRoEnfa(fixed).ValueOrDie()).ValueOrDie();
+  const RoProductTables reference = Lemma317Tables(fixed);
+  Rng rng(seed);
+  for (int pair = 0; pair < 4; ++pair) {
+    const NodeId source = static_cast<NodeId>(rng.NextBelow(db.num_nodes()));
+    const NodeId target = static_cast<NodeId>(rng.NextBelow(db.num_nodes()));
+    SCOPED_TRACE("endpoints " + std::to_string(source) + " -> " +
+                 std::to_string(target));
+    ExpectSameAnswer(SolveLocalResilienceFixedEndpointsWithTables(
+                         tables, db, source, target, semantics, &index,
+                         scratch),
+                     SolveLocalResilienceFixedEndpointsWithTables(
+                         reference, db, source, target, semantics, &index,
+                         scratch));
+    ++counters->fixed_endpoint_compared;
+  }
+}
 
 class FlowParityTest : public ::testing::TestWithParam<QueryClass> {};
 
@@ -87,6 +158,9 @@ TEST_P(FlowParityTest, PrunedCsrPathMatchesSeedSemantics) {
       EXPECT_EQ(VerifyResilienceResult(*lang, db, semantics, **r),
                 Status::OK());
     }
+    CompareWithLemma317(*plan, *lang, db, semantics, index, seed, *indexed,
+                        &scratch, &counters);
+
     // The unpruned network accounts for every vertex the pruned one
     // skipped (local flow reports the full 2 + |V|·|S| construction).
     if (plan->method == ResilienceMethod::kLocalFlow &&
@@ -108,13 +182,21 @@ TEST_P(FlowParityTest, PrunedCsrPathMatchesSeedSemantics) {
     }
     ++counters.exact_compared;
     EXPECT_EQ(indexed->infinite, reference->infinite);
-    if (!indexed->infinite) EXPECT_EQ(indexed->value, reference->value);
+    if (!indexed->infinite) {
+      EXPECT_EQ(indexed->value, reference->value);
+    }
   }
 
   // The sweep must be substantive, not vacuously green.
   EXPECT_GE(counters.generated, kSeedsPerClass * 9 / 10);
   EXPECT_GE(counters.flow_solved, kSeedsPerClass / 2);
   EXPECT_GE(counters.exact_compared, counters.flow_solved / 2);
+  if (GetParam() != QueryClass::kBcl) {
+    EXPECT_GE(counters.reference_compared, counters.flow_solved / 2);
+  }
+  if (GetParam() == QueryClass::kLocal) {
+    EXPECT_GE(counters.fixed_endpoint_compared, counters.reference_compared);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(FlowClasses, FlowParityTest,

@@ -1,7 +1,8 @@
 // Tests for local languages (Section 3.1): local profiles, the local
 // overapproximation (Def 3.8), the locality test (Prp 3.12), local DFAs
 // (Def 3.1), letter-Cartesian languages (Def 3.3, Prp 3.5), and RO-εNFAs
-// (Def 3.15, Lem 3.17).
+// (Def 3.15): BuildRoEnfa's, read off the minimal DFA, and Lem 3.17's
+// (tests/lemma317_ro_enfa.h).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "lang/language.h"
 #include "lang/local.h"
 #include "lang/ro_enfa.h"
+#include "lemma317_ro_enfa.h"
 
 namespace rpqres {
 namespace {
@@ -160,7 +162,8 @@ TEST(RoEnfaTest, FailsOnNonLocal) {
 }
 
 TEST(RoEnfaTest, SizeBound) {
-  // Lem 3.17 construction: ≤ 2|Σ| + 1 states.
+  // ≤ 2|Σ| + 1 states, Lem 3.17's bound: at most |Σ| + 1 useful DFA
+  // states and one hub per letter.
   for (const char* regex : {"ax*b", "ab|ad|cd", "a(x|y)*b"}) {
     Language lang = Language::MustFromRegexString(regex);
     Result<Enfa> ro = BuildRoEnfa(lang);
@@ -168,6 +171,83 @@ TEST(RoEnfaTest, SizeBound) {
     EXPECT_LE(ro->num_states(),
               2 * static_cast<int>(lang.used_letters().size()) + 1);
   }
+}
+
+int EpsilonTransitions(const Enfa& a) {
+  int count = 0;
+  for (const EnfaTransition& t : a.transitions()) {
+    count += t.symbol == kEpsilonSymbol ? 1 : 0;
+  }
+  return count;
+}
+
+// The transition of `letter`: exactly one in a read-once automaton.
+EnfaTransition TransitionOf(const Enfa& a, char letter) {
+  for (const EnfaTransition& t : a.transitions()) {
+    if (t.symbol == letter) return t;
+  }
+  ADD_FAILURE() << "no " << letter << "-transition";
+  return {};
+}
+
+// Read off the minimal DFA, ax*b is q0 -a-> M -x-> M -b-> F: 3 states and
+// no ε, where Lem 3.17 takes 7 states and 5 ε-edges.
+TEST(RoEnfaTest, AxStarBIsItsMinimalDfa) {
+  Language lang = Language::MustFromRegexString("ax*b");
+  Enfa ro = BuildRoEnfa(lang).ValueOrDie();
+  EXPECT_EQ(ro.num_states(), 3);
+  EXPECT_EQ(EpsilonTransitions(ro), 0);
+  const EnfaTransition a = TransitionOf(ro, 'a'), x = TransitionOf(ro, 'x'),
+                       b = TransitionOf(ro, 'b');
+  EXPECT_TRUE(ro.IsInitial(a.from));
+  EXPECT_EQ(x.from, a.to);
+  EXPECT_EQ(x.to, a.to);
+  EXPECT_EQ(b.from, a.to);
+  EXPECT_TRUE(ro.IsFinal(b.to));
+  const Enfa lemma = Lemma317RoEnfa(lang);
+  EXPECT_EQ(lemma.num_states(), 7);
+  EXPECT_EQ(EpsilonTransitions(lemma), 5);
+}
+
+// Letters leaving the same set of states share one hub: in ab|ad|cd the
+// d-transitions leave the states after a and after c, which enter a hub
+// by ε (Fig 2c has one ε-edge per pair of Π instead).
+TEST(RoEnfaTest, SharedSourcesEnterOneHub) {
+  Enfa ro = BuildRoEnfa(Language::MustFromRegexString("ab|ad|cd"))
+                .ValueOrDie();
+  EXPECT_EQ(ro.num_states(), 5);
+  EXPECT_EQ(EpsilonTransitions(ro), 2);
+  const EnfaTransition d = TransitionOf(ro, 'd');
+  for (char c : {'a', 'c'}) {
+    const int after = TransitionOf(ro, c).to;
+    EXPECT_EQ(ro.EpsilonClosure({after}), ro.EpsilonClosure({after, d.from}))
+        << c;
+    EXPECT_NE(after, d.from);
+  }
+  EXPECT_EQ(TransitionOf(ro, 'b').from, TransitionOf(ro, 'a').to);
+}
+
+// Shapes Lem 3.17 never produces, which the local solver must handle
+// (resilience_local_test solves both): in a*b the a-transition enters the
+// initial state, and in x+ the final state enters x's hub by ε, which the
+// initial state enters too.
+TEST(RoEnfaTest, LetterIntoInitialAndEpsilonOutOfFinal) {
+  Enfa a_star_b = BuildRoEnfa(Language::MustFromRegexString("a*b"))
+                      .ValueOrDie();
+  const EnfaTransition a = TransitionOf(a_star_b, 'a');
+  EXPECT_TRUE(a_star_b.IsInitial(a.from));
+  EXPECT_TRUE(a_star_b.IsInitial(a.to));
+  EXPECT_EQ(a_star_b.num_states(), 2);
+
+  Enfa x_plus = BuildRoEnfa(Language::MustFromRegexString("x+")).ValueOrDie();
+  const EnfaTransition x = TransitionOf(x_plus, 'x');
+  EXPECT_TRUE(x_plus.IsFinal(x.to));
+  EXPECT_EQ(x_plus.EpsilonClosure({x.to}),
+            x_plus.EpsilonClosure({x.from, x.to}));
+  EXPECT_EQ(x_plus.EpsilonClosure(x_plus.initial_states()),
+            x_plus.EpsilonClosure({0, x.from}));
+  EXPECT_NE(x.from, x.to);
+  EXPECT_EQ(x_plus.num_states(), 3);
 }
 
 class RoEnfaRoundTripTest : public ::testing::TestWithParam<const char*> {};

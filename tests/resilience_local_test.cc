@@ -7,10 +7,13 @@
 #include <string>
 
 #include "flow/residual_graph.h"
+#include "flow/solver_scratch.h"
 #include "graphdb/generators.h"
 #include "graphdb/graph_db.h"
+#include "graphdb/label_index.h"
 #include "lang/language.h"
 #include "lang/ro_enfa.h"
+#include "lemma317_ro_enfa.h"
 #include "resilience/exact.h"
 #include "resilience/local_resilience.h"
 #include "resilience/resilience.h"
@@ -186,6 +189,99 @@ TEST(LocalResilienceTest, CombinedComplexityNetworkSize) {
             2 + db.num_nodes() * ro.num_states());
   EXPECT_GT(r.product_vertices_pruned, 0)
       << "a path database must have dead product vertices to prune";
+}
+
+// Only pairs on a source-target path get a vertex: on a → x → x → b with
+// a dead-end x-fact out of the a-fact's head, ax*b's automaton (q0, M, F)
+// keeps the three M pairs of the path; the dead end's M pair is reachable
+// but not co-reachable, and the q0 and F pairs are the terminals.
+TEST(LocalResilienceTest, OnlyPairsOnASourceTargetPathGetVertices) {
+  GraphDb db = PathDb("axxb");
+  db.AddFact(1, 'x', db.AddNode());
+  Enfa ro = BuildRoEnfa(Language::MustFromRegexString("ax*b")).ValueOrDie();
+  ASSERT_EQ(ro.num_states(), 3);
+  ResilienceResult r = SolveLocalResilienceWithTables(
+      BuildRoProductTables(ro).ValueOrDie(), db, Semantics::kSet);
+  EXPECT_EQ(r.value, 1);
+  EXPECT_EQ(r.network_vertices, 2 + 3);
+  EXPECT_EQ(r.network_edges, 4);  // the a-, x-, x- and b-fact of the path
+}
+
+// Same infinite flag, value and contingency set.
+void ExpectSameAnswer(const ResilienceResult& got,
+                      const ResilienceResult& reference) {
+  EXPECT_EQ(got.infinite, reference.infinite);
+  if (got.infinite || reference.infinite) return;
+  EXPECT_EQ(got.value, reference.value);
+  EXPECT_EQ(got.contingency, reference.contingency);
+}
+
+// Shapes Lem 3.17's automaton never has: a*b's a-transition enters the
+// initial state; x+'s final state enters x's hub by ε; ab*'s b-transition
+// leaves the final state. Solved on L's own tables (an infix-free IF(L)
+// has none of these shapes) with the terminals contracted, on the full
+// network, from fixed endpoints and with the letter split at either side,
+// each gives Lem 3.17's answer. A split letter entering the source or
+// leaving the target stages no z-edge there (the solver checks it in
+// debug builds).
+TEST(LocalResilienceTest, ShapesOfTheDfaAutomatonSolveAsLemma317) {
+  struct Case {
+    const char* regex;
+    std::vector<char> labels;
+  };
+  for (const Case& c : {Case{"a*b", {'a', 'b'}}, Case{"x+", {'x'}},
+                        Case{"ab*", {'a', 'b'}}}) {
+    SCOPED_TRACE(c.regex);
+    Language lang = Language::MustFromRegexString(c.regex);
+    const RoProductTables tables =
+        BuildRoProductTables(BuildRoEnfa(lang).ValueOrDie()).ValueOrDie();
+    const RoProductTables reference =
+        BuildRoProductTables(Lemma317RoEnfa(lang)).ValueOrDie();
+    Rng rng(31);
+    SolverScratch scratch, reference_scratch;
+    for (int trial = 0; trial < 40; ++trial) {
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      GraphDb db = RandomGraphDb(&rng, 5, 10, c.labels, 3);
+      LabelIndex index(db);
+      for (Semantics semantics : {Semantics::kSet, Semantics::kBag}) {
+        const ResilienceResult got = SolveLocalResilienceWithTables(
+            tables, db, semantics, &index, &scratch);
+        ExpectSameAnswer(got, SolveLocalResilienceWithTables(
+                                  reference, db, semantics, &index,
+                                  &reference_scratch));
+        scratch.disable_product_pruning = true;
+        ExpectSameAnswer(SolveLocalResilienceWithTables(
+                             tables, db, semantics, &index, &scratch),
+                         got);
+        scratch.disable_product_pruning = false;
+        for (NodeId source : {0, 2}) {
+          for (NodeId target : {0, 4}) {
+            ExpectSameAnswer(
+                SolveLocalResilienceFixedEndpointsWithTables(
+                    tables, db, source, target, semantics, &index, &scratch),
+                SolveLocalResilienceFixedEndpointsWithTables(
+                    reference, db, source, target, semantics, &index,
+                    &reference_scratch));
+          }
+        }
+        for (char letter : c.labels) {
+          for (bool at_target : {true, false}) {
+            std::vector<Capacity> z(db.num_nodes());
+            for (Capacity& zv : z) zv = static_cast<Capacity>(rng.NextBelow(5)) - 1;
+            const LetterSplit split{letter, at_target, z};
+            const ResilienceResult split_got = SolveLocalResilienceWithSplit(
+                tables, split, db, semantics, index, &scratch);
+            ExpectSameAnswer(split_got, SolveLocalResilienceWithSplit(
+                                            reference, split, db, semantics,
+                                            index, &reference_scratch));
+            if (!split_got.infinite) {
+              EXPECT_EQ(scratch.z_cut, reference_scratch.z_cut);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // Section 1: multi-source, multi-sink MinCut is RES_bag(ax*b). The direct
